@@ -5,12 +5,10 @@ __version__ = "0.1.0"
 from .diagnostics import Hpdi, KdeGrid, boi, ergodic_average, hpdi, kde, pare, pare_table
 from .distributions import RngHandle, UnnormalizedLogDensity, slice_sample_1d
 from .dynamics import (
-    EscapeReport,
     MultiSeries,
     NoiseMixtureSpec,
     PolynomialMap,
     compound_noise,
-    detect_escape,
     eval_map,
     sample_noise,
     simulate_multi,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib.resources
 import json
@@ -62,6 +63,31 @@ FULL_SCALE = {"iterations": 60_000, "burn_in": 20_000}
 
 
 # --- configuration --------------------------------------------------------------
+
+# The keys each config block may set: the ones its parser reads. Any other key
+# is a typo that would otherwise fall back to a default without a word.
+CONFIG_KEYS = {
+    "top level": {"name", "data", "prior", "sampler", "outputs", "reproduce"},
+    "data": {"seed", "maps", "n", "x0", "horizon", "components", "selection"},
+    "prior": {"poly_degree", "beta_a", "beta_b", "gamma_a", "gamma_b", "horizon", "x0_support",
+              "dirichlet_alpha", "dirichlet_alpha_weak", "dirichlet_alpha_strong"},
+    "sampler": {f.name for f in dataclasses.fields(GibbsConfig)},
+    "outputs": {"directory", "kde_bounds"},
+    "reproduce": {"short_series", "donors"},
+}
+
+
+def check_config_keys(doc: dict) -> None:
+    """Raise ConfigError naming the first key that no parser reads."""
+    for name, allowed in CONFIG_KEYS.items():
+        block = doc if name == "top level" else doc.get(name) or {}
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name} block must be a mapping")
+        unknown = sorted(set(block) - allowed, key=str)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in the {name} config block; "
+                              f"expected one of {sorted(allowed)}")
+
 
 def load_config(path) -> dict:
     try:
@@ -181,6 +207,7 @@ def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
 # --- simulate --------------------------------------------------------------------
 
 def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> MultiSeries:
+    check_config_keys(doc)
     specs, horizons, selection, seed = parse_data_block(doc["data"])
     if seed_override is not None:
         seed = int(seed_override)
@@ -219,6 +246,7 @@ SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_gsbr, "parametric": run_parametric_
 
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             scale=None, resume_path=None, alpha_key="dirichlet_alpha"):
+    check_config_keys(doc)
     data = MultiSeries.load_json(data_path)
     prior = parse_prior_block(doc.get("prior", {}), data.m, alpha_key=alpha_key)
     config = parse_sampler_block(doc.get("sampler", {}), seed_override, scale)
@@ -228,7 +256,10 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     resume = None
     if resume_path:
-        state, rng, _ = load_checkpoint(resume_path)
+        try:
+            state, rng, _ = load_checkpoint(resume_path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot resume from {resume_path}: {exc!r}") from exc
         resume = (state, rng)
     records = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume

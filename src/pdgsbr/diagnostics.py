@@ -108,14 +108,6 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     return KdeGrid(grid=grid, density=density, bandwidth=h)
 
 
-def count_modes(grid_density: KdeGrid, rel_height: float = 0.01) -> int:
-    """Local maxima of a KDE above a small fraction of the global peak."""
-    d = grid_density.density
-    peak = d.max()
-    interior = (d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:]) & (d[1:-1] > rel_height * peak)
-    return int(interior.sum())
-
-
 def pare_table(trace, data) -> dict:
     """PARE of posterior-mean coefficients per series, plus row means.
 

@@ -121,19 +121,26 @@ def draw_categorical(weights: np.ndarray, rng: RngHandle) -> int:
     return int(min(np.searchsorted(cumulative, u, side="right"), weights.size - 1))
 
 
-def draw_truncated_geometric(lam: float, min_value: int, rng: RngHandle) -> int:
+def draw_truncated_geometric(lam, min_value, rng: RngHandle):
     """Draw N with P{N = r} = lam (1 - lam)^(r - min_value) for r >= min_value.
 
-    Sampled by inversion on the closed-form tail CDF, O(1) and exact.
+    Sampled by inversion on the closed-form tail CDF, O(1) and exact. Works
+    elementwise on arrays of ``lam`` and ``min_value``, drawing one uniform
+    per element in order; scalar arguments give an int.
     """
-    if not (0.0 < lam < 1.0):
+    lam = np.asarray(lam, dtype=float)
+    min_value = np.asarray(min_value)
+    if not (lam.min() > 0.0 and lam.max() < 1.0):
         raise ParameterDomainError(f"lambda must lie in (0, 1), got {lam}")
-    if min_value < 1:
+    if min_value.min() < 1:
         raise ParameterDomainError(f"min_value must be >= 1, got {min_value}")
-    u = rng.generator.random()
+    u = rng.generator.random(np.broadcast(lam, min_value).shape)
     # floor(log(1-u) / log(1-lam)) is a Geometric(lam) variate on {0, 1, ...}
-    offset = math.floor(math.log1p(-u) / math.log1p(-lam)) if u > 0.0 else 0
-    return int(min_value) + int(offset)
+    offset = np.floor(np.log1p(-u) / np.log1p(-lam))
+    if offset.max() >= 2.0 ** 62:  # would wrap as int64; needs lam below about 1e-17
+        raise ParameterDomainError(f"lambda too close to 0 for an int64 draw, got {lam}")
+    draw = min_value + offset.astype(np.int64)
+    return draw if draw.ndim else int(draw)
 
 
 def slice_sample_1d(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,23 +118,6 @@ def sample_noise(spec: NoiseMixtureSpec, rng: RngHandle) -> float:
     """One draw from the finite mixture."""
     k = draw_categorical(np.asarray(spec.weights), rng)
     return float(rng.generator.normal(0.0, math.sqrt(spec.variances[k])))
-
-
-@dataclass(frozen=True)
-class EscapeReport:
-    escaped: bool
-    escape_index: Optional[int]
-    bound: float
-
-
-def detect_escape(series: Sequence[float], bound: float) -> EscapeReport:
-    """First index at which |x_i| exceeds the bound, scanning from the start."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    for i, x in enumerate(series):
-        if abs(x) > bound:
-            return EscapeReport(True, i, bound)
-    return EscapeReport(False, None, bound)
 
 
 @dataclass

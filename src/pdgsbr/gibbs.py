@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,12 +26,12 @@ from .distributions import (
     draw_categorical,
     draw_dirichlet,
     draw_gamma,
+    draw_truncated_geometric,
     slice_sample_1d,
 )
 from .dynamics import MultiSeries, PolynomialMap, eval_map
 from .errors import SingularDesignError
 from .model import (
-    Allocations,
     ChainState,
     PriorConfig,
     TraceRecord,
@@ -80,21 +80,6 @@ class GibbsConfig:
         if self.slice_width <= 0 or self.max_stepout < 1:
             raise ValueError("invalid slice-sampler tuning")
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-            "seed": self.seed,
-            "slice_width": self.slice_width,
-            "max_stepout": self.max_stepout,
-            "checkpoint_interval": self.checkpoint_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GibbsConfig":
-        return cls(**doc)
-
 
 # --- shared helpers -----------------------------------------------------------
 
@@ -110,20 +95,20 @@ def residuals(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
     return (xs[1:] - preds) ** 2
 
 
-def _atom_matrix(state: ChainState, j: int) -> np.ndarray:
-    """Precisions tau_{jlk} as an (m, K) matrix for fixed series j."""
-    rows = [state.atoms.row(j, l) for l in range(state.m)]
-    K = max(len(r) for r in rows)
-    out = np.full((state.m, K), np.nan)
-    for l, r in enumerate(rows):
-        out[l, : len(r)] = r
-    return out
-
-
 def _tau_per_point(state: ChainState, j: int) -> np.ndarray:
     """Allocated precision tau_{j, delta_ji, d_ji} for every point of series j."""
-    taus = _atom_matrix(state, j)
-    return taus[state.alloc.delta[j], state.alloc.d[j] - 1]
+    atoms = state.atoms
+    return atoms.values[atoms.index[j, state.alloc.delta[j]], state.alloc.d[j] - 1]
+
+
+def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
+    """Per-series sums x[j, l, ...] pooled over the pairs ``upper`` (atom-row
+    order): x[j, j] on the diagonal, x[j, l] + x[l, j] off it."""
+    j, l = upper
+    pooled = x[j, l]
+    off = j < l
+    pooled[off] += x[l[off], j[off]]
+    return pooled
 
 
 # --- densities used by the marginalization oracle ------------------------------
@@ -159,8 +144,9 @@ def mixture_partial_density(x, x_prev, theta, p_row, lam_row, tau_rows, K: int) 
 
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
 
-def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig) -> dict:
-    """Gamma (shape, rate) of every atom's full conditional, keyed by (j, l, k).
+def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
+    """Gamma (shape, rate) of every atom's full conditional, as two (P, K)
+    arrays laid out like ``state.atoms.values``.
 
     Counts and residual sums run over the whole augmented index range
     i = 1..n_j+T_j and pool both series of an off-diagonal pair.
@@ -171,15 +157,12 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     rsums = np.zeros((m, m, K))
     for j in range(m):
         h = residuals(state, data, j)
-        np.add.at(counts[j], (state.alloc.delta[j], state.alloc.d[j] - 1), 1.0)
-        np.add.at(rsums[j], (state.alloc.delta[j], state.alloc.d[j] - 1), h)
-    params = {}
-    for j, l in state.atoms.pairs():
-        for k in range(1, state.atoms.size(j, l) + 1):
-            c = counts[j, l, k - 1] + (counts[l, j, k - 1] if j < l else 0.0)
-            r = rsums[j, l, k - 1] + (rsums[l, j, k - 1] if j < l else 0.0)
-            params[(j, l, k)] = (prior.gamma_a + 0.5 * c, prior.gamma_b + 0.5 * r)
-    return params
+        cells = (state.alloc.delta[j], state.alloc.d[j] - 1)
+        np.add.at(counts[j], cells, 1.0)
+        np.add.at(rsums[j], cells, h)
+    upper = state.atoms.upper
+    return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
+            prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
 
 
 def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarray:
@@ -192,7 +175,8 @@ def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarr
 
 
 def geometric_posterior_params(state: ChainState, prior: PriorConfig):
-    """Beta (a, b) of every lambda_{jl} full conditional (j <= l keys).
+    """Beta (a, b) of every lambda_{jl} full conditional, as two length-P
+    arrays over the pairs j <= l in atom-row order.
 
     Uses S_{jl} = #{i : delta_ji = l} and S'_{jl} = sum over those i of
     (N_ji - 1); an off-diagonal pair pools both orientations.
@@ -203,13 +187,9 @@ def geometric_posterior_params(state: ChainState, prior: PriorConfig):
     for j in range(m):
         np.add.at(S[j], state.alloc.delta[j], 1.0)
         np.add.at(Sp[j], state.alloc.delta[j], state.alloc.N[j] - 1.0)
-    params = {}
-    for j in range(m):
-        for l in range(j, m):
-            pooled_S = S[j, l] + (S[l, j] if j < l else 0.0)
-            pooled_Sp = Sp[j, l] + (Sp[l, j] if j < l else 0.0)
-            params[(j, l)] = (prior.beta_a[j, l] + 2.0 * pooled_S, prior.beta_b[j, l] + pooled_Sp)
-    return params
+    upper = state.atoms.upper
+    return (prior.beta_a[upper] + 2.0 * pool_pairs(S, upper),
+            prior.beta_b[upper] + pool_pairs(Sp, upper))
 
 
 def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
@@ -230,7 +210,7 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """
     for j in range(state.m):
         h = residuals(state, data, j)
-        taus = _atom_matrix(state, j)  # (m, K)
+        taus = state.atoms.matrix(j)  # (m, K)
         K = taus.shape[1]
         with np.errstate(invalid="ignore"):
             base = np.log(state.p[j])[:, None] + 0.5 * np.log(taus)
@@ -250,26 +230,21 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 
 def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
-    """Redraw every slice bound from its truncated geometric and grow atoms.
-
-    Inversion on the closed-form tail CDF: N = d + floor(log(1-u)/log(1-lam)).
-    """
+    """Redraw every slice bound (capped at SLICE_BOUND_CAP) and resize the atoms."""
     for j in range(state.m):
-        lam_i = state.lam[j, state.alloc.delta[j]]
-        u = rng.generator.random(lam_i.size)
-        offset = np.floor(np.log1p(-u) / np.log1p(-lam_i))
-        bound = state.alloc.d[j] + np.minimum(offset, SLICE_BOUND_CAP).astype(int)
-        state.alloc.N[j] = np.minimum(bound, SLICE_BOUND_CAP)
-        np.maximum(state.alloc.N[j], state.alloc.d[j], out=state.alloc.N[j])
+        d = state.alloc.d[j]
+        bound = draw_truncated_geometric(state.lam[j, state.alloc.delta[j]], d, rng)
+        state.alloc.N[j] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
     return ensure_atoms(state, prior, rng)
 
 
 def update_precisions(state: ChainState, data: MultiSeries, prior: PriorConfig,
                       rng: RngHandle) -> ChainState:
-    """Conjugate gamma redraw of every stored atom."""
-    params = precision_posterior_params(state, data, prior)
-    for (j, l, k), (shape, rate) in sorted(params.items()):
-        state.atoms.set(j, l, k, draw_gamma(shape, rate, rng))
+    """Conjugate gamma redraw of every stored atom, in row order."""
+    shape, rate = precision_posterior_params(state, data, prior)
+    draws = [draw_gamma(a, b, rng)
+             for a, b in zip(shape.ravel().tolist(), rate.ravel().tolist())]
+    state.atoms.values = np.reshape(draws, shape.shape)
     return state
 
 
@@ -283,10 +258,10 @@ def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle
 
 def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Conjugate beta redraw of every geometric probability (mirrored)."""
-    params = geometric_posterior_params(state, prior)
-    for (j, l), (a, b) in sorted(params.items()):
-        value = draw_beta(a, b, rng)
-        state.lam[j, l] = state.lam[l, j] = value
+    a, b = geometric_posterior_params(state, prior)
+    j, l = state.atoms.upper
+    draws = [draw_beta(x, y, rng) for x, y in zip(a.tolist(), b.tolist())]
+    state.lam[j, l] = state.lam[l, j] = draws
     return state
 
 
@@ -331,8 +306,7 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     width = config.slice_width if config else 0.25
     stepout = config.max_stepout if config else 16
     for j in range(state.m):
-        tau = (tau_override if tau_override is not None
-               else state.atoms.get(j, state.alloc.delta[j][0], state.alloc.d[j][0]))
+        tau = tau_override if tau_override is not None else float(_tau_per_point(state, j)[0])
         theta = tuple(state.theta[j])
         x1 = float(data.series[j][0])
         poly = PolynomialMap(theta)
@@ -362,16 +336,13 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
         n = data.lengths[j]
         xs = full_path(state, data, j)
         poly = PolynomialMap(tuple(state.theta[j]))
-
-        def tau_at(i):  # precision allocated to observation index i (1-based)
-            if tau_override is not None:
-                return tau_override
-            return state.atoms.get(j, state.alloc.delta[j][i - 1], state.alloc.d[j][i - 1])
+        # taus[k - 1] is the precision allocated to x_{j,n+k}, k = 1..T
+        taus = ([tau_override] * T if tau_override is not None
+                else _tau_per_point(state, j)[n:].tolist())
 
         for k in range(1, T):
             pos = n + k  # index of x_{j,n+k} inside xs
-            tau_here = tau_at(n + k)
-            tau_next = tau_at(n + k + 1)
+            tau_here, tau_next = taus[k - 1], taus[k]
             x_prev, x_next = xs[pos - 1], xs[pos + 1]
             g_prev = eval_map(poly, x_prev)
 
@@ -382,7 +353,7 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
             current = float(np.clip(xs[pos], *FUTURE_SUPPORT))
             xs[pos] = slice_sample_1d(target, current, width, stepout, rng)
 
-        tau_T = tau_at(n + T)
+        tau_T = taus[T - 1]
         mean = eval_map(poly, xs[n + T - 1])
         xs[n + T] = rng.generator.normal(mean, tau_T ** -0.5)
         state.future[j] = xs[n + 1:].copy()
@@ -405,7 +376,7 @@ def sample_noise_predictive(state: ChainState, prior: PriorConfig, rng: RngHandl
         if k == n_star:  # tail lump
             tau = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
         else:
-            tau = state.atoms.get(j, l, k + 1)
+            tau = float(state.atoms.values[state.atoms.index[j, l], k])
         z[j] = rng.generator.normal(0.0, tau ** -0.5)
     return z
 
@@ -449,9 +420,8 @@ def _record(state: ChainState, z: np.ndarray, parametric: bool) -> TraceRecord:
         x0=state.x0.copy(),
         future=[f.copy() for f in state.future],
         z_pred=np.asarray(z, dtype=float).copy(),
-        atom_counts=None if parametric else {
-            f"{j},{l}": state.atoms.size(j, l) for j, l in state.atoms.pairs()
-        },
+        atom_counts=None if parametric else dict.fromkeys(
+            (f"{j},{l}" for j, l in state.atoms.pairs()), state.atoms.max_size()),
         tau_common=state.tau_common if parametric else None,
     )
 
@@ -471,7 +441,7 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
             records.append(_record(state, z, parametric))
         if checkpoint_path and (current == config.iterations or (
                 config.checkpoint_interval and current % config.checkpoint_interval == 0)):
-            save_checkpoint(checkpoint_path, state, rng, {"config": config.to_dict()})
+            save_checkpoint(checkpoint_path, state, rng, {"config": asdict(config)})
         if current % 1000 == 0:
             logger.info("sweep %d/%d", current, config.iterations)
     return records

@@ -4,14 +4,16 @@ Index conventions: series are 0-based internally (j = 0..m-1), measure and
 cluster labels in allocations are stored 0-based (delta in 0..m-1) except for
 the cluster index d which stays 1-based to match the slice constraint
 d <= N. Allocation arrays run over i = 0..n_j+T_j-1, i.e. observed points
-followed by the out-of-sample latent points.
+followed by the out-of-sample latent points. The shared atoms form one
+(P, K) array over the P = m(m+1)/2 unordered series pairs, rows in sorted
+pair order, with a symmetric (m, m) pair-to-row index (see AtomTable).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -74,99 +76,53 @@ class PriorConfig:
         if np.any(self.horizon < 0):
             raise ValueError("horizons must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "dirichlet_alpha": self.dirichlet_alpha.tolist(),
-            "beta_a": self.beta_a.tolist(),
-            "beta_b": self.beta_b.tolist(),
-            "gamma_a": self.gamma_a,
-            "gamma_b": self.gamma_b,
-            "poly_degree": self.poly_degree,
-            "horizon": self.horizon.tolist(),
-            "x0_support": self.x0_support.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PriorConfig":
-        return cls(
-            m=doc["m"],
-            dirichlet_alpha=np.asarray(doc["dirichlet_alpha"]),
-            beta_a=np.asarray(doc["beta_a"]),
-            beta_b=np.asarray(doc["beta_b"]),
-            gamma_a=doc["gamma_a"],
-            gamma_b=doc["gamma_b"],
-            poly_degree=doc["poly_degree"],
-            horizon=np.asarray(doc["horizon"]),
-            x0_support=np.asarray(doc["x0_support"]),
-        )
-
 
 class AtomTable:
-    """Growable precision atoms, one sequence per unordered series pair.
+    """Precision atoms of the shared measures: ``values`` is (P, K), one row
+    per sorted pair (0, 0), (0, 1), ..., (m-1, m-1), and the symmetric (m, m)
+    ``index`` maps both (j, l) and (l, j) to that row, so the shared measures
+    are equal by construction. Atom k (1-based, like cluster labels) of pair
+    {j, l} is ``values[index[j, l], k - 1]``.
 
-    Storage is keyed by the sorted pair, so reads and writes through (j, l)
-    and (l, j) always hit the same sequence: the shared measures are equal
-    by construction, not by convention.
+    Every sweep resizes all rows to N*. Only ``append``, for hand-built
+    states, makes rows of different lengths; their unused cells are NaN,
+    which the allocation block scores as unreachable.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, values=None):
         self.m = m
-        self._atoms = {(j, l): [] for j in range(m) for l in range(j, m)}
-
-    @staticmethod
-    def _key(j: int, l: int):
-        return (j, l) if j <= l else (l, j)
+        self.upper = np.triu_indices(m)
+        rows = np.arange(self.upper[0].size)
+        self.index = np.empty((m, m), dtype=int)
+        self.index[self.upper] = self.index[self.upper[::-1]] = rows
+        values = np.empty((rows.size, 0)) if values is None else np.array(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != rows.size:
+            raise ValueError(f"atoms must have shape ({rows.size}, K), got {values.shape}")
+        if not np.all(values > 0):
+            raise ValueError("precisions must be strictly positive")
+        self.values = values
 
     def size(self, j: int, l: int) -> int:
-        return len(self._atoms[self._key(j, l)])
-
-    def get(self, j: int, l: int, k: int) -> float:
-        """Precision of the k-th atom (k is 1-based, matching cluster labels)."""
-        return self._atoms[self._key(j, l)][k - 1]
-
-    def set(self, j: int, l: int, k: int, value: float) -> None:
-        if value <= 0:
-            raise ValueError("precisions must be strictly positive")
-        self._atoms[self._key(j, l)][k - 1] = float(value)
-
-    def append(self, j: int, l: int, value: float) -> None:
-        if value <= 0:
-            raise ValueError("precisions must be strictly positive")
-        self._atoms[self._key(j, l)].append(float(value))
-
-    def row(self, j: int, l: int) -> np.ndarray:
-        return np.asarray(self._atoms[self._key(j, l)], dtype=float)
+        return int(np.count_nonzero(~np.isnan(self.values[self.index[j, l]])))
 
     def max_size(self) -> int:
-        return max(len(v) for v in self._atoms.values())
-
-    def trim(self, size: int) -> None:
-        """Drop atoms beyond ``size`` in every pair.
-
-        Atoms above the current slice bound contribute nothing to any full
-        conditional and are redrawn from the base measure whenever a bound
-        grows back, so discarding them leaves the chain's law unchanged while
-        keeping the table (and every kernel that scans it) small.
-        """
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        for key in self._atoms:
-            del self._atoms[key][size:]
+        return self.values.shape[1]
 
     def pairs(self):
-        return sorted(self._atoms.keys())
+        return list(zip(*(u.tolist() for u in self.upper)))
 
-    def to_dict(self) -> dict:
-        return {f"{j},{l}": list(v) for (j, l), v in self._atoms.items()}
+    def matrix(self, j: int) -> np.ndarray:
+        """Precisions tau_{jlk} as an (m, K) matrix for fixed series j."""
+        return self.values[self.index[j]]
 
-    @classmethod
-    def from_dict(cls, m: int, doc: dict) -> "AtomTable":
-        table = cls(m)
-        for key, values in doc.items():
-            j, l = (int(t) for t in key.split(","))
-            table._atoms[(j, l)] = [float(v) for v in values]
-        return table
+    def append(self, j: int, l: int, value: float) -> None:
+        """Add one atom to pair {j, l}, for building a state by hand."""
+        if not value > 0:
+            raise ValueError("precisions must be strictly positive")
+        k = self.size(j, l)
+        if k == self.max_size():
+            self.values = np.hstack((self.values, np.full((self.values.shape[0], 1), np.nan)))
+        self.values[self.index[j, l], k] = value
 
 
 @dataclass
@@ -185,19 +141,11 @@ class Allocations:
                 raise ValueError(f"measure label out of range in series {j}")
 
     def to_dict(self) -> dict:
-        return {
-            "delta": [a.tolist() for a in self.delta],
-            "d": [a.tolist() for a in self.d],
-            "N": [a.tolist() for a in self.N],
-        }
+        return {f.name: [a.tolist() for a in getattr(self, f.name)] for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(
-            delta=[np.asarray(a, dtype=int) for a in doc["delta"]],
-            d=[np.asarray(a, dtype=int) for a in doc["d"]],
-            N=[np.asarray(a, dtype=int) for a in doc["N"]],
-        )
+        return cls(**{f.name: [np.asarray(a, dtype=int) for a in doc[f.name]] for f in fields(cls)})
 
 
 @dataclass
@@ -231,7 +179,7 @@ class ChainState:
     def to_dict(self) -> dict:
         return {
             "m": self.m,
-            "atoms": self.atoms.to_dict(),
+            "atoms": self.atoms.values.tolist(),
             "alloc": self.alloc.to_dict(),
             "p": self.p.tolist(),
             "lam": self.lam.tolist(),
@@ -246,7 +194,7 @@ class ChainState:
     @classmethod
     def from_dict(cls, doc: dict) -> "ChainState":
         return cls(
-            atoms=AtomTable.from_dict(doc["m"], doc["atoms"]),
+            atoms=AtomTable(doc["m"], doc["atoms"]),
             alloc=Allocations.from_dict(doc["alloc"]),
             p=np.asarray(doc["p"], dtype=float),
             lam=np.asarray(doc["lam"], dtype=float),
@@ -344,17 +292,18 @@ def geometric_weights(lam: float, K: int) -> np.ndarray:
 
 
 def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
-    """Resize every pair's atom sequence to exactly N* = max N_{ji}.
+    """Resize every pair's atom row to exactly N* = max N_{ji}.
 
-    Missing atoms are fresh draws from the Gamma(a, b) base measure; surplus
-    ones are dropped (see AtomTable.trim). Growth happens in sorted pair
-    order so the draw sequence is reproducible.
+    Surplus atoms lie above every slice bound, where no full conditional sees
+    them, so dropping them leaves the chain's law unchanged. Missing atoms are
+    fresh Gamma(a, b) base-measure draws, row by row with k ascending.
     """
     n_star = max(int(np.max(N)) for N in state.alloc.N)
-    state.atoms.trim(n_star)
-    for j, l in state.atoms.pairs():
-        while state.atoms.size(j, l) < n_star:
-            state.atoms.append(j, l, draw_gamma(prior.gamma_a, prior.gamma_b, rng))
+    atoms = state.atoms
+    missing = n_star - atoms.max_size()
+    fresh = [[draw_gamma(prior.gamma_a, prior.gamma_b, rng) for _ in range(missing)]
+             for _ in range(atoms.values.shape[0])]
+    atoms.values = np.hstack((atoms.values[:, :n_star], fresh))
     return state
 
 
@@ -394,13 +343,12 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     # draws with shape 1e-3 are so diffuse that early allocation sweeps rarely
     # form more than one usable cluster, which can lock the geometric
     # probabilities near 1 for a long stretch of the run.
-    atoms = AtomTable(m)
     probs = (np.arange(INIT_SLICE_BOUND) + 0.5) / INIT_SLICE_BOUND
-    for j, l in atoms.pairs():
-        pooled = sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l]))
-        scales = np.maximum(np.quantile(pooled, probs), 1e-12)
-        for value in 1.0 / scales:
-            atoms.append(j, l, value)
+    scales = [
+        np.quantile(sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l])), probs)
+        for j, l in zip(*np.triu_indices(m))
+    ]
+    atoms = AtomTable(m, 1.0 / np.maximum(scales, 1e-12))
 
     delta, d, N = [], [], []
     for j in range(m):

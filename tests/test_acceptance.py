@@ -74,17 +74,19 @@ class TestCriterion1Conjugacy:
             state, data, prior, _ = fixture_state(seed)
             h = [residuals(state, data, j) for j in range(state.m)]
 
-            for (j, l, k), (shape, rate) in precision_posterior_params(
-                state, data, prior
-            ).items():
-                count, rsum = 0.0, 0.0
-                for jj in ((j, l) if j != l else (j,)):
-                    other = l if jj == j else j
-                    sel = (state.alloc.delta[jj] == other) & (state.alloc.d[jj] == k)
-                    count += float(sel.sum())
-                    rsum += float(h[jj][sel].sum())
-                ok &= shape == prior.gamma_a + 0.5 * count
-                ok &= rate == pytest.approx(prior.gamma_b + 0.5 * rsum, rel=1e-12)
+            shapes, rates = precision_posterior_params(state, data, prior)
+            ok &= shapes.shape == rates.shape == state.atoms.values.shape
+            for row, (j, l) in enumerate(state.atoms.pairs()):
+                for k in range(1, state.atoms.max_size() + 1):
+                    count, rsum = 0.0, 0.0
+                    for jj in ((j, l) if j != l else (j,)):
+                        other = l if jj == j else j
+                        sel = (state.alloc.delta[jj] == other) & (state.alloc.d[jj] == k)
+                        count += float(sel.sum())
+                        rsum += float(h[jj][sel].sum())
+                    ok &= shapes[row, k - 1] == prior.gamma_a + 0.5 * count
+                    ok &= rates[row, k - 1] == pytest.approx(prior.gamma_b + 0.5 * rsum,
+                                                             rel=1e-12)
 
             alpha = selection_posterior_alpha(state, prior)
             for j in range(state.m):
@@ -93,7 +95,8 @@ class TestCriterion1Conjugacy:
                         (state.alloc.delta[j] == l).sum()
                     )
 
-            for (j, l), (a, b) in geometric_posterior_params(state, prior).items():
+            a_post, b_post = geometric_posterior_params(state, prior)
+            for (j, l), a, b in zip(state.atoms.pairs(), a_post, b_post):
                 S = Sp = 0.0
                 for jj in ((j, l) if j != l else (j,)):
                     other = l if jj == j else j
@@ -120,11 +123,13 @@ class TestCriterion1Conjugacy:
             good &= abs(dev.mean() - var) < 4.0 * dev.std() / math.sqrt(draws.size)
             return good
 
-        shape, rate = precision_posterior_params(state, data, prior)[(0, 1, 1)]
+        row = state.atoms.index[0, 1]
+        shapes, rates = precision_posterior_params(state, data, prior)
+        shape, rate = shapes[row, 0], rates[row, 0]
         tau_draws = np.empty(n_draws)
         for t in range(n_draws):
             update_precisions(state, data, prior, rng)
-            tau_draws[t] = state.atoms.get(0, 1, 1)
+            tau_draws[t] = state.atoms.values[row, 0]
         ok &= check_moments(tau_draws, shape / rate, shape / rate ** 2)
 
         alpha = selection_posterior_alpha(state, prior)[0]
@@ -136,7 +141,8 @@ class TestCriterion1Conjugacy:
         mean = a0 / asum
         ok &= check_moments(p_draws, mean, mean * (1.0 - mean) / (asum + 1.0))
 
-        a, b = geometric_posterior_params(state, prior)[(0, 1)]
+        a_post, b_post = geometric_posterior_params(state, prior)
+        a, b = a_post[state.atoms.index[0, 1]], b_post[state.atoms.index[0, 1]]
         lam_draws = np.empty(n_draws)
         for t in range(n_draws):
             update_geometric_probs(state, prior, rng)
@@ -200,12 +206,11 @@ class TestCriterion3DiscreteBlock:
             state.alloc.N[0][:3] = [1, 2, 5]
             ensure_atoms(state, prior, rng)
             gen = np.random.default_rng(55 + m)
-            for j, l in state.atoms.pairs():
-                for k in range(1, 6):
-                    state.atoms.set(j, l, k, gen.uniform(0.5, 4.0))
+            # pair by pair, k = 1..5 ascending
+            state.atoms.values = gen.uniform(0.5, 4.0, size=state.atoms.values.shape)
 
             h = residuals(state, data, 0)
-            taus = np.array([state.atoms.row(0, l) for l in range(m)])
+            taus = state.atoms.matrix(0)
             counts = {i: np.zeros((m, 5)) for i in range(3)}
             for _ in range(n_draws):
                 update_alloc_block(state, data, prior, rng)

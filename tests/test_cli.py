@@ -174,6 +174,19 @@ class TestRun:
                 assert np.array_equal(a.theta[j], b.theta[j])
             assert np.array_equal(a.p, b.p)
 
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, sim_dir):
+        cfg, sim = sim_dir
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        # atoms as per-pair lists keyed "j,l", not one (P, K) array
+        doc["state"]["atoms"] = {"0,0": [1.0], "0,1": [1.0], "1,1": [1.0]}
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(tmp_path / "again"), "--resume",
+                         str(out / "checkpoint.json")]) == 2
+
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
         doc = yaml.safe_load(open(cfg))
@@ -281,6 +294,25 @@ class TestConfigHelpers:
         for name in ("4A", "4b", "4C"):
             doc = cli.bundled_config(name)
             assert {"data", "prior", "sampler"} <= set(doc)
+            cli.check_config_keys(doc)
+        cli.check_config_keys(base_config())
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a typo must not silently run the default 10 000 sweeps
+        doc = base_config()
+        doc["sampler"] = {"iteration": 5}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+        assert "'iteration'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+        for block, key in (("data", "sed"), ("prior", "gamma"), ("outputs", "dir"),
+                           ("reproduce", "donor"), (None, "samplers")):
+            doc = base_config()
+            (doc if block is None else doc.setdefault(block, {}))[key] = 1
+            with pytest.raises(ConfigError, match=repr(key)):
+                cli.check_config_keys(doc)
+        with pytest.raises(ConfigError, match="mapping"):
+            cli.check_config_keys(base_config(sampler=[1, 2]))
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

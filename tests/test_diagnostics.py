@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pdgsbr.diagnostics import (
     boi,
-    count_modes,
     ergodic_average,
     hpdi,
     kde,
@@ -194,13 +193,6 @@ class TestKde:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             kde(np.array([1.0]))
-
-    def test_count_modes(self):
-        rng = np.random.default_rng(31)
-        uni = kde(rng.normal(size=20_000))
-        assert count_modes(uni) == 1
-        bi = kde(np.concatenate([rng.normal(-3, 0.3, 10_000), rng.normal(3, 0.3, 10_000)]))
-        assert count_modes(bi) == 2
 
 
 class TestPareTable:

@@ -172,6 +172,23 @@ class TestTruncatedGeometric:
             draw_truncated_geometric(1.0, 1, rng)
         with pytest.raises(ParameterDomainError):
             draw_truncated_geometric(0.5, 0, rng)
+        with pytest.raises(ParameterDomainError):
+            draw_truncated_geometric(np.array([0.5, 1.0]), np.array([1, 1]), rng)
+        with pytest.raises(ParameterDomainError):  # the draw would overflow int64
+            draw_truncated_geometric(np.full(10, 1e-300), 1, rng)
+
+    def test_array_draws_equal_scalar_draws(self):
+        # one uniform per element, in order: the vectorized draw is the
+        # scalar draw applied element by element at the same seed
+        lam = np.array([0.5, 0.999, 0.3, 1e-3, 0.05] * 40)
+        min_value = np.arange(1, lam.size + 1)
+        a, b = RngHandle(77), RngHandle(77)
+        draws = draw_truncated_geometric(lam, min_value, a)
+        assert draws.shape == lam.shape and draws.dtype == np.int64
+        expected = [draw_truncated_geometric(x, k, b) for x, k in zip(lam, min_value)]
+        assert draws.tolist() == expected
+        assert all(isinstance(v, int) for v in expected)
+        assert a.generator.random() == b.generator.random()
 
 
 def batch_means_se(samples, n_batches=100):

@@ -15,7 +15,6 @@ from pdgsbr.dynamics import (
     PolynomialMap,
     compound_noise,
     cubic_map,
-    detect_escape,
     eval_map,
     quadratic_map,
     sample_noise,
@@ -121,14 +120,6 @@ class TestNoise:
 
 
 class TestEscape:
-    def test_detects_first_exceedance(self):
-        report = detect_escape([0.1, -0.5, 2.0, 0.3, 9.0], 1.5)
-        assert report.escaped and report.escape_index == 2
-
-    def test_no_escape(self):
-        report = detect_escape([0.1, -0.5], 1.5)
-        assert not report.escaped and report.escape_index is None
-
     def test_divergence_error_carries_prefix(self):
         # q = 3 pushes the quadratic orbit out of its invariant set immediately
         poly = quadratic_map(3.0)
@@ -140,10 +131,6 @@ class TestEscape:
         assert err.index >= 1
         assert np.all(np.isfinite(err.prefix))
         assert len(err.prefix) == err.index
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            detect_escape([0.0], 0.0)
 
 
 class TestSimulation:

@@ -116,17 +116,19 @@ class TestPosteriorParameterAudits:
     @pytest.mark.parametrize("seed", range(6))
     def test_precision_params_match_brute_force(self, seed):
         state, data, prior, _ = random_fixture(seed)
-        params = precision_posterior_params(state, data, prior)
+        shape, rate = precision_posterior_params(state, data, prior)
+        assert shape.shape == rate.shape == state.atoms.values.shape
         h = [residuals(state, data, j) for j in range(state.m)]
-        for (j, l, k), (shape, rate) in params.items():
-            count, rsum = 0.0, 0.0
-            for jj in ((j, l) if j != l else (j,)):
-                other = l if jj == j else j
-                sel = (state.alloc.delta[jj] == other) & (state.alloc.d[jj] == k)
-                count += sel.sum()
-                rsum += h[jj][sel].sum()
-            assert shape == pytest.approx(prior.gamma_a + 0.5 * count, rel=1e-12)
-            assert rate == pytest.approx(prior.gamma_b + 0.5 * rsum, rel=1e-12)
+        for row, (j, l) in enumerate(state.atoms.pairs()):
+            for k in range(1, state.atoms.max_size() + 1):
+                count, rsum = 0.0, 0.0
+                for jj in ((j, l) if j != l else (j,)):
+                    other = l if jj == j else j
+                    sel = (state.alloc.delta[jj] == other) & (state.alloc.d[jj] == k)
+                    count += sel.sum()
+                    rsum += h[jj][sel].sum()
+                assert shape[row, k - 1] == pytest.approx(prior.gamma_a + 0.5 * count, rel=1e-12)
+                assert rate[row, k - 1] == pytest.approx(prior.gamma_b + 0.5 * rsum, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_selection_alpha_matches_brute_force(self, seed):
@@ -140,8 +142,9 @@ class TestPosteriorParameterAudits:
     @pytest.mark.parametrize("seed", range(6))
     def test_geometric_params_match_brute_force(self, seed):
         state, _, prior, _ = random_fixture(seed)
-        params = geometric_posterior_params(state, prior)
-        for (j, l), (a, b) in params.items():
+        a_post, b_post = geometric_posterior_params(state, prior)
+        assert a_post.shape == b_post.shape == (len(state.atoms.pairs()),)
+        for (j, l), a, b in zip(state.atoms.pairs(), a_post, b_post):
             S, Sp = 0.0, 0.0
             for jj in ((j, l) if j != l else (j,)):
                 other = l if jj == j else j
@@ -236,9 +239,9 @@ class TestAllocBlockKernel:
             state.alloc.d[j][:] = 1
             state.alloc.N[j][:] = 1
         # diagonal atom is hopeless (tiny precision), shared atom is right
-        state.atoms.set(0, 0, 1, 1e-10)
-        state.atoms.set(0, 1, 1, 1e4)
-        state.atoms.set(1, 1, 1, 1e-10)
+        state.atoms.values[state.atoms.index[0, 0], 0] = 1e-10
+        state.atoms.values[state.atoms.index[0, 1], 0] = 1e4
+        state.atoms.values[state.atoms.index[1, 1], 0] = 1e-10
         update_alloc_block(state, data, prior, rng)
         assert (state.alloc.delta[0] == 1).mean() > 0.95
         assert (state.alloc.delta[1] == 0).mean() > 0.95
@@ -272,13 +275,13 @@ class TestSliceBoundKernel:
 class TestConjugateKernels:
     def test_precision_kernel_moments(self):
         state, data, prior, rng = random_fixture(1)
-        params = precision_posterior_params(state, data, prior)
-        key = (0, 1, 1)
-        shape, rate = params[key]
+        row = state.atoms.index[0, 1]
+        shapes, rates = precision_posterior_params(state, data, prior)
+        shape, rate = shapes[row, 0], rates[row, 0]
         draws = np.empty(N_KERNEL)
         for t in range(N_KERNEL):
             update_precisions(state, data, prior, rng)
-            draws[t] = state.atoms.get(0, 1, 1)
+            draws[t] = state.atoms.values[row, 0]
         se = draws.std() / math.sqrt(N_KERNEL)
         assert abs(draws.mean() - shape / rate) < 4.0 * se
 
@@ -298,8 +301,8 @@ class TestConjugateKernels:
 
     def test_geometric_kernel_moments_and_symmetry(self):
         state, _, prior, rng = random_fixture(4)
-        params = geometric_posterior_params(state, prior)
-        a, b = params[(0, 1)]
+        a_post, b_post = geometric_posterior_params(state, prior)
+        a, b = a_post[state.atoms.index[0, 1]], b_post[state.atoms.index[0, 1]]
         draws = np.empty(N_KERNEL)
         for t in range(N_KERNEL):
             update_geometric_probs(state, prior, rng)

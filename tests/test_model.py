@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdgsbr.distributions import RngHandle
+from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import NAMED_MAPS, MultiSeries, NoiseMixtureSpec, eval_map, simulate_multi
 from pdgsbr.model import (
     Allocations,
@@ -62,13 +64,6 @@ class TestPriorConfig:
         with pytest.raises(ValueError):
             small_prior(horizon=np.array([-1, 1]))
 
-    def test_dict_roundtrip(self):
-        prior = small_prior(m=3, gamma_a=1e-3, gamma_b=1e-3)
-        back = PriorConfig.from_dict(prior.to_dict())
-        assert np.array_equal(back.dirichlet_alpha, prior.dirichlet_alpha)
-        assert back.poly_degree == prior.poly_degree
-        assert np.array_equal(back.x0_support, prior.x0_support)
-
 
 class TestGeometricWeights:
     def test_closed_form_values(self):
@@ -98,27 +93,36 @@ class TestAtomTable:
     def test_shared_storage_across_orderings(self):
         table = AtomTable(3)
         table.append(2, 0, 7.0)
-        assert table.get(0, 2, 1) == 7.0
-        table.set(0, 2, 1, 9.0)
-        assert table.get(2, 0, 1) == 9.0
-        assert table.size(1, 1) == 0
+        assert table.index[0, 2] == table.index[2, 0]
+        assert table.values[table.index[0, 2], 0] == 7.0
+        table.values[table.index[0, 2], 0] = 9.0
+        assert table.matrix(2)[0, 0] == 9.0 and table.matrix(0)[2, 0] == 9.0
+        assert table.size(1, 1) == 0 and table.size(2, 0) == 1
 
     def test_pairs_are_unordered_upper_triangle(self):
         table = AtomTable(3)
         assert table.pairs() == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        assert [table.index[j, l] for j, l in table.pairs()] == list(range(6))
+        assert np.array_equal(table.index, table.index.T)
 
     def test_rejects_nonpositive_precision(self):
         table = AtomTable(2)
         with pytest.raises(ValueError):
             table.append(0, 1, 0.0)
+        with pytest.raises(ValueError):
+            AtomTable(2, [[1.0], [-1.0], [2.0]])
+        with pytest.raises(ValueError):
+            AtomTable(2, [[1.0], [2.0]])  # three pairs need three rows
+        with pytest.raises(ValueError):
+            AtomTable(2, [1.0, 2.0, 3.0])
 
     def test_dict_roundtrip(self):
-        table = AtomTable(2)
-        table.append(0, 1, 2.5)
-        table.append(0, 0, 1.5)
-        back = AtomTable.from_dict(2, table.to_dict())
-        assert back.get(1, 0, 1) == 2.5
-        assert back.max_size() == 1
+        # the checkpoint stores the (P, K) array as nested lists
+        table = AtomTable(2, [[1.5, 0.5], [2.5, 4.0], [3.5, 1.0]])
+        back = AtomTable(2, json.loads(json.dumps(table.values.tolist())))
+        assert np.array_equal(back.values, table.values)
+        assert back.matrix(1)[0, 0] == 2.5
+        assert back.max_size() == 2
 
     def test_max_size(self):
         table = AtomTable(2)
@@ -126,7 +130,10 @@ class TestAtomTable:
             table.append(0, 1, v)
         table.append(0, 0, 1.0)
         assert table.max_size() == 3
-        assert np.array_equal(table.row(1, 0), [1.0, 2.0, 3.0])
+        assert [table.size(j, l) for j, l in table.pairs()] == [1, 3, 0]
+        assert np.array_equal(table.matrix(1)[0], [1.0, 2.0, 3.0])
+        # a hand-built ragged row is NaN beyond its own atoms
+        assert np.array_equal(table.matrix(0)[0], [1.0, np.nan, np.nan], equal_nan=True)
 
 
 class TestEnsureAtoms:
@@ -140,7 +147,21 @@ class TestEnsureAtoms:
         ensure_atoms(state, prior, rng)
         for j, l in state.atoms.pairs():
             assert state.atoms.size(j, l) == INIT_SLICE_BOUND + 3
-            assert np.all(state.atoms.row(j, l) > 0)
+        assert np.all(state.atoms.values > 0)
+
+    def test_fresh_atoms_fill_rows_in_pair_order(self):
+        # kept atoms stay; missing ones are drawn pair by pair, k ascending
+        data, prior = small_data(), small_prior()
+        rng = RngHandle(1)
+        state = init_chain(data, prior, rng)
+        kept = state.atoms.values.copy()
+        state.alloc.N[1][0] = INIT_SLICE_BOUND + 2
+        twin = RngHandle.from_state(rng.get_state())
+        ensure_atoms(state, prior, rng)
+        fresh = [draw_gamma(prior.gamma_a, prior.gamma_b, twin) for _ in range(3 * 2)]
+        assert np.array_equal(state.atoms.values[:, :INIT_SLICE_BOUND], kept)
+        assert np.array_equal(state.atoms.values[:, INIT_SLICE_BOUND:],
+                              np.reshape(fresh, (3, 2)))
 
     def test_trims_unused_atoms(self):
         data, prior = small_data(), small_prior()
@@ -162,8 +183,7 @@ class TestEnsureAtoms:
             state.alloc.N[1][0] = 4
             ensure_atoms(state, prior, rng)
             states.append(state)
-        for j, l in states[0].atoms.pairs():
-            assert np.array_equal(states[0].atoms.row(j, l), states[1].atoms.row(j, l))
+        assert np.array_equal(states[0].atoms.values, states[1].atoms.values)
 
 
 class TestInitChain:
@@ -224,8 +244,8 @@ class TestCheckpoint:
             assert np.array_equal(back.theta[j], state.theta[j])
             assert np.array_equal(back.alloc.delta[j], state.alloc.delta[j])
             assert np.array_equal(back.alloc.N[j], state.alloc.N[j])
-        for j, l in state.atoms.pairs():
-            assert np.array_equal(back.atoms.row(j, l), state.atoms.row(j, l))
+        assert np.array_equal(back.atoms.values, state.atoms.values)
+        assert np.array_equal(back.atoms.index, state.atoms.index)
         # the restored generator continues the exact stream
         assert rng_back.generator.random() == rng.generator.random()
 
