@@ -17,7 +17,6 @@ from .dynamics import (
 from .gibbs import (
     GibbsConfig,
     run_chain,
-    run_gsbr,
     run_parametric_gaussian,
     sweep,
 )

@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import yaml
@@ -39,10 +40,10 @@ from .dynamics import (
     NoiseMixtureSpec,
     PolynomialMap,
     compound_noise,
-    simulate_series,
+    simulate_multi,
 )
 from .errors import ConfigError, DivergenceError, SingularDesignError
-from .gibbs import GibbsConfig, run_chain, run_gsbr, run_parametric_gaussian
+from .gibbs import GibbsConfig, run_chain, run_parametric_gaussian
 from .model import (
     PriorConfig,
     load_checkpoint,
@@ -50,8 +51,6 @@ from .model import (
     write_trace_csv,
     write_trace_jsonl,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,18 +74,40 @@ CONFIG_KEYS = {
     "outputs": {"directory", "kde_bounds"},
     "reproduce": {"short_series", "donors"},
 }
+COMPONENT_KEYS = {"weights", "variances"}  # of each data.components entry
+
+
+def _check_block(name: str, block, allowed) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a mapping")
+    unknown = sorted(set(block) - allowed, key=str)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in the {name} config block; "
+                          f"expected one of {sorted(allowed)}")
 
 
 def check_config_keys(doc: dict) -> None:
     """Raise ConfigError naming the first key that no parser reads."""
     for name, allowed in CONFIG_KEYS.items():
-        block = doc if name == "top level" else doc.get(name) or {}
-        if not isinstance(block, dict):
-            raise ConfigError(f"{name} block must be a mapping")
-        unknown = sorted(set(block) - allowed, key=str)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in the {name} config block; "
-                              f"expected one of {sorted(allowed)}")
+        _check_block(name, doc if name == "top level" else doc.get(name) or {}, allowed)
+    components = (doc.get("data") or {}).get("components") or {}
+    if not isinstance(components, dict):
+        raise ConfigError("data.components block must be a mapping")
+    for key, spec in components.items():
+        _check_block(f"data.components {key!r}", spec, COMPONENT_KEYS)
+
+
+@contextmanager
+def _config_errors(what: str):
+    """Report a missing key or a malformed value in ``what`` as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -118,14 +139,14 @@ def _resolve_map(spec) -> PolynomialMap:
     return PolynomialMap(tuple(spec))
 
 
+@_config_errors("data block")
 def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
-    for key in ("maps", "n", "x0", "selection", "components", "seed"):
-        if key not in block:
-            raise ConfigError(f"data block is missing {key!r}")
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
     ns = [int(v) for v in block["n"]]
+    if any(n < 2 for n in ns):
+        raise ConfigError(f"every series needs n >= 2 observations, got n = {ns}")
     x0s = [float(v) for v in block["x0"]]
     horizons = [int(v) for v in block.get("horizon", [1] * m)]
     selection = [list(map(float, row)) for row in block["selection"]]
@@ -148,9 +169,8 @@ def parse_data_block(block: dict):
     return specs, horizons, selection, int(block["seed"])
 
 
+@_config_errors("prior block")
 def parse_prior_block(block: dict, m: int, alpha_key: str = "dirichlet_alpha") -> PriorConfig:
-    if alpha_key not in block:
-        raise ConfigError(f"prior block is missing {alpha_key!r}")
     alpha = np.asarray(block[alpha_key], dtype=float)
     if alpha.shape != (m, m):
         raise ConfigError(f"{alpha_key} must be an {m}x{m} matrix, got shape {alpha.shape}")
@@ -168,23 +188,20 @@ def parse_prior_block(block: dict, m: int, alpha_key: str = "dirichlet_alpha") -
     )
 
 
+@_config_errors("sampler block")
 def parse_sampler_block(block: dict, seed_override=None, scale=None) -> GibbsConfig:
     block = dict(block or {})
     if scale is not None:
         block.update(DESK_SCALE if scale == "desk" else FULL_SCALE)
-    try:
-        config = GibbsConfig(
-            iterations=int(block.get("iterations", 10_000)),
-            burn_in=int(block.get("burn_in", 5_000)),
-            thinning=int(block.get("thinning", 1)),
-            seed=int(seed_override if seed_override is not None else block.get("seed", 0)),
-            slice_width=float(block.get("slice_width", 0.25)),
-            max_stepout=int(block.get("max_stepout", 16)),
-            checkpoint_interval=int(block.get("checkpoint_interval", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad sampler block: {exc}") from exc
-    return config
+    return GibbsConfig(
+        iterations=int(block.get("iterations", 10_000)),
+        burn_in=int(block.get("burn_in", 5_000)),
+        thinning=int(block.get("thinning", 1)),
+        seed=int(seed_override if seed_override is not None else block.get("seed", 0)),
+        slice_width=float(block.get("slice_width", 0.25)),
+        max_stepout=int(block.get("max_stepout", 16)),
+        checkpoint_interval=int(block.get("checkpoint_interval", 0)),
+    )
 
 
 def config_hash(doc: dict) -> str:
@@ -208,30 +225,10 @@ def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
 
 def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> MultiSeries:
     check_config_keys(doc)
-    specs, horizons, selection, seed = parse_data_block(doc["data"])
+    specs, horizons, selection, seed = parse_data_block(doc.get("data") or {})
     if seed_override is not None:
         seed = int(seed_override)
-    rng = RngHandle(seed)
-    obs, futs = [], []
-    for j, ((poly, noise, n, x0), horizon) in enumerate(zip(specs, horizons)):
-        try:
-            series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
-        except DivergenceError as exc:
-            if not allow_escape or exc.prefix is None or exc.prefix.size < 2:
-                raise
-            logger.warning("series %d diverged at step %d; keeping the finite prefix",
-                           j + 1, exc.index + 1)
-            series, future = exc.prefix, np.empty(0)
-        obs.append(series)
-        futs.append(future)
-    data = MultiSeries(
-        series=obs,
-        x0_true=[float(s[3]) for s in specs],
-        maps_true=[s[0] for s in specs],
-        noise_true=[s[1] for s in specs],
-        futures_true=futs,
-        selection_true=selection,
-    )
+    data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
     os.makedirs(out_dir, exist_ok=True)
     data.save_json(os.path.join(out_dir, "data.json"))
     data.save_csv(out_dir)
@@ -241,26 +238,28 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
 
 # --- run -------------------------------------------------------------------------
 
-SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_gsbr, "parametric": run_parametric_gaussian}
+# "gsbr" is the single-series model: run_chain with m = 1, checked by cmd_run.
+SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_chain, "parametric": run_parametric_gaussian}
 
 
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             scale=None, resume_path=None, alpha_key="dirichlet_alpha"):
     check_config_keys(doc)
     data = MultiSeries.load_json(data_path)
-    prior = parse_prior_block(doc.get("prior", {}), data.m, alpha_key=alpha_key)
+    prior = parse_prior_block(doc.get("prior") or {}, data.m, alpha_key=alpha_key)
     config = parse_sampler_block(doc.get("sampler", {}), seed_override, scale)
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
+    if sampler == "gsbr" and data.m != 1:
+        raise ConfigError(f"the gsbr sampler needs exactly one series; the data have m={data.m}")
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     resume = None
     if resume_path:
-        try:
-            state, rng, _ = load_checkpoint(resume_path)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot resume from {resume_path}: {exc!r}") from exc
-        resume = (state, rng)
+        with _config_errors(f"checkpoint {resume_path}"):
+            resume = load_checkpoint(resume_path)[:2]  # (state, rng)
+        if (resume[0].tau_common is not None) != (sampler == "parametric"):
+            raise ConfigError(f"{resume_path} was written by another sampler than {sampler!r}")
     records = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )

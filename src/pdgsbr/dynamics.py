@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,6 +19,8 @@ import numpy as np
 
 from .distributions import RngHandle, draw_categorical
 from .errors import DivergenceError
+
+logger = logging.getLogger(__name__)
 
 # Values beyond this magnitude mean the orbit has left any basin of interest;
 # polynomial maps then explode super-exponentially.
@@ -237,20 +240,29 @@ def simulate_series(
     return values[:n].copy(), values[n:].copy()
 
 
-def simulate_multi(specs, horizons, rng: RngHandle) -> MultiSeries:
-    """Simulate m series from per-series (map, noise, n, x0) specs.
-
-    ``specs`` is a sequence of (PolynomialMap, NoiseMixtureSpec, n, x0);
-    ``horizons`` gives the held-out length per series.
+def simulate_multi(specs, horizons, rng: RngHandle, selection=None,
+                   allow_escape: bool = False) -> MultiSeries:
+    """Simulate m series from per-series (map, noise, n, x0) specs with
+    ``horizons`` held-out points each; ``selection`` is kept as truth. With
+    ``allow_escape`` a diverging series keeps its finite prefix (if it has at
+    least 2 values) and no futures instead of raising DivergenceError.
     """
     obs, futs, maps, noises, x0s = [], [], [], [], []
     for j, ((poly, noise, n, x0), horizon) in enumerate(zip(specs, horizons)):
-        series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
+        try:
+            series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
+        except DivergenceError as exc:
+            if not allow_escape or exc.prefix is None or exc.prefix.size < 2:
+                raise
+            logger.warning("series %d diverged at step %d; keeping the finite prefix",
+                           j + 1, exc.index + 1)
+            series, future = exc.prefix, np.empty(0)
         obs.append(series)
         futs.append(future)
         maps.append(poly)
         noises.append(noise)
         x0s.append(float(x0))
     return MultiSeries(
-        series=obs, x0_true=x0s, maps_true=maps, noise_true=noises, futures_true=futs
+        series=obs, x0_true=x0s, maps_true=maps, noise_true=noises, futures_true=futs,
+        selection_true=selection,
     )

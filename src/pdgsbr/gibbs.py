@@ -13,7 +13,6 @@ precisions span many orders of magnitude and linear-space products underflow.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -95,10 +94,20 @@ def residuals(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
     return (xs[1:] - preds) ** 2
 
 
-def _tau_per_point(state: ChainState, j: int) -> np.ndarray:
-    """Allocated precision tau_{j, delta_ji, d_ji} for every point of series j."""
-    atoms = state.atoms
-    return atoms.values[atoms.index[j, state.alloc.delta[j]], state.alloc.d[j] - 1]
+def _tau_per_point(state: ChainState, j: int, tau_common: Optional[float] = None) -> np.ndarray:
+    """Precision of every point of series j: ``tau_common`` when given (the
+    parametric baseline), else the allocated tau_{j, delta_ji, d_ji}."""
+    delta = state.alloc.delta[j]
+    if tau_common is not None:
+        return np.full(delta.size, tau_common, dtype=float)
+    return state.atoms.values[state.atoms.index[j, delta], state.alloc.d[j] - 1]
+
+
+def _slice_point(log_target, lo, hi, current, config: GibbsConfig, rng: RngHandle) -> float:
+    """One slice transition of a scalar on [lo, hi] with the chain's tuning."""
+    target = UnnormalizedLogDensity(log_target, lo, hi)
+    return slice_sample_1d(target, float(np.clip(current, lo, hi)),
+                           config.slice_width, config.max_stepout, rng)
 
 
 def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
@@ -109,37 +118,6 @@ def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
     off = j < l
     pooled[off] += x[l[off], j[off]]
     return pooled
-
-
-# --- densities used by the marginalization oracle ------------------------------
-
-def normal_pdf(x: float, mean: float, tau: float) -> float:
-    """Gaussian density with precision parameterization."""
-    return math.sqrt(tau / (2.0 * math.pi)) * math.exp(-0.5 * tau * (x - mean) ** 2)
-
-
-def augmented_joint_density(x, x_prev, r, k, l, theta, p_row, lam_row, tau_rows) -> float:
-    """Joint density of (x, N=r, d=k, delta=l) given the rest of one series' block.
-
-    Zero outside the slice constraint k <= r.
-    """
-    if k > r or k < 1 or r < 1:
-        return 0.0
-    lam = lam_row[l]
-    tau = tau_rows[l][k - 1]
-    g = eval_map(PolynomialMap(tuple(theta)), x_prev)
-    return p_row[l] * lam ** 2 * (1.0 - lam) ** (r - 1) * normal_pdf(x, g, tau)
-
-
-def mixture_partial_density(x, x_prev, theta, p_row, lam_row, tau_rows, K: int) -> float:
-    """Leading-K part of the noise-convolved transition mixture density."""
-    g = eval_map(PolynomialMap(tuple(theta)), x_prev)
-    total = 0.0
-    for l in range(len(p_row)):
-        lam = lam_row[l]
-        for k in range(1, K + 1):
-            total += p_row[l] * lam * (1.0 - lam) ** (k - 1) * normal_pdf(x, g, tau_rows[l][k - 1])
-    return total
 
 
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
@@ -277,8 +255,7 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     for j in range(state.m):
         xs = full_path(state, data, j)
         V = np.vander(xs[:-1], R + 1, increasing=True)
-        tau_i = (np.full(xs.size - 1, tau_override) if tau_override is not None
-                 else _tau_per_point(state, j))
+        tau_i = _tau_per_point(state, j, tau_override)
         A = V.T @ (V * tau_i[:, None])
         b = V.T @ (tau_i * xs[1:])
         cond = np.linalg.cond(A)
@@ -295,7 +272,7 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 
 def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
-              rng: RngHandle, config: Optional[GibbsConfig] = None,
+              rng: RngHandle, config: GibbsConfig,
               tau_override: Optional[float] = None) -> ChainState:
     """One slice transition per initial condition.
 
@@ -303,10 +280,8 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     real roots of g(x) - x_1), hence the slice sampler instead of anything
     assuming log-concavity.
     """
-    width = config.slice_width if config else 0.25
-    stepout = config.max_stepout if config else 16
     for j in range(state.m):
-        tau = tau_override if tau_override is not None else float(_tau_per_point(state, j)[0])
+        tau = float(_tau_per_point(state, j, tau_override)[0])
         theta = tuple(state.theta[j])
         x1 = float(data.series[j][0])
         poly = PolynomialMap(theta)
@@ -314,21 +289,16 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
         def log_target(x, _tau=tau, _x1=x1, _poly=poly):
             return -0.5 * _tau * (_x1 - eval_map(_poly, x)) ** 2
 
-        lo, hi = prior.x0_support[j]
-        current = float(np.clip(state.x0[j], lo, hi))
-        target = UnnormalizedLogDensity(log_target, lo, hi)
-        state.x0[j] = slice_sample_1d(target, current, width, stepout, rng)
+        state.x0[j] = _slice_point(log_target, *prior.x0_support[j], state.x0[j], config, rng)
     return state
 
 
 def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                  rng: RngHandle, config: Optional[GibbsConfig] = None,
+                  rng: RngHandle, config: GibbsConfig,
                   tau_override: Optional[float] = None) -> ChainState:
     """Redraw the out-of-sample points: slice transitions for the interior
     ones (two Gaussian factors in the exponent) and an exact normal for the
     terminal one."""
-    width = config.slice_width if config else 0.25
-    stepout = config.max_stepout if config else 16
     for j in range(state.m):
         T = len(state.future[j])
         if T == 0:
@@ -337,8 +307,7 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
         xs = full_path(state, data, j)
         poly = PolynomialMap(tuple(state.theta[j]))
         # taus[k - 1] is the precision allocated to x_{j,n+k}, k = 1..T
-        taus = ([tau_override] * T if tau_override is not None
-                else _tau_per_point(state, j)[n:].tolist())
+        taus = _tau_per_point(state, j, tau_override)[n:].tolist()
 
         for k in range(1, T):
             pos = n + k  # index of x_{j,n+k} inside xs
@@ -349,9 +318,7 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
             def log_target(v, _t1=tau_here, _t2=tau_next, _gp=g_prev, _xn=x_next, _poly=poly):
                 return -0.5 * (_t1 * (v - _gp) ** 2 + _t2 * (_xn - eval_map(_poly, v)) ** 2)
 
-            target = UnnormalizedLogDensity(log_target, *FUTURE_SUPPORT)
-            current = float(np.clip(xs[pos], *FUTURE_SUPPORT))
-            xs[pos] = slice_sample_1d(target, current, width, stepout, rng)
+            xs[pos] = _slice_point(log_target, *FUTURE_SUPPORT, xs[pos], config, rng)
 
         tau_T = taus[T - 1]
         mean = eval_map(poly, xs[n + T - 1])
@@ -411,7 +378,8 @@ def parametric_sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
     return state, z
 
 
-def _record(state: ChainState, z: np.ndarray, parametric: bool) -> TraceRecord:
+def _record(state: ChainState, z: np.ndarray) -> TraceRecord:
+    parametric = state.tau_common is not None  # only the baseline sets it
     return TraceRecord(
         iteration=state.iteration,
         theta=[t.copy() for t in state.theta],
@@ -422,12 +390,12 @@ def _record(state: ChainState, z: np.ndarray, parametric: bool) -> TraceRecord:
         z_pred=np.asarray(z, dtype=float).copy(),
         atom_counts=None if parametric else dict.fromkeys(
             (f"{j},{l}" for j, l in state.atoms.pairs()), state.atoms.max_size()),
-        tau_common=state.tau_common if parametric else None,
+        tau_common=state.tau_common,
     )
 
 
 def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
-           rng: RngHandle, step, parametric: bool, checkpoint_path=None):
+           rng: RngHandle, step, checkpoint_path=None):
     records = []
     while state.iteration < config.iterations:
         current = state.iteration + 1
@@ -438,7 +406,7 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
             logger.error("chain halted at sweep %d: %s", current, exc)
             raise
         if current > config.burn_in and (current - config.burn_in) % config.thinning == 0:
-            records.append(_record(state, z, parametric))
+            records.append(_record(state, z))
         if checkpoint_path and (current == config.iterations or (
                 config.checkpoint_interval and current % config.checkpoint_interval == 0)):
             save_checkpoint(checkpoint_path, state, rng, {"config": asdict(config)})
@@ -450,6 +418,7 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
 def run_chain(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
               checkpoint_path=None, resume=None):
     """Run the pairwise-dependent sampler; returns the retained trace records.
+    With m = 1 it is the single-series GSBR sampler.
 
     ``resume`` is an optional (state, rng) pair from a checkpoint; the replay
     is bit-exact because the generator state is serialized alongside.
@@ -459,14 +428,7 @@ def run_chain(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
     else:
         rng = RngHandle(config.seed)
         state = init_chain(data, prior, rng)
-    return _drive(state, data, prior, config, rng, sweep, False, checkpoint_path)
-
-
-def run_gsbr(data: MultiSeries, prior: PriorConfig, config: GibbsConfig, **kwargs):
-    """Single-series special case: identical to run_chain with m = 1."""
-    if data.m != 1:
-        raise ValueError("the single-series sampler needs exactly one series")
-    return run_chain(data, prior, config, **kwargs)
+    return _drive(state, data, prior, config, rng, sweep, checkpoint_path)
 
 
 def run_parametric_gaussian(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
@@ -478,4 +440,4 @@ def run_parametric_gaussian(data: MultiSeries, prior: PriorConfig, config: Gibbs
         rng = RngHandle(config.seed)
         state = init_chain(data, prior, rng)
         state.tau_common = 1.0
-    return _drive(state, data, prior, config, rng, parametric_sweep, True, checkpoint_path)
+    return _drive(state, data, prior, config, rng, parametric_sweep, checkpoint_path)

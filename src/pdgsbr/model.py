@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -125,6 +125,21 @@ class AtomTable:
         self.values[self.index[j, l], k] = value
 
 
+def _plain(value):
+    """JSON-ready form of a field value: a dataclass becomes a dict of its
+    fields in declaration order, arrays and the atom table nested lists,
+    sequences lists; anything else is returned as it is."""
+    if isinstance(value, AtomTable):
+        value = value.values
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass
 class Allocations:
     """Per-observation latent labels: measure delta, cluster d, slice bound N."""
@@ -141,7 +156,7 @@ class Allocations:
                 raise ValueError(f"measure label out of range in series {j}")
 
     def to_dict(self) -> dict:
-        return {f.name: [a.tolist() for a in getattr(self, f.name)] for f in fields(self)}
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
@@ -177,19 +192,7 @@ class ChainState:
         self.alloc.validate(self.m)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "atoms": self.atoms.values.tolist(),
-            "alloc": self.alloc.to_dict(),
-            "p": self.p.tolist(),
-            "lam": self.lam.tolist(),
-            "theta": [t.tolist() for t in self.theta],
-            "x0": self.x0.tolist(),
-            "future": [f.tolist() for f in self.future],
-            "iteration": self.iteration,
-            "init_fallback": self.init_fallback,
-            "tau_common": self.tau_common,
-        }
+        return {"m": self.m, **_plain(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChainState":
@@ -222,17 +225,7 @@ class TraceRecord:
     tau_common: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "theta": [np.asarray(t).tolist() for t in self.theta],
-            "p": None if self.p is None else np.asarray(self.p).tolist(),
-            "lam": None if self.lam is None else np.asarray(self.lam).tolist(),
-            "x0": np.asarray(self.x0).tolist(),
-            "future": [np.asarray(f).tolist() for f in self.future],
-            "z_pred": np.asarray(self.z_pred).tolist(),
-            "atom_counts": self.atom_counts,
-            "tau_common": self.tau_common,
-        }
+        return _plain(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TraceRecord":

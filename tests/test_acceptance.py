@@ -24,14 +24,11 @@ from pdgsbr.distributions import (
 from pdgsbr.dynamics import NAMED_MAPS, NoiseMixtureSpec, simulate_multi
 from pdgsbr.gibbs import (
     GibbsConfig,
-    augmented_joint_density,
     geometric_posterior_params,
-    mixture_partial_density,
-    normal_pdf,
     parametric_tau_params,
     precision_posterior_params,
     residuals,
-    run_gsbr,
+    run_chain,
     run_parametric_gaussian,
     selection_posterior_alpha,
     sweep,
@@ -43,6 +40,7 @@ from pdgsbr.gibbs import (
 )
 from pdgsbr.model import PriorConfig, ensure_atoms, init_chain
 
+from oracle import augmented_joint_density, mixture_partial_density, normal_pdf
 from test_gibbs import batch_means_se, make_prior, single_series_state
 
 
@@ -274,7 +272,7 @@ class TestCriterion5SingleSeriesRecovery:
         data = simulate_multi(specs, [1], rng)
         prior = make_prior(1)
         config = GibbsConfig(iterations=10_000, burn_in=5_000, seed=77)
-        records = run_gsbr(data, prior, config)
+        records = run_chain(data, prior, config)
         table = pare_table(records, data)
         verdict(5, "single-series quintic recovery", table["row_mean"][0] < 2.0)
 

@@ -186,6 +186,13 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
                          "--out", str(tmp_path / "again"), "--resume",
                          str(out / "checkpoint.json")]) == 2
+        # a parametric checkpoint carries a common precision the mixture chain never updates
+        par = tmp_path / "par"
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(par), "--sampler", "parametric"]) == 0
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(tmp_path / "mixed"), "--resume",
+                         str(par / "checkpoint.json")]) == 2
 
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
@@ -313,6 +320,33 @@ class TestConfigHelpers:
                 cli.check_config_keys(doc)
         with pytest.raises(ConfigError, match="mapping"):
             cli.check_config_keys(base_config(sampler=[1, 2]))
+
+    @pytest.mark.parametrize("verb, block, key, value, extra", [
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variance": [1e-4]}}, []),
+        ("simulate", "data", "components", {"1,1": {"weights": [0.5], "variances": [1e-4]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
+        ("simulate", "data", "selection", [[0.5, 0.5], [0.0, 1.0]], []),  # no "1,2" component
+        ("simulate", "data", "n", [200, 1], []),
+        ("run", "prior", "gamma_a", 0, []),
+        ("run", "prior", "poly_degree", "abc", []),
+        ("run", "prior", "beta_a", [[0.5, 0.3], [0.7, 0.5]], []),
+        ("run", None, None, None, ["--sampler", "gsbr"]),  # the data have m = 2
+    ], ids=["component-key-typo", "component-weights-sum", "selection-without-component",
+            "one-observation", "gamma-a-zero", "poly-degree-not-int", "beta-a-asymmetric",
+            "gsbr-on-two-series"])
+    def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
+                                     value, extra):
+        _, sim = sim_dir
+        doc = base_config()
+        if block is not None:
+            doc[block][key] = value
+        cfg = write_config(tmp_path, doc, "bad.yaml")
+        out = str(tmp_path / "out")
+        argv = (["simulate", "--config", cfg, "--out", out] if verb == "simulate" else
+                ["run", "--config", cfg, "--data", str(sim / "data.json"), "--out", out])
+        capsys.readouterr()
+        assert cli.main(argv + extra) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdgsbr import cli
 from pdgsbr.distributions import RngHandle
 from pdgsbr.dynamics import (
     NAMED_MAPS,
@@ -14,15 +15,11 @@ from pdgsbr.dynamics import (
 from pdgsbr.errors import SingularDesignError
 from pdgsbr.gibbs import (
     GibbsConfig,
-    augmented_joint_density,
     geometric_posterior_params,
-    mixture_partial_density,
-    normal_pdf,
     parametric_tau_params,
     precision_posterior_params,
     residuals,
     run_chain,
-    run_gsbr,
     run_parametric_gaussian,
     sample_noise_predictive,
     selection_posterior_alpha,
@@ -45,6 +42,8 @@ from pdgsbr.model import (
     init_chain,
     load_checkpoint,
 )
+
+from oracle import augmented_joint_density, mixture_partial_density, normal_pdf
 
 N_KERNEL = 20_000
 
@@ -381,7 +380,7 @@ class TestInitialConditionKernel:
         prior = make_prior(1, R=1, x0_support=np.array([[-0.1, 0.1]]))
         rng = RngHandle(42)
         for _ in range(500):
-            update_x0(state, data, prior, rng)
+            update_x0(state, data, prior, rng, GibbsConfig(iterations=1))
             assert -0.1 <= state.x0[0] <= 0.1
 
     def test_multimodal_target_visits_both_roots(self):
@@ -395,7 +394,7 @@ class TestInitialConditionKernel:
         rng = RngHandle(43)
         draws = np.empty(4000)
         for t in range(4000):
-            update_x0(state, data, prior, rng)
+            update_x0(state, data, prior, rng, GibbsConfig(iterations=1))
             draws[t] = state.x0[0]
         # roots of 1 - 1.65 x^2 = 0.5 are +/- sqrt(0.5/1.65) ~ +/- 0.5505
         assert (draws > 0.3).any() and (draws < -0.3).any()
@@ -411,7 +410,7 @@ class TestFutureKernel:
         mean = 1.5 * -0.4
         draws = np.empty(N_KERNEL)
         for t in range(N_KERNEL):
-            update_future(state, data, prior, rng)
+            update_future(state, data, prior, rng, GibbsConfig(iterations=1))
             draws[t] = state.future[0][0]
         se = draws.std() / math.sqrt(N_KERNEL)
         assert abs(draws.mean() - mean) < 4.0 * se
@@ -448,7 +447,7 @@ class TestFutureKernel:
         prior = make_prior(1, R=1, horizon=np.array([0]))
         before = RngHandle(1).generator.random()
         rng = RngHandle(1)
-        update_future(state, data, prior, rng)
+        update_future(state, data, prior, rng, GibbsConfig(iterations=1))
         assert rng.generator.random() == before  # no randomness consumed
 
 
@@ -504,22 +503,8 @@ class TestDrivers:
             assert ra.atom_counts == rb.atom_counts
 
     def test_single_series_entry_point_matches_general_one(self):
-        data, prior, config = self.small_run()
-        a = run_chain(data, prior, config)
-        b = run_gsbr(data, prior, config)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.theta[0], rb.theta[0])
-            assert np.array_equal(ra.future[0], rb.future[0])
-
-    def test_single_series_entry_point_rejects_multi(self):
-        rng = RngHandle(1)
-        specs = [
-            (NAMED_MAPS["Q1"], NoiseMixtureSpec((1.0,), (1e-3,)), 20, 0.4),
-            (NAMED_MAPS["Q2"], NoiseMixtureSpec((1.0,), (1e-3,)), 20, 0.4),
-        ]
-        data = simulate_multi(specs, [1, 1], rng)
-        with pytest.raises(ValueError):
-            run_gsbr(data, make_prior(2), GibbsConfig(iterations=2))
+        # GSBR is PD-GSBR with m = 1; cmd_run rejects other m for it
+        assert cli.SAMPLERS["gsbr"] is run_chain
 
     def test_checkpoint_resume_is_bit_exact(self, tmp_path):
         data, prior, _ = self.small_run()
