@@ -3,11 +3,11 @@
 __version__ = "0.1.0"
 
 from .diagnostics import Hpdi, KdeGrid, boi, ergodic_average, hpdi, kde, pare, pare_table
-from .distributions import RngHandle, UnnormalizedLogDensity, slice_sample_1d
+from .distributions import RngHandle, slice_sample_1d
 from .dynamics import (
     MultiSeries,
     NoiseMixtureSpec,
-    PolynomialMap,
+    as_map,
     compound_noise,
     eval_map,
     sample_noise,

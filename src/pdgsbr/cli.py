@@ -38,11 +38,11 @@ from .dynamics import (
     MultiSeries,
     NAMED_MAPS,
     NoiseMixtureSpec,
-    PolynomialMap,
+    as_map,
     compound_noise,
     simulate_multi,
 )
-from .errors import ConfigError, DivergenceError, SingularDesignError
+from .errors import ConfigError, DivergenceError, InsufficientSamplesError, SingularDesignError
 from .gibbs import GibbsConfig, run_chain, run_parametric_gaussian
 from .model import (
     PriorConfig,
@@ -51,6 +51,8 @@ from .model import (
     write_trace_csv,
     write_trace_jsonl,
 )
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,6 +79,11 @@ CONFIG_KEYS = {
 COMPONENT_KEYS = {"weights", "variances"}  # of each data.components entry
 
 
+def _block(doc: dict, name: str) -> dict:
+    """Config block ``name`` of ``doc``; an absent or null block reads as empty."""
+    return doc.get(name) or {}
+
+
 def _check_block(name: str, block, allowed) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{name} block must be a mapping")
@@ -89,8 +96,8 @@ def _check_block(name: str, block, allowed) -> None:
 def check_config_keys(doc: dict) -> None:
     """Raise ConfigError naming the first key that no parser reads."""
     for name, allowed in CONFIG_KEYS.items():
-        _check_block(name, doc if name == "top level" else doc.get(name) or {}, allowed)
-    components = (doc.get("data") or {}).get("components") or {}
+        _check_block(name, doc if name == "top level" else _block(doc, name), allowed)
+    components = _block(_block(doc, "data"), "components")
     if not isinstance(components, dict):
         raise ConfigError("data.components block must be a mapping")
     for key, spec in components.items():
@@ -123,6 +130,12 @@ def load_config(path) -> dict:
     return doc
 
 
+def _load_data(path) -> MultiSeries:
+    """A data.json file; a malformed one is a ConfigError, a missing one an OSError."""
+    with _config_errors(f"data file {path}"):
+        return MultiSeries.load_json(path)
+
+
 def bundled_config(experiment: str) -> dict:
     name = experiment.lower()
     if name not in ("4a", "4b", "4c"):
@@ -131,12 +144,12 @@ def bundled_config(experiment: str) -> dict:
     return yaml.safe_load(ref.read_text())
 
 
-def _resolve_map(spec) -> PolynomialMap:
+def _resolve_map(spec) -> tuple:
     if isinstance(spec, str):
         if spec not in NAMED_MAPS:
             raise ConfigError(f"unknown named map {spec!r}; known: {sorted(NAMED_MAPS)}")
         return NAMED_MAPS[spec]
-    return PolynomialMap(tuple(spec))
+    return as_map(spec)
 
 
 @_config_errors("data block")
@@ -225,7 +238,7 @@ def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
 
 def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> MultiSeries:
     check_config_keys(doc)
-    specs, horizons, selection, seed = parse_data_block(doc.get("data") or {})
+    specs, horizons, selection, seed = parse_data_block(_block(doc, "data"))
     if seed_override is not None:
         seed = int(seed_override)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
@@ -245,9 +258,9 @@ SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_chain, "parametric": run_parametric
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             scale=None, resume_path=None, alpha_key="dirichlet_alpha"):
     check_config_keys(doc)
-    data = MultiSeries.load_json(data_path)
-    prior = parse_prior_block(doc.get("prior") or {}, data.m, alpha_key=alpha_key)
-    config = parse_sampler_block(doc.get("sampler", {}), seed_override, scale)
+    data = _load_data(data_path)
+    prior = parse_prior_block(_block(doc, "prior"), data.m, alpha_key=alpha_key)
+    config = parse_sampler_block(_block(doc, "sampler"), seed_override, scale)
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
     if sampler == "gsbr" and data.m != 1:
@@ -304,10 +317,11 @@ def _kde_with_bounds(samples, bounds):
 
 
 def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
-    records = read_trace_jsonl(trace_path)
+    with _config_errors(f"trace {trace_path}"):
+        records = read_trace_jsonl(trace_path)
     if not records:
         raise ConfigError(f"empty trace: {trace_path}")
-    data = MultiSeries.load_json(data_path)
+    data = _load_data(data_path)
     m = len(records[0].theta)
     if data.m != m:
         raise ConfigError(f"trace has m={m} series but data has m={data.m}")
@@ -357,7 +371,11 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
         if future_samples:
             _write_grid_csv(os.path.join(out_dir, f"kde_future_{j + 1}.csv"),
                             _kde_with_bounds(future_samples, None))
-            interval = hpdi(future_samples, 0.95)
+            try:
+                interval = hpdi(future_samples, 0.95)
+            except InsufficientSamplesError as exc:
+                logger.warning("series %d: no future HPDI: %s", j + 1, exc)
+                continue
             summary.setdefault("hpdi_future", {})[str(j + 1)] = {
                 "lower": interval.lower, "upper": interval.upper,
                 "width": interval.upper - interval.lower, "mass": interval.mass,
@@ -385,7 +403,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
     data = cmd_simulate(doc, data_dir)
     data_path = os.path.join(data_dir, "data.json")
 
-    base_seed = int(doc.get("sampler", {}).get("seed", 0))
+    base_seed = int(_block(doc, "sampler").get("seed", 0))
     results = {}
     for label, alpha_key, seed in (
         ("weak", "dirichlet_alpha_weak", base_seed),
@@ -396,10 +414,10 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
                 scale=scale, alpha_key=alpha_key)
         results[label] = cmd_report(
             os.path.join(run_dir, "trace.jsonl"), data_path, run_dir,
-            kde_bounds=doc.get("outputs", {}).get("kde_bounds"),
+            kde_bounds=_block(doc, "outputs").get("kde_bounds"),
         )
 
-    rep = doc.get("reproduce", {})
+    rep = _block(doc, "reproduce")
     short = int(rep.get("short_series", 2)) - 1
     donors = [int(v) - 1 for v in rep.get("donors", [1])]
     comparison = {"experiment": experiment, "scale": scale,
@@ -473,11 +491,11 @@ def main(argv=None) -> int:
     try:
         if args.verb == "simulate":
             doc = load_config(args.config)
-            out = args.out or doc.get("outputs", {}).get("directory", "out")
+            out = args.out or _block(doc, "outputs").get("directory", "out")
             cmd_simulate(doc, out, seed_override=args.seed, allow_escape=args.allow_escape)
         elif args.verb == "run":
             doc = load_config(args.config)
-            out = args.out or doc.get("outputs", {}).get("directory", "out")
+            out = args.out or _block(doc, "outputs").get("directory", "out")
             cmd_run(doc, args.data, out, sampler=args.sampler,
                     seed_override=args.seed, resume_path=args.resume)
         elif args.verb == "report":

@@ -122,7 +122,7 @@ def pare_table(trace, data) -> dict:
     theta_mean = [np.mean([np.asarray(r.theta[j]) for r in trace], axis=0) for j in range(m)]
     rows = []
     for j in range(m):
-        truth = np.asarray(data.maps_true[j].coefficients, dtype=float)
+        truth = np.asarray(data.maps_true[j], dtype=float)
         est = np.asarray(theta_mean[j], dtype=float)
         if est.size != truth.size:
             width = max(est.size, truth.size)

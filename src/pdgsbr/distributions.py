@@ -7,7 +7,6 @@ global generator state. One handle belongs to exactly one chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,24 +37,6 @@ class RngHandle:
         handle = cls(state["seed"])
         handle.generator.bit_generator.state = state["bit_generator"]
         return handle
-
-
-@dataclass(frozen=True)
-class UnnormalizedLogDensity:
-    """Log of an unnormalized density on a closed interval [lo, hi]."""
-
-    evaluator: Callable[[float], float]
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ParameterDomainError(f"empty support [{self.lo}, {self.hi}]")
-
-    def __call__(self, x: float) -> float:
-        if x < self.lo or x > self.hi:
-            return -math.inf
-        return float(self.evaluator(x))
 
 
 def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
@@ -144,22 +125,31 @@ def draw_truncated_geometric(lam, min_value, rng: RngHandle):
 
 
 def slice_sample_1d(
-    target: UnnormalizedLogDensity,
+    log_f: Callable[[float], float],
+    lo: float,
+    hi: float,
     current: float,
     width: float,
     max_stepout: int,
     rng: RngHandle,
 ) -> float:
-    """One stepping-out/shrinkage slice-sampling transition.
+    """One stepping-out/shrinkage slice-sampling transition of the density
+    proportional to exp(log_f) on [lo, hi] (-inf outside).
 
     The stepping-out interval is expanded by at most ``max_stepout`` widths in
     total (split randomly between the two sides, Neal 2003) and is always
-    clipped to the support of ``target``. Leaves the normalized target
-    invariant; suitable for the multimodal polynomial-exponent targets of the
-    initial-condition and interior out-of-sample kernels.
+    clipped to [lo, hi]. Leaves the normalized target invariant; suitable for
+    the multimodal polynomial-exponent targets of the initial-condition and
+    interior out-of-sample kernels.
     """
+    if not lo < hi:
+        raise ParameterDomainError(f"empty support [{lo}, {hi}]")
     if width <= 0:
         raise ParameterDomainError(f"width must be positive, got {width}")
+
+    def target(x):
+        return log_f(x) if lo <= x <= hi else -math.inf
+
     gen = rng.generator
     log_fx = target(current)
     if not math.isfinite(log_fx):
@@ -173,14 +163,14 @@ def slice_sample_1d(
     right = left + width
     steps_left = int(math.floor(max_stepout * gen.random()))
     steps_right = max_stepout - 1 - steps_left
-    while steps_left > 0 and left > target.lo and target(left) > log_y:
+    while steps_left > 0 and left > lo and target(left) > log_y:
         left -= width
         steps_left -= 1
-    while steps_right > 0 and right < target.hi and target(right) > log_y:
+    while steps_right > 0 and right < hi and target(right) > log_y:
         right += width
         steps_right -= 1
-    left = max(left, target.lo)
-    right = min(right, target.hi)
+    left = max(left, lo)
+    right = min(right, hi)
 
     # shrinkage
     while True:

@@ -27,41 +27,32 @@ logger = logging.getLogger(__name__)
 DIVERGENCE_BOUND = 1e12
 
 
-@dataclass(frozen=True)
-class PolynomialMap:
-    """Deterministic part g(theta, x) = sum_r theta_r x^r."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if len(self.coefficients) == 0:
-            raise ValueError("a polynomial map needs at least a constant term")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x: float) -> float:
-        return eval_map(self, x)
+def as_map(coefficients) -> tuple:
+    """A map from outside the program as float coefficients theta_0..theta_R."""
+    coefficients = tuple(float(c) for c in coefficients)
+    if not coefficients:
+        raise ValueError("a polynomial map needs at least a constant term")
+    return coefficients
 
 
-def eval_map(poly: PolynomialMap, x: float) -> float:
-    """Horner evaluation of the deterministic part at x."""
+def eval_map(coefficients, x):
+    """Horner evaluation of g(theta, x) = sum_r theta_r x^r, on a scalar or
+    elementwise on an array (the multiplies and adds run in the order of
+    numpy's polyval, so the two agree bit for bit)."""
     acc = 0.0
-    for c in reversed(poly.coefficients):
+    for c in reversed(coefficients):
         acc = acc * x + c
     return acc
 
 
-def quadratic_map(q: float) -> PolynomialMap:
+def quadratic_map(q: float) -> tuple:
     """1 - q x^2, padded to quintic length."""
-    return PolynomialMap((1.0, 0.0, -q, 0.0, 0.0, 0.0))
+    return (1.0, 0.0, -q, 0.0, 0.0, 0.0)
 
 
-def cubic_map(c: float) -> PolynomialMap:
+def cubic_map(c: float) -> tuple:
     """0.05 + c x - 0.99 x^3, padded to quintic length."""
-    return PolynomialMap((0.05, c, 0.0, -0.99, 0.0, 0.0))
+    return (0.05, c, 0.0, -0.99, 0.0, 0.0)
 
 
 # The synthetic maps used throughout the numerical experiments.
@@ -155,7 +146,7 @@ class MultiSeries:
         if self.maps_true is not None:
             doc["truth"] = {
                 "x0": list(self.x0_true) if self.x0_true is not None else None,
-                "maps": [list(p.coefficients) for p in self.maps_true],
+                "maps": [list(p) for p in self.maps_true],
                 "noise": [
                     {"weights": list(n.weights), "variances": list(n.variances)}
                     for n in self.noise_true
@@ -176,7 +167,7 @@ class MultiSeries:
         if truth is not None:
             kwargs = {
                 "x0_true": truth.get("x0"),
-                "maps_true": [PolynomialMap(tuple(c)) for c in truth["maps"]],
+                "maps_true": [as_map(c) for c in truth["maps"]],
                 "noise_true": [
                     NoiseMixtureSpec(tuple(n["weights"]), tuple(n["variances"]))
                     for n in truth["noise"]
@@ -214,7 +205,7 @@ class MultiSeries:
 
 
 def simulate_series(
-    poly: PolynomialMap,
+    poly: tuple,
     noise: NoiseMixtureSpec,
     n: int,
     x0: float,

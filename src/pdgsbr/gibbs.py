@@ -20,7 +20,6 @@ import numpy as np
 
 from .distributions import (
     RngHandle,
-    UnnormalizedLogDensity,
     draw_beta,
     draw_categorical,
     draw_dirichlet,
@@ -28,7 +27,7 @@ from .distributions import (
     draw_truncated_geometric,
     slice_sample_1d,
 )
-from .dynamics import MultiSeries, PolynomialMap, eval_map
+from .dynamics import MultiSeries, eval_map
 from .errors import SingularDesignError
 from .model import (
     ChainState,
@@ -90,7 +89,7 @@ def full_path(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
 def residuals(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
     """Squared residuals h_i = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2, i = 1..n_j+T_j."""
     xs = full_path(state, data, j)
-    preds = np.polynomial.polynomial.polyval(xs[:-1], state.theta[j])
+    preds = eval_map(state.theta[j], xs[:-1])
     return (xs[1:] - preds) ** 2
 
 
@@ -103,11 +102,14 @@ def _tau_per_point(state: ChainState, j: int, tau_common: Optional[float] = None
     return state.atoms.values[state.atoms.index[j, delta], state.alloc.d[j] - 1]
 
 
-def _slice_point(log_target, lo, hi, current, config: GibbsConfig, rng: RngHandle) -> float:
-    """One slice transition of a scalar on [lo, hi] with the chain's tuning."""
-    target = UnnormalizedLogDensity(log_target, lo, hi)
-    return slice_sample_1d(target, float(np.clip(current, lo, hi)),
-                           config.slice_width, config.max_stepout, rng)
+def _point_target(coefficients, tau_in, g_prev, tau_out, x_next):
+    """Log full conditional of a latent point v between x_prev and x_next:
+    -1/2 (tau_in (v - g(x_prev))^2 + tau_out (x_next - g(v))^2). The initial
+    condition has no predecessor: tau_in = 0."""
+    def log_f(v):
+        return -0.5 * (tau_in * (v - g_prev) ** 2
+                       + tau_out * (x_next - eval_map(coefficients, v)) ** 2)
+    return log_f
 
 
 def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
@@ -282,14 +284,11 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """
     for j in range(state.m):
         tau = float(_tau_per_point(state, j, tau_override)[0])
-        theta = tuple(state.theta[j])
-        x1 = float(data.series[j][0])
-        poly = PolynomialMap(theta)
-
-        def log_target(x, _tau=tau, _x1=x1, _poly=poly):
-            return -0.5 * _tau * (_x1 - eval_map(_poly, x)) ** 2
-
-        state.x0[j] = _slice_point(log_target, *prior.x0_support[j], state.x0[j], config, rng)
+        log_f = _point_target(state.theta[j].tolist(), 0.0, 0.0, tau, float(data.series[j][0]))
+        lo, hi = prior.x0_support[j].tolist()
+        current = min(max(float(state.x0[j]), lo), hi)
+        state.x0[j] = slice_sample_1d(log_f, lo, hi, current,
+                                      config.slice_width, config.max_stepout, rng)
     return state
 
 
@@ -299,31 +298,26 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """Redraw the out-of-sample points: slice transitions for the interior
     ones (two Gaussian factors in the exponent) and an exact normal for the
     terminal one."""
+    lo, hi = FUTURE_SUPPORT
     for j in range(state.m):
         T = len(state.future[j])
         if T == 0:
             continue
         n = data.lengths[j]
-        xs = full_path(state, data, j)
-        poly = PolynomialMap(tuple(state.theta[j]))
-        # taus[k - 1] is the precision allocated to x_{j,n+k}, k = 1..T
+        coefficients = state.theta[j].tolist()
+        # xs[k] is x_{j,n+k}, k = 0..T; taus[k - 1] is its precision, k = 1..T
+        xs = [float(data.series[j][-1])] + state.future[j].tolist()
         taus = _tau_per_point(state, j, tau_override)[n:].tolist()
 
         for k in range(1, T):
-            pos = n + k  # index of x_{j,n+k} inside xs
-            tau_here, tau_next = taus[k - 1], taus[k]
-            x_prev, x_next = xs[pos - 1], xs[pos + 1]
-            g_prev = eval_map(poly, x_prev)
+            log_f = _point_target(coefficients, taus[k - 1], eval_map(coefficients, xs[k - 1]),
+                                  taus[k], xs[k + 1])
+            xs[k] = slice_sample_1d(log_f, lo, hi, min(max(xs[k], lo), hi),
+                                    config.slice_width, config.max_stepout, rng)
 
-            def log_target(v, _t1=tau_here, _t2=tau_next, _gp=g_prev, _xn=x_next, _poly=poly):
-                return -0.5 * (_t1 * (v - _gp) ** 2 + _t2 * (_xn - eval_map(_poly, v)) ** 2)
-
-            xs[pos] = _slice_point(log_target, *FUTURE_SUPPORT, xs[pos], config, rng)
-
-        tau_T = taus[T - 1]
-        mean = eval_map(poly, xs[n + T - 1])
-        xs[n + T] = rng.generator.normal(mean, tau_T ** -0.5)
-        state.future[j] = xs[n + 1:].copy()
+        mean = eval_map(coefficients, xs[T - 1])
+        xs[T] = rng.generator.normal(mean, taus[T - 1] ** -0.5)
+        state.future[j] = np.asarray(xs[1:])
     return state
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import RngHandle, draw_beta, draw_categorical, draw_dirichlet, draw_gamma
-from .dynamics import MultiSeries, PolynomialMap, eval_map
+from .dynamics import MultiSeries, eval_map
 
 # Starting slice bound. Starting from N = d = 1 is degenerate: the first
 # geometric-probability update then sees zero tail counts, jumps to the
@@ -356,10 +357,9 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     x0 = np.asarray([float(s[0]) for s in data.series])
     future = []
     for j in range(m):
-        poly = PolynomialMap(tuple(theta[j]))
         vals, x = [], float(data.series[j][-1])
         for _ in range(int(prior.horizon[j])):
-            x = eval_map(poly, x)
+            x = eval_map(theta[j], x)
             if not np.isfinite(x) or abs(x) > 1e6:  # keep the start numerically tame
                 x = float(data.series[j][-1])
             vals.append(x)
@@ -376,11 +376,15 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
 # --- checkpoint and trace I/O -----------------------------------------------
 
 def save_checkpoint(path, state: ChainState, rng: RngHandle, extra: Optional[dict] = None) -> None:
+    """Write the checkpoint to a sibling temp file, then rename it over ``path``,
+    so a run killed mid-write leaves the previous checkpoint whole."""
     doc = {"state": state.to_dict(), "rng": rng.get_state()}
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

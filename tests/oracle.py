@@ -7,7 +7,7 @@ one and compare it with the other.
 
 import math
 
-from pdgsbr.dynamics import PolynomialMap, eval_map
+from pdgsbr.dynamics import eval_map
 
 
 def normal_pdf(x: float, mean: float, tau: float) -> float:
@@ -24,13 +24,13 @@ def augmented_joint_density(x, x_prev, r, k, l, theta, p_row, lam_row, tau_rows)
         return 0.0
     lam = lam_row[l]
     tau = tau_rows[l][k - 1]
-    g = eval_map(PolynomialMap(tuple(theta)), x_prev)
+    g = eval_map(theta, x_prev)
     return p_row[l] * lam ** 2 * (1.0 - lam) ** (r - 1) * normal_pdf(x, g, tau)
 
 
 def mixture_partial_density(x, x_prev, theta, p_row, lam_row, tau_rows, K: int) -> float:
     """Leading-K part of the noise-convolved transition mixture density."""
-    g = eval_map(PolynomialMap(tuple(theta)), x_prev)
+    g = eval_map(theta, x_prev)
     total = 0.0
     for l in range(len(p_row)):
         lam = lam_row[l]

@@ -17,7 +17,6 @@ from pdgsbr import cli
 from pdgsbr.diagnostics import pare_table
 from pdgsbr.distributions import (
     RngHandle,
-    UnnormalizedLogDensity,
     draw_gamma,
     slice_sample_1d,
 )
@@ -246,12 +245,11 @@ class TestCriterion4SliceSampler:
 
         # trimodal cubic-well target: total variation vs quadrature
         logf = lambda x: -((x ** 3 - 3.0 * x - 0.5) ** 2) / 6.0
-        target = UnnormalizedLogDensity(logf, -3.0, 3.0)
         rng = RngHandle(42)
         x = 0.0
         samples = np.empty(400_000)
         for t in range(samples.size):
-            x = slice_sample_1d(target, x, 0.5, 16, rng)
+            x = slice_sample_1d(logf, -3.0, 3.0, x, 0.5, 16, rng)
             samples[t] = x
         edges = np.linspace(-3.0, 3.0, 61)
         norm, _ = quad(lambda v: math.exp(logf(v)), -3.0, 3.0)

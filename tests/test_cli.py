@@ -260,6 +260,47 @@ class TestReport:
                          "--data", str(sim1 / "data.json"), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_short_trace_skips_the_future_hpdi(self, tmp_path, sim_dir, caplog):
+        cfg, sim = sim_dir
+        doc = base_config()
+        doc["sampler"].update(iterations=60, burn_in=10)  # 50 records, HPDI needs 100
+        run = tmp_path / "short"
+        cli.cmd_run(doc, sim / "data.json", run)
+        out = tmp_path / "rep"
+        assert cli.main(["report", "--trace", str(run / "trace.jsonl"),
+                         "--data", str(sim / "data.json"), "--out", str(out)]) == 0
+        assert not (out / "hpdi.json").exists()
+        assert "hpdi_future" not in json.loads((out / "summary.json").read_text())
+        assert (out / "kde_future_2.csv").exists() and (out / "boi.json").exists()
+        assert "no future HPDI" in caplog.text
+
+    @pytest.mark.parametrize("verb, name, content, code", [
+        ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
+        ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2', 2),
+        ("run", "data.json", '{"m": 2}', 2),
+        ("report", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
+        ("report", "trace.jsonl", '{"iteration": 31, "theta": [[0.1', 2),
+        ("report", "trace.jsonl", '{"iteration": 31}', 2),
+        ("run", "data.json", None, 4),
+        ("report", "trace.jsonl", None, 4),
+    ], ids=["one-value-series", "truncated-data", "no-series-key", "report-one-value-series",
+            "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
+    def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,
+                                          content, code):
+        cfg, sim, run = run_dir
+        paths = {"data.json": sim / "data.json", "trace.jsonl": run / "trace.jsonl"}
+        bad = tmp_path / "bad" / name
+        bad.parent.mkdir()
+        if content is not None:
+            bad.write_text(content)
+        paths[name] = bad
+        argv = (["run", "--config", cfg] if verb == "run" else
+                ["report", "--trace", str(paths["trace.jsonl"])])
+        argv += ["--data", str(paths["data.json"]), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith("config error:" if code == 2 else "I/O error:")
+
     def test_unwritable_output_is_io_error(self, tmp_path, run_dir):
         _, sim, run = run_dir
         blocker = tmp_path / "blocker"
@@ -347,6 +388,15 @@ class TestConfigHelpers:
         capsys.readouterr()
         assert cli.main(argv + extra) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_null_block_reads_as_empty(self, tmp_path, monkeypatch):
+        doc = base_config(outputs=None)
+        doc["sampler"].update(iterations=40, burn_in=10)
+        cfg = write_config(tmp_path, doc)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        assert cli.main(["run", "--config", cfg, "--data", "out/data.json"]) == 0
+        assert (tmp_path / "out" / "trace.jsonl").exists()
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from pdgsbr.diagnostics import (
     posterior_mean_matrix,
     silverman_bandwidth,
 )
-from pdgsbr.dynamics import NAMED_MAPS, PolynomialMap
+from pdgsbr.dynamics import NAMED_MAPS
 from pdgsbr.errors import InsufficientSamplesError, TruthUnavailableError
 from pdgsbr.model import TraceRecord
 
@@ -199,21 +199,21 @@ class TestPareTable:
     def test_exact_two_series(self):
         truth = [NAMED_MAPS["Q1"], NAMED_MAPS["C1"]]
         data = SimpleNamespace(maps_true=truth)
-        theta = [np.asarray(m.coefficients, dtype=float) for m in truth]
+        theta = [np.asarray(m, dtype=float) for m in truth]
         theta[0] = theta[0] * 1.1  # uniform 10% inflation on series 1
         trace = [make_record(0, theta), make_record(1, theta)]
         out = pare_table(trace, data)
         # zero coefficients of Q1 get the absolute convention: |0*1.1 - 0| = 0
-        assert np.allclose(out["per_coefficient"][0], np.where(np.asarray(truth[0].coefficients) != 0, 10.0, 0.0))
+        assert np.allclose(out["per_coefficient"][0], np.where(np.asarray(truth[0]) != 0, 10.0, 0.0))
         assert np.allclose(out["per_coefficient"][1], 0.0)
         assert out["row_mean"][1] == 0.0
         assert np.allclose(out["posterior_mean_theta"][0], theta[0])
 
     def test_pads_quintic_fit_of_short_truth(self):
-        truth = [PolynomialMap((1.0, 0.0, -1.65))]
+        truth = [(1.0, 0.0, -1.65)]
         data = SimpleNamespace(maps_true=truth)
         est = np.zeros(6)
-        est[:3] = truth[0].coefficients
+        est[:3] = truth[0]
         est[5] = 0.04  # spurious quintic term against an implicit zero truth
         out = pare_table([make_record(0, [est])], data)
         assert out["per_coefficient"].shape == (1, 6)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pdgsbr.distributions import (
     RngHandle,
-    UnnormalizedLogDensity,
     draw_beta,
     draw_categorical,
     draw_dirichlet,
@@ -201,21 +200,20 @@ def batch_means_se(samples, n_batches=100):
 
 class TestSliceSampler:
     def test_truncated_normal_moments(self, rng):
-        target = UnnormalizedLogDensity(lambda x: -2.0 * (x - 0.5) ** 2, -10.0, 10.0)
+        logf = lambda x: -2.0 * (x - 0.5) ** 2
         x, chain = 0.0, np.empty(N_DRAWS)
         for i in range(N_DRAWS):
-            x = slice_sample_1d(target, x, 1.0, 16, rng)
+            x = slice_sample_1d(logf, -10.0, 10.0, x, 1.0, 16, rng)
             chain[i] = x
         assert abs(chain.mean() - 0.5) < 3.0 * batch_means_se(chain)
         sq = (chain - 0.5) ** 2
         assert abs(sq.mean() - 0.25) < 3.0 * batch_means_se(sq)
 
     def test_flat_target_uniform(self, rng):
-        target = UnnormalizedLogDensity(lambda x: 0.0, 0.0, 1.0)
         x, n = 0.5, 20_000
         draws = np.empty(n)
         for i in range(n):
-            x = slice_sample_1d(target, x, 0.3, 8, rng)
+            x = slice_sample_1d(lambda x: 0.0, 0.0, 1.0, x, 0.3, 8, rng)
             draws[i] = x
         draws.sort()
         grid = np.arange(1, n + 1) / n
@@ -232,42 +230,42 @@ class TestSliceSampler:
         left, _ = quad(lambda x: math.exp(logf(x)), -3.0, 0.0)
         right, _ = quad(lambda x: math.exp(logf(x)), 0.0, 3.0)
         oracle_ratio = left / right
-        target = UnnormalizedLogDensity(logf, -3.0, 3.0)
         x, n = 1.0, N_DRAWS
         signs = np.empty(n)
         for i in range(n):
-            x = slice_sample_1d(target, x, 0.5, 16, rng)
+            x = slice_sample_1d(logf, -3.0, 3.0, x, 0.5, 16, rng)
             signs[i] = 1.0 if x < 0 else 0.0
         frac_left = signs.mean()
         ratio = frac_left / (1.0 - frac_left)
         assert abs(ratio - oracle_ratio) / oracle_ratio < 0.10
 
     def test_output_stays_in_support(self, rng):
-        target = UnnormalizedLogDensity(lambda x: -0.5 * x ** 2, -0.2, 0.3)
         x = 0.0
         for _ in range(2000):
-            x = slice_sample_1d(target, x, 5.0, 16, rng)
+            x = slice_sample_1d(lambda x: -0.5 * x ** 2, -0.2, 0.3, x, 5.0, 16, rng)
             assert -0.2 <= x <= 0.3
 
     def test_invalid_state(self, rng):
-        target = UnnormalizedLogDensity(lambda x: -0.5 * x ** 2, 0.0, 1.0)
         with pytest.raises(InvalidStateError):
-            slice_sample_1d(target, 5.0, 1.0, 16, rng)  # outside the support
+            slice_sample_1d(lambda x: -0.5 * x ** 2, 0.0, 1.0, 5.0, 1.0, 16, rng)  # outside the support
 
     def test_bad_width(self, rng):
-        target = UnnormalizedLogDensity(lambda x: 0.0, 0.0, 1.0)
         with pytest.raises(ParameterDomainError):
-            slice_sample_1d(target, 0.5, 0.0, 16, rng)
+            slice_sample_1d(lambda x: 0.0, 0.0, 1.0, 0.5, 0.0, 16, rng)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+    def test_empty_support(self, rng, lo, hi):
+        with pytest.raises(ParameterDomainError):
+            slice_sample_1d(lambda x: 0.0, lo, hi, 1.0, 0.5, 16, rng)
 
     def test_long_run_total_variation(self, rng):
         # discretizable target: truncated standard normal on [-3, 3]
         logf = lambda x: -0.5 * x ** 2
-        target = UnnormalizedLogDensity(logf, -3.0, 3.0)
         n = 1_000_000
         x = 0.0
         gen = np.empty(n)
         for i in range(n):
-            x = slice_sample_1d(target, x, 1.0, 10, rng)
+            x = slice_sample_1d(logf, -3.0, 3.0, x, 1.0, 10, rng)
             gen[i] = x
         bins = np.linspace(-3, 3, 61)
         hist, _ = np.histogram(gen, bins=bins)

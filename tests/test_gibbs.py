@@ -388,7 +388,7 @@ class TestInitialConditionKernel:
         # a moderate precision keeps the valley shallow enough for the
         # stepping-out procedure to bridge
         state, data = single_series_state(
-            [0.5, 0.2], NAMED_MAPS["Q1"].coefficients, [10.0], x0=0.55
+            [0.5, 0.2], NAMED_MAPS["Q1"], [10.0], x0=0.55
         )
         prior = make_prior(1, R=5)
         rng = RngHandle(43)

@@ -210,7 +210,7 @@ class TestInitChain:
         data = small_data(m=1, n=120, seed=3)
         prior = small_prior(m=1)
         state = init_chain(data, prior, RngHandle(4))
-        truth = np.asarray(NAMED_MAPS["Q1"].coefficients)
+        truth = np.asarray(NAMED_MAPS["Q1"])
         assert np.max(np.abs(state.theta[0] - truth)) < 0.5
 
     def test_singular_design_falls_back_to_zero(self):
@@ -248,6 +248,24 @@ class TestCheckpoint:
         assert np.array_equal(back.atoms.index, state.atoms.index)
         # the restored generator continues the exact stream
         assert rng_back.generator.random() == rng.generator.random()
+
+    def test_interrupted_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        data, prior = small_data(), small_prior()
+        rng = RngHandle(6)
+        state = init_chain(data, prior, rng)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, rng)
+        before = path.read_bytes()
+
+        def killed_mid_write(doc, fh, **kwargs):
+            fh.write('{"state": {"atoms": [[')
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(json, "dump", killed_mid_write)
+        state.iteration = 7
+        with pytest.raises(RuntimeError):
+            save_checkpoint(path, state, rng)
+        assert path.read_bytes() == before
 
 
 class TestTraceIO:
