@@ -24,14 +24,13 @@ import yaml
 
 from . import __version__
 from .diagnostics import (
-    Hpdi,
+    KDE_GRID_SIZE,
     boi,
     ergodic_average,
     hpdi,
     kde,
     pare_table,
     posterior_mean_matrix,
-    silverman_bandwidth,
 )
 from .distributions import RngHandle
 from .dynamics import (
@@ -65,13 +64,14 @@ FULL_SCALE = {"iterations": 60_000, "burn_in": 20_000}
 
 # --- configuration --------------------------------------------------------------
 
+PRIOR_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
+
 # The keys each config block may set: the ones its parser reads. Any other key
 # is a typo that would otherwise fall back to a default without a word.
 CONFIG_KEYS = {
     "top level": {"name", "data", "prior", "sampler", "outputs", "reproduce"},
     "data": {"seed", "maps", "n", "x0", "horizon", "components", "selection"},
-    "prior": {"poly_degree", "beta_a", "beta_b", "gamma_a", "gamma_b", "horizon", "x0_support",
-              "dirichlet_alpha", "dirichlet_alpha_weak", "dirichlet_alpha_strong"},
+    "prior": PRIOR_FIELDS - {"m"} | {"dirichlet_alpha_weak", "dirichlet_alpha_strong"},
     "sampler": {f.name for f in dataclasses.fields(GibbsConfig)},
     "outputs": {"directory", "kde_bounds"},
     "reproduce": {"short_series", "donors"},
@@ -184,37 +184,25 @@ def parse_data_block(block: dict):
 
 @_config_errors("prior block")
 def parse_prior_block(block: dict, m: int, alpha_key: str = "dirichlet_alpha") -> PriorConfig:
+    """The selection rows come from ``alpha_key``; every other PriorConfig field
+    the block leaves out keeps its default."""
     alpha = np.asarray(block[alpha_key], dtype=float)
     if alpha.shape != (m, m):
         raise ConfigError(f"{alpha_key} must be an {m}x{m} matrix, got shape {alpha.shape}")
-    x0_support = block.get("x0_support", [-5.0, 5.0])
-    return PriorConfig(
-        m=m,
-        dirichlet_alpha=alpha,
-        beta_a=np.asarray(block.get("beta_a", 0.5), dtype=float),
-        beta_b=np.asarray(block.get("beta_b", 0.5), dtype=float),
-        gamma_a=float(block.get("gamma_a", 1e-3)),
-        gamma_b=float(block.get("gamma_b", 1e-3)),
-        poly_degree=int(block.get("poly_degree", 5)),
-        horizon=np.asarray(block.get("horizon", [1] * m), dtype=int),
-        x0_support=np.asarray(x0_support, dtype=float),
-    )
+    given = {key: value for key, value in block.items() if key in PRIOR_FIELDS}
+    return PriorConfig(**given | {"m": m, "dirichlet_alpha": alpha})
 
 
 @_config_errors("sampler block")
 def parse_sampler_block(block: dict, seed_override=None, scale=None) -> GibbsConfig:
-    block = dict(block or {})
+    """A run length the block leaves out is the desk scale's, and ``scale``
+    replaces it; every other GibbsConfig field left out keeps its default."""
+    block = {**DESK_SCALE, **(block or {})}
     if scale is not None:
         block.update(DESK_SCALE if scale == "desk" else FULL_SCALE)
-    return GibbsConfig(
-        iterations=int(block.get("iterations", 10_000)),
-        burn_in=int(block.get("burn_in", 5_000)),
-        thinning=int(block.get("thinning", 1)),
-        seed=int(seed_override if seed_override is not None else block.get("seed", 0)),
-        slice_width=float(block.get("slice_width", 0.25)),
-        max_stepout=int(block.get("max_stepout", 16)),
-        checkpoint_interval=int(block.get("checkpoint_interval", 0)),
-    )
+    if seed_override is not None:
+        block["seed"] = seed_override
+    return GibbsConfig(**block)
 
 
 def config_hash(doc: dict) -> str:
@@ -304,16 +292,11 @@ def _kde_with_bounds(samples, bounds):
     samples = np.asarray(samples, dtype=float)
     if bounds is not None:
         lo, hi = bounds
-    else:
-        # robust default range: central 99% of samples, padded by 4 bandwidths
-        core = samples[(samples >= np.quantile(samples, 0.005))
-                       & (samples <= np.quantile(samples, 0.995))]
-        core = core if core.size >= 2 else samples
-        h = silverman_bandwidth(core)
-        lo, hi = core.min() - 4 * h, core.max() + 4 * h
-        samples = core
-    grid = np.linspace(lo, hi, 512)
-    return kde(samples, grid=grid)
+        return kde(samples, grid=np.linspace(lo, hi, KDE_GRID_SIZE))
+    # robust default range: the central 99% of samples, which kde pads by 4 bandwidths
+    core = samples[(samples >= np.quantile(samples, 0.005))
+                   & (samples <= np.quantile(samples, 0.995))]
+    return kde(core if core.size >= 2 else samples)
 
 
 def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
@@ -363,23 +346,28 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
             for row in running:
                 writer.writerow([repr(float(v)) for v in row])
 
-        _write_grid_csv(os.path.join(out_dir, f"kde_noise_{j + 1}.csv"),
-                        _kde_with_bounds([r.z_pred[j] for r in records], kde_bounds))
-        _write_grid_csv(os.path.join(out_dir, f"kde_x0_{j + 1}.csv"),
-                        _kde_with_bounds([r.x0[j] for r in records], None))
         future_samples = [float(r.future[j][0]) for r in records if len(r.future[j])]
-        if future_samples:
-            _write_grid_csv(os.path.join(out_dir, f"kde_future_{j + 1}.csv"),
-                            _kde_with_bounds(future_samples, None))
-            try:
-                interval = hpdi(future_samples, 0.95)
-            except InsufficientSamplesError as exc:
-                logger.warning("series %d: no future HPDI: %s", j + 1, exc)
-                continue
-            summary.setdefault("hpdi_future", {})[str(j + 1)] = {
-                "lower": interval.lower, "upper": interval.upper,
-                "width": interval.upper - interval.lower, "mass": interval.mass,
-            }
+        try:
+            _write_grid_csv(os.path.join(out_dir, f"kde_noise_{j + 1}.csv"),
+                            _kde_with_bounds([r.z_pred[j] for r in records], kde_bounds))
+            _write_grid_csv(os.path.join(out_dir, f"kde_x0_{j + 1}.csv"),
+                            _kde_with_bounds([r.x0[j] for r in records], None))
+            if future_samples:
+                _write_grid_csv(os.path.join(out_dir, f"kde_future_{j + 1}.csv"),
+                                _kde_with_bounds(future_samples, None))
+        except InsufficientSamplesError as exc:
+            logger.warning("series %d: no KDE grids: %s", j + 1, exc)
+        if not future_samples:
+            continue
+        try:
+            interval = hpdi(future_samples, 0.95)
+        except InsufficientSamplesError as exc:
+            logger.warning("series %d: no future HPDI: %s", j + 1, exc)
+            continue
+        summary.setdefault("hpdi_future", {})[str(j + 1)] = {
+            "lower": interval.lower, "upper": interval.upper,
+            "width": interval.upper - interval.lower, "mass": interval.mass,
+        }
 
     if nonparametric:
         with open(os.path.join(out_dir, "boi.json"), "w") as fh:
@@ -403,7 +391,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
     data = cmd_simulate(doc, data_dir)
     data_path = os.path.join(data_dir, "data.json")
 
-    base_seed = int(_block(doc, "sampler").get("seed", 0))
+    base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
     results = {}
     for label, alpha_key, seed in (
         ("weak", "dirichlet_alpha_weak", base_seed),
@@ -489,13 +477,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        if args.verb == "simulate":
+        if args.verb in ("simulate", "run"):
             doc = load_config(args.config)
             out = args.out or _block(doc, "outputs").get("directory", "out")
+        if args.verb == "simulate":
             cmd_simulate(doc, out, seed_override=args.seed, allow_escape=args.allow_escape)
         elif args.verb == "run":
-            doc = load_config(args.config)
-            out = args.out or _block(doc, "outputs").get("directory", "out")
             cmd_run(doc, args.data, out, sampler=args.sampler,
                     seed_override=args.seed, resume_path=args.resume)
         elif args.verb == "report":

@@ -72,6 +72,9 @@ def hpdi(samples: Sequence[float], mass: float = 0.95) -> Hpdi:
     return Hpdi(float(samples[best]), float(samples[best + window - 1]), mass)
 
 
+KDE_GRID_SIZE = 512  # points of every KDE grid
+
+
 @dataclass(frozen=True)
 class KdeGrid:
     grid: np.ndarray
@@ -87,7 +90,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
-        bandwidth: Optional[float] = None, grid_size: int = 512) -> KdeGrid:
+        bandwidth: Optional[float] = None) -> KdeGrid:
     """Gaussian-kernel density estimate on an equally spaced grid.
 
     Without an explicit grid, the grid spans the sample range extended by
@@ -95,13 +98,13 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
-        raise ValueError("need at least 2 samples")
+        raise InsufficientSamplesError(f"need >= 2 samples, got {samples.size}")
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(samples)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     if grid is None:
         lo, hi = samples.min() - 4.0 * h, samples.max() + 4.0 * h
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(lo, hi, KDE_GRID_SIZE)
     grid = np.asarray(grid, dtype=float)
     z = (grid[:, None] - samples[None, :]) / h
     density = np.exp(-0.5 * z ** 2).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))

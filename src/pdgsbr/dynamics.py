@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -162,7 +163,9 @@ class MultiSeries:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MultiSeries":
-        truth = doc.get("truth")
+        truth = doc.get("truth") if isinstance(doc, dict) else None
+        if not isinstance(doc, dict) or not isinstance(truth, (dict, type(None))):
+            raise ValueError("a data file and its truth must be JSON objects")
         kwargs = {}
         if truth is not None:
             kwargs = {
@@ -188,13 +191,11 @@ class MultiSeries:
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def save_csv(self, directory, stem: str = "series") -> list:
+    def save_csv(self, directory) -> list:
         """One CSV per series with columns (index, value). Returns the paths."""
-        import os
-
         paths = []
         for j, s in enumerate(self.series):
-            path = os.path.join(directory, f"{stem}_{j + 1}.csv")
+            path = os.path.join(directory, f"series_{j + 1}.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["index", "value"])

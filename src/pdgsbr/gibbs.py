@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class GibbsConfig:
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
+        for name, kind in get_type_hints(GibbsConfig).items():  # "100" -> 100, 1 -> 1.0
+            setattr(self, name, kind(getattr(self, name)))
         if not (self.iterations > self.burn_in >= 0):
             raise ValueError("need iterations > burn_in >= 0")
         if self.thinning < 1:

@@ -41,8 +41,8 @@ class PriorConfig:
 
     m: int
     dirichlet_alpha: np.ndarray  # m x m, rows are the Dirichlet parameters of p_j
-    beta_a: np.ndarray  # m x m symmetric
-    beta_b: np.ndarray  # m x m symmetric
+    beta_a: np.ndarray = 0.5  # m x m symmetric; a scalar fills every entry
+    beta_b: np.ndarray = 0.5
     gamma_a: float = 1e-3
     gamma_b: float = 1e-3
     poly_degree: int = 5
@@ -51,6 +51,9 @@ class PriorConfig:
 
     def __post_init__(self):
         m = self.m
+        self.gamma_a = float(self.gamma_a)
+        self.gamma_b = float(self.gamma_b)
+        self.poly_degree = int(self.poly_degree)
         self.dirichlet_alpha = np.broadcast_to(
             np.asarray(self.dirichlet_alpha, dtype=float), (m, m)
         ).copy()
@@ -155,9 +158,6 @@ class Allocations:
                 raise ValueError(f"slice constraint d <= N violated in series {j}")
             if np.any(self.delta[j] < 0) or np.any(self.delta[j] >= m):
                 raise ValueError(f"measure label out of range in series {j}")
-
-    def to_dict(self) -> dict:
-        return _plain(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,8 @@ import yaml
 from pdgsbr import cli
 from pdgsbr.dynamics import MultiSeries
 from pdgsbr.errors import ConfigError
-from pdgsbr.model import read_trace_jsonl
+from pdgsbr.gibbs import GibbsConfig
+from pdgsbr.model import PriorConfig, read_trace_jsonl
 
 
 def base_config(**overrides):
@@ -273,17 +275,30 @@ class TestReport:
         assert "hpdi_future" not in json.loads((out / "summary.json").read_text())
         assert (out / "kde_future_2.csv").exists() and (out / "boi.json").exists()
         assert "no future HPDI" in caplog.text
+        # one record: no KDE grid either, but the rest is still written
+        one = tmp_path / "one" / "trace.jsonl"
+        one.parent.mkdir()
+        one.write_text((run / "trace.jsonl").read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "rep1"
+        assert cli.main(["report", "--trace", str(one),
+                         "--data", str(sim / "data.json"), "--out", str(out)]) == 0
+        assert not list(out.glob("kde_*.csv"))
+        assert (out / "summary.json").exists() and (out / "ergodic_theta_2.csv").exists()
+        assert "no KDE grids" in caplog.text
 
     @pytest.mark.parametrize("verb, name, content, code", [
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2', 2),
         ("run", "data.json", '{"m": 2}', 2),
+        ("run", "data.json", '[1, 2]', 2),
+        ("run", "data.json", '{"m": 1, "series": [[0.1, 0.2, 0.3]], "truth": [1]}', 2),
         ("report", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
         ("report", "trace.jsonl", '{"iteration": 31, "theta": [[0.1', 2),
         ("report", "trace.jsonl", '{"iteration": 31}', 2),
         ("run", "data.json", None, 4),
         ("report", "trace.jsonl", None, 4),
-    ], ids=["one-value-series", "truncated-data", "no-series-key", "report-one-value-series",
+    ], ids=["one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
+            "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
     def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,
                                           content, code):
@@ -397,6 +412,18 @@ class TestConfigHelpers:
         assert cli.main(["simulate", "--config", cfg]) == 0
         assert cli.main(["run", "--config", cfg, "--data", "out/data.json"]) == 0
         assert (tmp_path / "out" / "trace.jsonl").exists()
+
+    def test_defaults_live_in_the_dataclasses(self):
+        alpha = [[1.0, 2.0], [3.0, 4.0]]
+        parsed = cli.parse_prior_block({"dirichlet_alpha": alpha}, 2)
+        direct = PriorConfig(2, alpha)
+        for field in dataclasses.fields(PriorConfig):
+            np.testing.assert_array_equal(getattr(parsed, field.name),
+                                          getattr(direct, field.name), err_msg=field.name)
+        assert cli.parse_sampler_block({}) == GibbsConfig(**cli.DESK_SCALE)
+        # values coerced to the field types keep checkpoint.json typed
+        config = cli.parse_sampler_block({"slice_width": 1, "iterations": "100", "burn_in": 0})
+        assert type(config.slice_width) is float and type(config.iterations) is int
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -191,7 +191,7 @@ class TestKde:
         assert est.density[10] == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientSamplesError):
             kde(np.array([1.0]))
 
 
