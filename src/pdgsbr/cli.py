@@ -45,6 +45,7 @@ from .errors import ConfigError, DivergenceError, InsufficientSamplesError, Sing
 from .gibbs import GibbsConfig, run_chain, run_parametric_gaussian
 from .model import (
     PriorConfig,
+    as_int,
     load_checkpoint,
     read_trace_jsonl,
     write_trace_csv,
@@ -157,11 +158,11 @@ def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
-    ns = [int(v) for v in block["n"]]
+    ns = [as_int(v) for v in block["n"]]
     if any(n < 2 for n in ns):
         raise ConfigError(f"every series needs n >= 2 observations, got n = {ns}")
     x0s = [float(v) for v in block["x0"]]
-    horizons = [int(v) for v in block.get("horizon", [1] * m)]
+    horizons = [as_int(v) for v in block.get("horizon", [1] * m)]
     selection = [list(map(float, row)) for row in block["selection"]]
     if not (len(ns) == len(x0s) == len(horizons) == len(selection) == m):
         raise ConfigError("data block dimensions disagree (maps/n/x0/horizon/selection)")
@@ -179,7 +180,7 @@ def parse_data_block(block: dict):
         comps = [components.get(tuple(sorted((j + 1, l + 1)))) for l in range(m)]
         noises.append(compound_noise(row, comps))
     specs = list(zip(maps, noises, ns, x0s))
-    return specs, horizons, selection, int(block["seed"])
+    return specs, horizons, selection, as_int(block["seed"])
 
 
 @_config_errors("prior block")

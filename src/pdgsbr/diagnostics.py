@@ -74,6 +74,11 @@ def hpdi(samples: Sequence[float], mass: float = 0.95) -> Hpdi:
 
 KDE_GRID_SIZE = 512  # points of every KDE grid
 
+# Most doubles one block of the kernel sum holds. Small blocks reuse the same
+# heap memory across calls; a 512 x n temporary is large enough to be mapped
+# and page-faulted afresh every time.
+KDE_BLOCK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class KdeGrid:
@@ -106,8 +111,12 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
         lo, hi = samples.min() - 4.0 * h, samples.max() + 4.0 * h
         grid = np.linspace(lo, hi, KDE_GRID_SIZE)
     grid = np.asarray(grid, dtype=float)
-    z = (grid[:, None] - samples[None, :]) / h
-    density = np.exp(-0.5 * z ** 2).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
+    sums = np.empty(grid.size)
+    rows = max(1, KDE_BLOCK_CELLS // samples.size)  # each row's sum is unchanged
+    for start in range(0, grid.size, rows):
+        z = (grid[start:start + rows, None] - samples[None, :]) / h
+        sums[start:start + rows] = np.exp(-0.5 * z ** 2).sum(axis=1)
+    density = sums / (samples.size * h * math.sqrt(2.0 * math.pi))
     return KdeGrid(grid=grid, density=density, bandwidth=h)
 
 

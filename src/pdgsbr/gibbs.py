@@ -12,6 +12,7 @@ precisions span many orders of magnitude and linear-space products underflow.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import asdict, dataclass
 from typing import Optional, get_type_hints
@@ -33,6 +34,7 @@ from .model import (
     ChainState,
     PriorConfig,
     TraceRecord,
+    as_int,
     ensure_atoms,
     geometric_weights,
     init_chain,
@@ -57,6 +59,10 @@ THETA_COND_LIMIT = 1e12
 # those transient states.
 SLICE_BOUND_CAP = 2000
 
+# Most cells one chunk of the allocation block scores at once (see
+# update_alloc_block), so its memory does not grow with N*.
+ALLOC_CELL_BUDGET = 2 ** 16
+
 
 @dataclass
 class GibbsConfig:
@@ -72,7 +78,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         for name, kind in get_type_hints(GibbsConfig).items():  # "100" -> 100, 1 -> 1.0
-            setattr(self, name, kind(getattr(self, name)))
+            setattr(self, name, (as_int if kind is int else kind)(getattr(self, name)))
         if not (self.iterations > self.burn_in >= 0):
             raise ValueError("need iterations > burn_in >= 0")
         if self.thinning < 1:
@@ -183,31 +189,62 @@ def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConf
 
 # --- the nine kernels -----------------------------------------------------------
 
+def _alloc_chunks(bounds: np.ndarray, m: int):
+    """Cut points sorted by ascending slice bound into consecutive (start,
+    stop) runs whose dense block (points x m x largest bound) stays within
+    ALLOC_CELL_BUDGET cells; a single point always forms a run."""
+    start = 0
+    while start < bounds.size:
+        cells = np.arange(1, bounds.size - start + 1) * m * bounds[start:]
+        stop = start + max(1, int(np.searchsorted(cells, ALLOC_CELL_BUDGET, side="right")))
+        yield start, stop
+        start = stop
+
+
 def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
                        rng: RngHandle) -> ChainState:
     """Jointly redraw (d_ji, delta_ji) from p_{jl} N(x_ji | g_j, 1/tau_{jlk}).
 
     The support is l = 1..m, k = 1..N_ji; weights are normalized in log space
     so extreme precisions can never underflow the whole block to zero.
+
+    All series are scored in one pass, in chunks of points with similar N_ji
+    (see ``_alloc_chunks``), each at the width of its largest bound. A cell
+    past a point's bound weighs exactly 0, so it leaves the running sum of
+    the inverse CDF unchanged and is never the cell drawn: the draws equal
+    those of one dense (n_j, m, N*) block per series, with one uniform per
+    point in series order.
     """
-    for j in range(state.m):
-        h = residuals(state, data, j)
-        taus = state.atoms.matrix(j)  # (m, K)
-        K = taus.shape[1]
-        with np.errstate(invalid="ignore"):
-            base = np.log(state.p[j])[:, None] + 0.5 * np.log(taus)
-        logw = base[None, :, :] - 0.5 * taus[None, :, :] * h[:, None, None]
-        karange = np.arange(K)
-        mask = karange[None, None, :] >= state.alloc.N[j][:, None, None]
-        logw = np.where(mask | ~np.isfinite(logw), -np.inf, logw)
-        flat = logw.reshape(h.size, state.m * K)
-        peak = flat.max(axis=1, keepdims=True)
-        weights = np.exp(flat - peak)
-        cdf = np.cumsum(weights, axis=1)
-        u = rng.generator.random(h.size) * cdf[:, -1]
-        idx = np.minimum((cdf < u[:, None]).sum(axis=1), state.m * K - 1)
-        state.alloc.delta[j] = (idx // K).astype(int)
-        state.alloc.d[j] = (idx % K + 1).astype(int)
+    m = state.m
+    sizes = [delta.size for delta in state.alloc.delta]
+    h = np.concatenate([residuals(state, data, j) for j in range(m)])
+    u = rng.generator.random(h.size)
+    taus = state.atoms.values[state.atoms.index]  # (m, m, K): series j scores taus[j]
+    with np.errstate(invalid="ignore"):
+        base = np.log(state.p)[:, :, None] + 0.5 * np.log(taus)
+    half_taus = 0.5 * taus
+    bounds = np.minimum(np.concatenate(state.alloc.N), taus.shape[2])
+    order = np.argsort(bounds, kind="stable")
+    h, u, bounds = h[order], u[order], bounds[order]
+    series = np.repeat(np.arange(m), sizes)[order]
+    delta, d = np.empty(h.size, dtype=int), np.empty(h.size, dtype=int)
+    for start, stop in _alloc_chunks(bounds, m):
+        width = int(bounds[stop - 1])
+        rows = series[start:stop]
+        logw = base[rows, :, :width]
+        logw -= half_taus[rows, :, :width] * h[start:stop, None, None]
+        dead = np.arange(width) >= bounds[start:stop, None, None]
+        np.copyto(logw, -np.inf, where=dead | ~np.isfinite(logw))
+        flat = logw.reshape(stop - start, m * width)
+        flat -= flat.max(axis=1, keepdims=True)
+        cdf = np.cumsum(np.exp(flat, out=flat), axis=1, out=flat)
+        target = u[start:stop] * cdf[:, -1]
+        idx = np.minimum((cdf < target[:, None]).sum(axis=1), m * width - 1)
+        points = order[start:stop]
+        delta[points], d[points] = idx // width, idx % width + 1
+    offsets = [0, *itertools.accumulate(sizes)]
+    state.alloc.delta[:] = [delta[a:b] for a, b in zip(offsets, offsets[1:])]
+    state.alloc.d[:] = [d[a:b] for a, b in zip(offsets, offsets[1:])]
     return state
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
@@ -22,12 +23,23 @@ import numpy as np
 from .distributions import RngHandle, draw_beta, draw_categorical, draw_dirichlet, draw_gamma
 from .dynamics import MultiSeries, eval_map
 
+logger = logging.getLogger(__name__)
+
 # Starting slice bound. Starting from N = d = 1 is degenerate: the first
 # geometric-probability update then sees zero tail counts, jumps to the
 # lambda ~ 1 corner and locks every point into a single cluster, a
 # self-reinforcing mode the chain escapes only slowly. A dispersed start
 # gives the allocation block room to form clusters before lambda settles.
 INIT_SLICE_BOUND = 10
+
+
+def as_int(value) -> int:
+    """``int(value)`` for a whole number (``"100"`` and ``100.0`` pass); a
+    fraction raises ValueError instead of being truncated."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -53,7 +65,7 @@ class PriorConfig:
         m = self.m
         self.gamma_a = float(self.gamma_a)
         self.gamma_b = float(self.gamma_b)
-        self.poly_degree = int(self.poly_degree)
+        self.poly_degree = as_int(self.poly_degree)
         self.dirichlet_alpha = np.broadcast_to(
             np.asarray(self.dirichlet_alpha, dtype=float), (m, m)
         ).copy()
@@ -61,7 +73,8 @@ class PriorConfig:
         self.beta_b = np.broadcast_to(np.asarray(self.beta_b, dtype=float), (m, m)).copy()
         if self.horizon is None:
             self.horizon = np.ones(m, dtype=int)
-        self.horizon = np.broadcast_to(np.asarray(self.horizon, dtype=int), (m,)).copy()
+        horizon = [as_int(t) for t in np.ravel(np.asarray(self.horizon, dtype=object))]
+        self.horizon = np.broadcast_to(np.asarray(horizon, dtype=int), (m,)).copy()
         if self.x0_support is None:
             self.x0_support = np.tile([-5.0, 5.0], (m, 1))
         self.x0_support = np.broadcast_to(
@@ -307,7 +320,8 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
 
     The model is silent about initialization; any finite start is valid under
     the flat priors, and least squares shortens burn-in considerably. A
-    singular design falls back to theta = 0 with a per-series warning flag.
+    singular design falls back to theta = 0, with a logged warning and a
+    per-series flag.
     """
     m = data.m
     if prior.m != m:
@@ -326,6 +340,7 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         design = np.vander(x[:-1], R + 1, increasing=True)
         coeffs, _, rank, _ = np.linalg.lstsq(design, x[1:], rcond=None)
         if rank < R + 1 or not np.all(np.isfinite(coeffs)):
+            logger.warning("series %d: singular least-squares start; theta starts at 0", j + 1)
             theta.append(np.zeros(R + 1))
             fallback.append(True)
         else:

@@ -1,13 +1,18 @@
-"""Reference densities of the marginalization oracle (acceptance criterion 2).
+"""Reference implementations the tests compare the chain against.
 
-The chain never evaluates these: they state the slice-augmented joint and the
+The densities of the marginalization oracle (acceptance criterion 2) are
+never evaluated by the chain: they state the slice-augmented joint and the
 transition mixture it must marginalize to, term by term, so the tests can sum
-one and compare it with the other.
+one and compare it with the other. The dense allocation block is the plain
+form of the chunked kernel the chain runs.
 """
 
 import math
 
+import numpy as np
+
 from pdgsbr.dynamics import eval_map
+from pdgsbr.gibbs import residuals
 
 
 def normal_pdf(x: float, mean: float, tau: float) -> float:
@@ -37,3 +42,29 @@ def mixture_partial_density(x, x_prev, theta, p_row, lam_row, tau_rows, K: int) 
         for k in range(1, K + 1):
             total += p_row[l] * lam * (1.0 - lam) ** (k - 1) * normal_pdf(x, g, tau_rows[l][k - 1])
     return total
+
+
+def dense_alloc_block(state, data, rng):
+    """The allocation block as one dense (n_j, m, N*) block per series: every
+    point is scored against the whole atom matrix and the cells above its
+    slice bound are masked. ``gibbs.update_alloc_block`` must draw the same
+    (delta, d) from the same generator state."""
+    for j in range(state.m):
+        h = residuals(state, data, j)
+        taus = state.atoms.matrix(j)  # (m, K)
+        K = taus.shape[1]
+        with np.errstate(invalid="ignore"):
+            base = np.log(state.p[j])[:, None] + 0.5 * np.log(taus)
+        logw = base[None, :, :] - 0.5 * taus[None, :, :] * h[:, None, None]
+        karange = np.arange(K)
+        mask = karange[None, None, :] >= state.alloc.N[j][:, None, None]
+        logw = np.where(mask | ~np.isfinite(logw), -np.inf, logw)
+        flat = logw.reshape(h.size, state.m * K)
+        peak = flat.max(axis=1, keepdims=True)
+        weights = np.exp(flat - peak)
+        cdf = np.cumsum(weights, axis=1)
+        u = rng.generator.random(h.size) * cdf[:, -1]
+        idx = np.minimum((cdf < u[:, None]).sum(axis=1), state.m * K - 1)
+        state.alloc.delta[j] = (idx // K).astype(int)
+        state.alloc.d[j] = (idx % K + 1).astype(int)
+    return state

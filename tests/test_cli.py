@@ -383,12 +383,17 @@ class TestConfigHelpers:
                                             "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
         ("simulate", "data", "selection", [[0.5, 0.5], [0.0, 1.0]], []),  # no "1,2" component
         ("simulate", "data", "n", [200, 1], []),
+        ("simulate", "data", "n", [40.5, 25], []),
         ("run", "prior", "gamma_a", 0, []),
         ("run", "prior", "poly_degree", "abc", []),
+        ("run", "prior", "poly_degree", 2.9, []),
+        ("run", "prior", "horizon", [1.5, 1], []),
+        ("run", "sampler", "iterations", 150.9, []),
         ("run", "prior", "beta_a", [[0.5, 0.3], [0.7, 0.5]], []),
         ("run", None, None, None, ["--sampler", "gsbr"]),  # the data have m = 2
     ], ids=["component-key-typo", "component-weights-sum", "selection-without-component",
-            "one-observation", "gamma-a-zero", "poly-degree-not-int", "beta-a-asymmetric",
+            "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
+            "poly-degree-fractional", "horizon-fractional", "iterations-fractional", "beta-a-asymmetric",
             "gsbr-on-two-series"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):

@@ -190,6 +190,14 @@ class TestKde:
         ) / (0.3 * math.sqrt(2.0 * math.pi))
         assert est.density[10] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [200, 5_000])
+    def test_blocked_sum_equals_one_shot_formula(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        est = kde(x)
+        z = (est.grid[:, None] - x[None, :]) / est.bandwidth
+        one_shot = np.exp(-0.5 * z ** 2).sum(axis=1) / (n * est.bandwidth * math.sqrt(2.0 * math.pi))
+        assert np.array_equal(est.density, one_shot)
+
     def test_needs_two_samples(self):
         with pytest.raises(InsufficientSamplesError):
             kde(np.array([1.0]))

@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from pdgsbr.dynamics import (
 )
 from pdgsbr.errors import SingularDesignError
 from pdgsbr.gibbs import (
+    SLICE_BOUND_CAP,
     GibbsConfig,
+    _alloc_chunks,
     geometric_posterior_params,
     parametric_tau_params,
     precision_posterior_params,
@@ -43,7 +47,12 @@ from pdgsbr.model import (
     load_checkpoint,
 )
 
-from oracle import augmented_joint_density, mixture_partial_density, normal_pdf
+from oracle import (
+    augmented_joint_density,
+    dense_alloc_block,
+    mixture_partial_density,
+    normal_pdf,
+)
 
 N_KERNEL = 20_000
 
@@ -107,6 +116,43 @@ def random_fixture(seed, m=2, n=25):
     for _ in range(5):
         sweep(state, data, prior, config, rng)
     return state, data, prior, rng
+
+
+def fourc_state(seed=5):
+    """A 4C chain state (m = 3, 423 points) after a few warm-up sweeps."""
+    doc = cli.bundled_config("4C")
+    specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
+    data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+    prior = cli.parse_prior_block(doc["prior"], data.m, alpha_key="dirichlet_alpha_strong")
+    rng = RngHandle(seed)
+    state = init_chain(data, prior, rng)
+    config = GibbsConfig(iterations=5)
+    for _ in range(5):
+        sweep(state, data, prior, config, rng)
+    return state, data, prior, rng
+
+
+def pin_slice_bounds(state, prior, rng, bounds):
+    """Set every N_ji to ``bounds`` (one array per series), keep d <= N and
+    grow the atoms to the new N*."""
+    for j, N in enumerate(bounds):
+        state.alloc.N[j] = np.asarray(N, dtype=int)
+        state.alloc.d[j] = np.minimum(state.alloc.d[j], state.alloc.N[j])
+    ensure_atoms(state, prior, rng)
+
+
+def assert_alloc_matches_dense_oracle(state, data, prior, rng, sweeps=3):
+    """From equal generator states, the chunked kernel and the dense oracle
+    draw the same (delta, d) and leave the generators in the same state."""
+    expected = copy.deepcopy(state)
+    oracle_rng = RngHandle.from_state(rng.get_state())
+    for _ in range(sweeps):
+        dense_alloc_block(expected, data, oracle_rng)
+        update_alloc_block(state, data, prior, rng)
+        for j in range(state.m):
+            assert np.array_equal(state.alloc.delta[j], expected.alloc.delta[j])
+            assert np.array_equal(state.alloc.d[j], expected.alloc.d[j])
+        assert rng.get_state() == oracle_rng.get_state()
 
 
 class TestPosteriorParameterAudits:
@@ -244,6 +290,62 @@ class TestAllocBlockKernel:
         update_alloc_block(state, data, prior, rng)
         assert (state.alloc.delta[0] == 1).mean() > 0.95
         assert (state.alloc.delta[1] == 0).mean() > 0.95
+
+
+class TestAllocBlockMatchesDenseOracle:
+    def test_4c_state_with_mixed_bounds(self):
+        state, data, prior, rng = fourc_state()
+        mix = np.random.default_rng(11)
+        bounds = []
+        for N in state.alloc.N:
+            kind = mix.integers(3, size=N.size)
+            bounds.append(np.select([kind == 0, kind == 1],
+                                    [mix.integers(1, 11, size=N.size),
+                                     mix.integers(100, 601, size=N.size)],
+                                    SLICE_BOUND_CAP))
+        pin_slice_bounds(state, prior, rng, bounds)
+        flat = np.sort(np.concatenate(bounds))
+        assert len(list(_alloc_chunks(flat, state.m))) >= 3
+        assert_alloc_matches_dense_oracle(state, data, prior, rng)
+
+    def test_ragged_atom_table_with_nan_cells(self):
+        rng = RngHandle(4)
+        specs = [(NAMED_MAPS["Q1"], NoiseMixtureSpec((1.0,), (1e-3,)), 30, 0.4),
+                 (NAMED_MAPS["Q2"], NoiseMixtureSpec((1.0,), (1e-3,)), 20, 0.5)]
+        data = simulate_multi(specs, [1, 1], rng)
+        prior = make_prior(2)
+        state = init_chain(data, prior, rng)
+        atoms = AtomTable(2)
+        for (j, l), values in {(0, 0): [50.0, 900.0, 2.0], (0, 1): [300.0],
+                               (1, 1): [1e3, 10.0, 4e4, 0.5, 80.0]}.items():
+            for v in values:
+                atoms.append(j, l, v)
+        assert np.isnan(atoms.values).sum() == 6
+        state.atoms = atoms
+        state.p = np.array([[0.3, 0.7], [0.6, 0.4]])
+        mix = np.random.default_rng(3)
+        for j in range(2):  # bounds past K = 5 score every stored atom
+            state.alloc.N[j] = mix.integers(1, 8, size=state.alloc.N[j].size)
+        assert_alloc_matches_dense_oracle(state, data, prior, rng)
+
+    def test_single_series(self):
+        bounds = [1, 4, 2, 4, 3, 1, 4, 2]
+        state, data = single_series_state(np.linspace(-0.4, 0.5, 8), [0.1, 0.9],
+                                          [1.0, 30.0, 4.0, 900.0], N=bounds)
+        assert_alloc_matches_dense_oracle(state, data, make_prior(1, R=1), RngHandle(6))
+
+    def test_peak_memory_is_bounded_by_the_cell_budget(self):
+        # one dense array at the cap is 423 x 3 x 2000 doubles, about 20 MB
+        state, data, prior, rng = fourc_state()
+        pin_slice_bounds(state, prior, rng, [np.full(N.size, SLICE_BOUND_CAP)
+                                             for N in state.alloc.N])
+        tracemalloc.start()
+        try:
+            update_alloc_block(state, data, prior, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSliceBoundKernel:

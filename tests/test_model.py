@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -213,12 +214,15 @@ class TestInitChain:
         truth = np.asarray(NAMED_MAPS["Q1"])
         assert np.max(np.abs(state.theta[0] - truth)) < 0.5
 
-    def test_singular_design_falls_back_to_zero(self):
+    def test_singular_design_falls_back_to_zero(self, caplog):
         # a constant series gives a rank-1 Vandermonde matrix
         data = MultiSeries(series=[np.full(30, 0.7)])
         prior = small_prior(m=1)
-        state = init_chain(data, prior, RngHandle(4))
+        with caplog.at_level(logging.WARNING, logger="pdgsbr.model"):
+            state = init_chain(data, prior, RngHandle(4))
         assert state.init_fallback == [True]
+        assert [r.getMessage() for r in caplog.records] == [
+            "series 1: singular least-squares start; theta starts at 0"]
         assert np.array_equal(state.theta[0], np.zeros(6))
 
     def test_prior_data_mismatch(self):
