@@ -62,26 +62,30 @@ def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
     return max(value, _GAMMA_FLOOR)
 
 
-def draw_beta(a: float, b: float, rng: RngHandle) -> float:
-    """Draw from Beta(a, b)."""
-    if not (a > 0 and b > 0) or not (math.isfinite(a) and math.isfinite(b)):
+def draw_beta(a, b, rng: RngHandle):
+    """Draw from Beta(a, b). Works elementwise on arrays of ``a`` and ``b``,
+    one draw per element in order; scalar arguments give a float."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (a.min() > 0 and b.min() > 0 and a.max() < math.inf and b.max() < math.inf):
         raise ParameterDomainError(f"beta parameters must be positive, got ({a}, {b})")
-    value = float(rng.generator.beta(a, b))
     # keep strictly inside (0, 1): downstream geometric weights need both tails open
     eps = 1e-15
-    return min(max(value, eps), 1.0 - eps)
+    value = np.clip(rng.generator.beta(a, b), eps, 1.0 - eps)
+    return value if value.ndim else float(value)
 
 
 def draw_dirichlet(alpha: np.ndarray, rng: RngHandle) -> np.ndarray:
-    """Draw a probability vector from Dirichlet(alpha)."""
+    """Draw a probability vector from Dirichlet(alpha); a 2-D ``alpha`` draws
+    one vector per row, in row order."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ParameterDomainError("alpha must be a non-empty vector")
-    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
+    if alpha.ndim not in (1, 2) or alpha.size == 0:
+        raise ParameterDomainError("alpha must be a non-empty vector or matrix")
+    if not (alpha.min() > 0 and alpha.max() < math.inf):
         raise ParameterDomainError(f"alpha entries must be positive, got {alpha}")
     g = rng.generator.standard_gamma(alpha)
     g = np.maximum(g, _GAMMA_FLOOR)
-    return g / g.sum()
+    return g / g.sum(axis=-1, keepdims=True)
 
 
 def draw_categorical(weights: np.ndarray, rng: RngHandle) -> int:

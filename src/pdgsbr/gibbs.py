@@ -6,13 +6,15 @@ geometric probabilities, the control parameters, the initial conditions, the
 out-of-sample points, and finally the noise-predictive draws. Any fixed scan
 order is a valid Gibbs sampler; fixing it makes traces reproducible.
 
-All mixture weights are computed in log space with max-subtraction: the
-precisions span many orders of magnitude and linear-space products underflow.
+The precisions span many orders of magnitude, so linear-space mixture
+weights underflow. The allocation block draws in log space by Gumbel-max,
+which needs no max-subtraction or normalization. The kernels work on all
+series at once, on the flat point layout of ``point_layout``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
 from dataclasses import asdict, dataclass
 from typing import Optional, get_type_hints
@@ -22,7 +24,6 @@ import numpy as np
 from .distributions import (
     RngHandle,
     draw_beta,
-    draw_categorical,
     draw_dirichlet,
     draw_gamma,
     draw_truncated_geometric,
@@ -36,7 +37,6 @@ from .model import (
     TraceRecord,
     as_int,
     ensure_atoms,
-    geometric_weights,
     init_chain,
     save_checkpoint,
 )
@@ -59,9 +59,10 @@ THETA_COND_LIMIT = 1e12
 # those transient states.
 SLICE_BOUND_CAP = 2000
 
-# Most cells one chunk of the allocation block scores at once (see
-# update_alloc_block), so its memory does not grow with N*.
-ALLOC_CELL_BUDGET = 2 ** 16
+# Most live cells one chunk of the allocation block scores at once (see
+# update_alloc_block), so its memory does not grow with N*. Each cell holds
+# about ten 8-byte temporaries.
+ALLOC_CELL_BUDGET = 2 ** 14
 
 
 @dataclass
@@ -89,25 +90,47 @@ class GibbsConfig:
 
 # --- shared helpers -----------------------------------------------------------
 
-def full_path(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
-    """The complete state sequence x_{j,0}, ..., x_{j,n_j+T_j} of series j."""
-    return np.concatenate(([state.x0[j]], data.series[j], state.future[j]))
+@functools.lru_cache(maxsize=16)
+def _layout(sizes: tuple):
+    # cached: a chain's series sizes never change, and a sweep asks 14 times
+    # (uncached, about 7 % of a 4C sweep)
+    sizes = np.array(sizes)
+    series = np.repeat(np.arange(sizes.size), sizes)
+    first = np.cumsum(sizes) - sizes
+    series.flags.writeable = first.flags.writeable = False  # shared by every caller
+    return series, first
 
 
-def residuals(state: ChainState, data: MultiSeries, j: int) -> np.ndarray:
-    """Squared residuals h_i = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2, i = 1..n_j+T_j."""
-    xs = full_path(state, data, j)
-    preds = eval_map(state.theta[j], xs[:-1])
-    return (xs[1:] - preds) ** 2
+def point_layout(state: ChainState):
+    """The flat point layout every vectorized kernel works in: the points
+    i = 1..n_j+T_j of all series one after another in series order. Returns
+    the series label of every point and the flat index of each series' first
+    point, as read-only arrays."""
+    return _layout(tuple(delta.size for delta in state.alloc.delta))
 
 
-def _tau_per_point(state: ChainState, j: int, tau_common: Optional[float] = None) -> np.ndarray:
-    """Precision of every point of series j: ``tau_common`` when given (the
-    parametric baseline), else the allocated tau_{j, delta_ji, d_ji}."""
-    delta = state.alloc.delta[j]
-    if tau_common is not None:
-        return np.full(delta.size, tau_common, dtype=float)
-    return state.atoms.values[state.atoms.index[j, delta], state.alloc.d[j] - 1]
+def _per_series(flat: np.ndarray, first: np.ndarray) -> list:
+    """Split a flat per-point array back into one array per series."""
+    bounds = [*first.tolist(), flat.size]
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _path_points(state: ChainState, data: MultiSeries, first: np.ndarray):
+    """Predecessor x_{j,i-1} and value x_{ji} of every point, flat in series
+    order, over the complete paths x_{j,0}, ..., x_{j,n_j+T_j}."""
+    nxt = np.concatenate([x for pair in zip(data.series, state.future) for x in pair])
+    prev = np.empty_like(nxt)
+    prev[1:] = nxt[:-1]
+    prev[first] = state.x0
+    return prev, nxt
+
+
+def residuals(state: ChainState, data: MultiSeries) -> np.ndarray:
+    """Squared residuals h_ji = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2 of every
+    point, flat in series order: one Horner pass with per-point coefficients."""
+    series, first = point_layout(state)
+    prev, nxt = _path_points(state, data, first)
+    return (nxt - eval_map(np.asarray(state.theta).T[:, series], prev)) ** 2
 
 
 def _point_target(coefficients, tau_in, g_prev, tau_out, x_next):
@@ -130,6 +153,25 @@ def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
     return pooled
 
 
+def _pair_labels(state: ChainState) -> np.ndarray:
+    """Flat index j * m + delta_ji of every point's (series, measure) pair."""
+    series, _ = point_layout(state)
+    return series * state.m + np.concatenate(state.alloc.delta)
+
+
+def _atom_rows(state: ChainState) -> np.ndarray:
+    """Atom row of every point's pair {j, delta_ji}."""
+    return state.atoms.index.ravel()[_pair_labels(state)]
+
+
+def _tau_per_point(state: ChainState, tau_common: Optional[float] = None) -> np.ndarray:
+    """Precision of every point, flat in series order: ``tau_common`` when
+    given (the parametric baseline), else the allocated tau_{j, delta_ji, d_ji}."""
+    if tau_common is not None:
+        return np.full(sum(delta.size for delta in state.alloc.delta), tau_common, dtype=float)
+    return state.atoms.values[_atom_rows(state), np.concatenate(state.alloc.d) - 1]
+
+
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
 
 def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
@@ -141,13 +183,9 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     """
     m = state.m
     K = state.atoms.max_size()
-    counts = np.zeros((m, m, K))
-    rsums = np.zeros((m, m, K))
-    for j in range(m):
-        h = residuals(state, data, j)
-        cells = (state.alloc.delta[j], state.alloc.d[j] - 1)
-        np.add.at(counts[j], cells, 1.0)
-        np.add.at(rsums[j], cells, h)
+    cell = _pair_labels(state) * K + np.concatenate(state.alloc.d) - 1
+    counts = np.bincount(cell, None, m * m * K).reshape(m, m, K)
+    rsums = np.bincount(cell, residuals(state, data), m * m * K).reshape(m, m, K)
     upper = state.atoms.upper
     return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
             prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
@@ -156,10 +194,7 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
 def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarray:
     """Dirichlet parameters alpha_{jl} + #{i : delta_ji = l} for every row."""
     m = state.m
-    counts = np.zeros((m, m))
-    for j in range(m):
-        np.add.at(counts[j], state.alloc.delta[j], 1.0)
-    return prior.dirichlet_alpha + counts
+    return prior.dirichlet_alpha + np.bincount(_pair_labels(state), None, m * m).reshape(m, m)
 
 
 def geometric_posterior_params(state: ChainState, prior: PriorConfig):
@@ -167,36 +202,35 @@ def geometric_posterior_params(state: ChainState, prior: PriorConfig):
     arrays over the pairs j <= l in atom-row order.
 
     Uses S_{jl} = #{i : delta_ji = l} and S'_{jl} = sum over those i of
-    (N_ji - 1); an off-diagonal pair pools both orientations.
+    (N_ji - 1); an off-diagonal pair pools both orientations, since both map
+    to its atom row. The sums are of whole numbers, so exact in any order.
     """
-    m = state.m
-    S = np.zeros((m, m))
-    Sp = np.zeros((m, m))
-    for j in range(m):
-        np.add.at(S[j], state.alloc.delta[j], 1.0)
-        np.add.at(Sp[j], state.alloc.delta[j], state.alloc.N[j] - 1.0)
+    rows = state.atoms.values.shape[0]
+    row = _atom_rows(state)
+    S = np.bincount(row, None, rows)
+    Sp = np.bincount(row, np.concatenate(state.alloc.N) - 1.0, rows)
     upper = state.atoms.upper
-    return (prior.beta_a[upper] + 2.0 * pool_pairs(S, upper),
-            prior.beta_b[upper] + pool_pairs(Sp, upper))
+    return prior.beta_a[upper] + 2.0 * S, prior.beta_b[upper] + Sp
 
 
 def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
     """Gamma (shape, rate) of the common-precision full conditional."""
-    total_n = sum(data.lengths[j] + len(state.future[j]) for j in range(state.m))
-    rss = sum(float(residuals(state, data, j).sum()) for j in range(state.m))
-    return prior.gamma_a + 0.5 * total_n, prior.gamma_b + 0.5 * rss
+    h = residuals(state, data)
+    return prior.gamma_a + 0.5 * h.size, prior.gamma_b + 0.5 * float(h.sum())
 
 
 # --- the nine kernels -----------------------------------------------------------
 
-def _alloc_chunks(bounds: np.ndarray, m: int):
-    """Cut points sorted by ascending slice bound into consecutive (start,
-    stop) runs whose dense block (points x m x largest bound) stays within
-    ALLOC_CELL_BUDGET cells; a single point always forms a run."""
+def _alloc_chunks(cells: np.ndarray):
+    """Cut consecutive points, given the live cells of each, into (start,
+    stop) runs of at most ALLOC_CELL_BUDGET cells in all; a point over the
+    budget forms a run of its own."""
+    ends = np.cumsum(cells)
     start = 0
-    while start < bounds.size:
-        cells = np.arange(1, bounds.size - start + 1) * m * bounds[start:]
-        stop = start + max(1, int(np.searchsorted(cells, ALLOC_CELL_BUDGET, side="right")))
+    while start < cells.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + ALLOC_CELL_BUDGET, side="right"))
+        stop = max(stop, start + 1)
         yield start, stop
         start = stop
 
@@ -205,55 +239,57 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
                        rng: RngHandle) -> ChainState:
     """Jointly redraw (d_ji, delta_ji) from p_{jl} N(x_ji | g_j, 1/tau_{jlk}).
 
-    The support is l = 1..m, k = 1..N_ji; weights are normalized in log space
-    so extreme precisions can never underflow the whole block to zero.
+    The support of point (j, i) is its m min(N_ji, N*) live cells l = 1..m,
+    k = 1..N_ji. Each cell's log weight log p_{jl} + 1/2 log tau_{jlk}
+    - 1/2 tau_{jlk} h_ji gets standard Gumbel noise -log(-log U), and the
+    point takes its first highest cell: a Gumbel-max draw from the
+    normalized weights (Maddison, Tarlow & Minka 2014). Nothing is
+    exponentiated or normalized, so extreme precisions cannot underflow the
+    block. A non-finite weight (an unused NaN cell of a hand-built ragged
+    table) counts as -inf.
 
-    All series are scored in one pass, in chunks of points with similar N_ji
-    (see ``_alloc_chunks``), each at the width of its largest bound. A cell
-    past a point's bound weighs exactly 0, so it leaves the running sum of
-    the inverse CDF unchanged and is never the cell drawn: the draws equal
-    those of one dense (n_j, m, N*) block per series, with one uniform per
-    point in series order.
+    The live cells of all series lie flat in point order, with one uniform
+    per cell, cut into chunks of at most ALLOC_CELL_BUDGET cells (see
+    ``_alloc_chunks``), so memory does not grow with N*.
     """
     m = state.m
-    sizes = [delta.size for delta in state.alloc.delta]
-    h = np.concatenate([residuals(state, data, j) for j in range(m)])
-    u = rng.generator.random(h.size)
-    taus = state.atoms.values[state.atoms.index]  # (m, m, K): series j scores taus[j]
-    with np.errstate(invalid="ignore"):
-        base = np.log(state.p)[:, :, None] + 0.5 * np.log(taus)
-    half_taus = 0.5 * taus
-    bounds = np.minimum(np.concatenate(state.alloc.N), taus.shape[2])
-    order = np.argsort(bounds, kind="stable")
-    h, u, bounds = h[order], u[order], bounds[order]
-    series = np.repeat(np.arange(m), sizes)[order]
-    delta, d = np.empty(h.size, dtype=int), np.empty(h.size, dtype=int)
-    for start, stop in _alloc_chunks(bounds, m):
-        width = int(bounds[stop - 1])
-        rows = series[start:stop]
-        logw = base[rows, :, :width]
-        logw -= half_taus[rows, :, :width] * h[start:stop, None, None]
-        dead = np.arange(width) >= bounds[start:stop, None, None]
-        np.copyto(logw, -np.inf, where=dead | ~np.isfinite(logw))
-        flat = logw.reshape(stop - start, m * width)
-        flat -= flat.max(axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(flat, out=flat), axis=1, out=flat)
-        target = u[start:stop] * cdf[:, -1]
-        idx = np.minimum((cdf < target[:, None]).sum(axis=1), m * width - 1)
-        points = order[start:stop]
-        delta[points], d[points] = idx // width, idx % width + 1
-    offsets = [0, *itertools.accumulate(sizes)]
-    state.alloc.delta[:] = [delta[a:b] for a, b in zip(offsets, offsets[1:])]
-    state.alloc.d[:] = [d[a:b] for a, b in zip(offsets, offsets[1:])]
+    K = state.atoms.max_size()
+    series, first = point_layout(state)
+    half_h = 0.5 * residuals(state, data)
+    width = np.minimum(np.concatenate(state.alloc.N), K)  # live k of each point
+    cells = m * width
+    pair_base = series * m  # flat (m, m) index of (j, l = 0)
+    rows = state.atoms.index.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(state.p).ravel()
+        half_log_tau = 0.5 * np.log(state.atoms.values)
+    pick = np.empty(width.size, dtype=int)  # each point's cell l * width + k
+    for start, stop in _alloc_chunks(cells):
+        count = cells[start:stop]
+        offset = np.cumsum(count) - count  # each point's first cell in the chunk
+        pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
+        l, k = np.divmod(pos, np.repeat(width[start:stop], count))
+        pair = np.repeat(pair_base[start:stop], count) + l
+        atom = rows[pair] * K + k  # flat index into atoms.values
+        score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
+                 - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
+        with np.errstate(divide="ignore"):
+            score -= np.log(-np.log(rng.generator.random(score.size)))
+        np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
+        best = np.repeat(np.maximum.reduceat(score, offset), count)
+        pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
+    delta, d = np.divmod(pick, width)
+    state.alloc.delta[:] = _per_series(delta, first)
+    state.alloc.d[:] = _per_series(d + 1, first)
     return state
 
 
 def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Redraw every slice bound (capped at SLICE_BOUND_CAP) and resize the atoms."""
-    for j in range(state.m):
-        d = state.alloc.d[j]
-        bound = draw_truncated_geometric(state.lam[j, state.alloc.delta[j]], d, rng)
-        state.alloc.N[j] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
+    _, first = point_layout(state)
+    d = np.concatenate(state.alloc.d)
+    bound = draw_truncated_geometric(state.lam.ravel()[_pair_labels(state)], d, rng)
+    state.alloc.N[:] = _per_series(np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d), first)
     return ensure_atoms(state, prior, rng)
 
 
@@ -269,9 +305,7 @@ def update_precisions(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Conjugate Dirichlet redraw of every selection row."""
-    alpha_post = selection_posterior_alpha(state, prior)
-    for j in range(state.m):
-        state.p[j] = draw_dirichlet(alpha_post[j], rng)
+    state.p[:] = draw_dirichlet(selection_posterior_alpha(state, prior), rng)
     return state
 
 
@@ -279,36 +313,41 @@ def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle
     """Conjugate beta redraw of every geometric probability (mirrored)."""
     a, b = geometric_posterior_params(state, prior)
     j, l = state.atoms.upper
-    draws = [draw_beta(x, y, rng) for x, y in zip(a.tolist(), b.tolist())]
-    state.lam[j, l] = state.lam[l, j] = draws
+    state.lam[j, l] = state.lam[l, j] = draw_beta(a, b, rng)
     return state
 
 
 def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
                  rng: RngHandle, tau_override: Optional[float] = None) -> ChainState:
-    """Exact multivariate-normal redraw of each coefficient vector.
+    """Exact multivariate-normal redraw of every coefficient vector.
 
-    Under the flat prior the full conditional is Gaussian with precision
-    matrix sum_i tau_i v_i v_i' over the monomial designs v_i. A condition
-    estimate above THETA_COND_LIMIT is an error, never a silent ridge.
+    Under the flat prior the full conditional of theta_j is Gaussian with
+    precision matrix A_j = sum_i tau_i v_i v_i' over the monomial designs v_i
+    of x_{j,i-1}: the Hankel matrix of the tau-weighted power sums of degree
+    0..2R. One batched eigendecomposition A_j = Q Lambda Q' serves all
+    series, and theta_j = Q (Lambda^-1 Q' b_j + Lambda^-1/2 z) with z
+    standard normal. An eigenvalue ratio above THETA_COND_LIMIT (or a
+    non-positive eigenvalue) is an error, never a silent ridge.
     """
     R = prior.poly_degree
-    for j in range(state.m):
-        xs = full_path(state, data, j)
-        V = np.vander(xs[:-1], R + 1, increasing=True)
-        tau_i = _tau_per_point(state, j, tau_override)
-        A = V.T @ (V * tau_i[:, None])
-        b = V.T @ (tau_i * xs[1:])
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > THETA_COND_LIMIT:
-            raise SingularDesignError(j, cond)
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(j) from exc
-        mu = np.linalg.solve(A, b)
-        z = rng.generator.standard_normal(R + 1)
-        state.theta[j] = mu + np.linalg.solve(L.T, z)
+    _, first = point_layout(state)
+    prev, nxt = _path_points(state, data, first)
+    powers = np.empty((2 * R + 1, prev.size))  # tau_i x_{j,i-1}^r, r = 0..2R
+    powers[0] = _tau_per_point(state, tau_override)
+    for r in range(1, 2 * R + 1):
+        np.multiply(powers[r - 1], prev, out=powers[r])
+    sums = np.add.reduceat(powers, first, axis=1).T  # (m, 2R + 1)
+    A = sums[:, np.add.outer(np.arange(R + 1), np.arange(R + 1))]  # Hankel: A_rs = sums_{r+s}
+    b = np.add.reduceat(powers[:R + 1] * nxt, first, axis=1).T
+    w, Q = np.linalg.eigh(A)  # eigenvalues ascending
+    bad = ~(w[:, -1] <= THETA_COND_LIMIT * w[:, 0])  # NaN and w <= 0 included
+    if bad.any():
+        j = int(np.argmax(bad))
+        with np.errstate(divide="ignore"):
+            raise SingularDesignError(j, float(abs(w[j, -1] / w[j, 0])))
+    z = rng.generator.standard_normal((state.m, R + 1))
+    y = (b[:, None, :] @ Q)[:, 0] / w + z / np.sqrt(w)
+    state.theta[:] = (Q @ y[:, :, None])[:, :, 0]
     return state
 
 
@@ -321,9 +360,10 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     real roots of g(x) - x_1), hence the slice sampler instead of anything
     assuming log-concavity.
     """
+    _, first = point_layout(state)
+    taus = _tau_per_point(state, tau_override)[first].tolist()  # each series' first point
     for j in range(state.m):
-        tau = float(_tau_per_point(state, j, tau_override)[0])
-        log_f = _point_target(state.theta[j].tolist(), 0.0, 0.0, tau, float(data.series[j][0]))
+        log_f = _point_target(state.theta[j].tolist(), 0.0, 0.0, taus[j], float(data.series[j][0]))
         lo, hi = prior.x0_support[j].tolist()
         current = min(max(float(state.x0[j]), lo), hi)
         state.x0[j] = slice_sample_1d(log_f, lo, hi, current,
@@ -338,15 +378,17 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     ones (two Gaussian factors in the exponent) and an exact normal for the
     terminal one."""
     lo, hi = FUTURE_SUPPORT
+    _, first = point_layout(state)
+    tau_all = _tau_per_point(state, tau_override)
     for j in range(state.m):
         T = len(state.future[j])
         if T == 0:
             continue
-        n = data.lengths[j]
+        start = first[j] + data.lengths[j]  # the series' first out-of-sample point
         coefficients = state.theta[j].tolist()
         # xs[k] is x_{j,n+k}, k = 0..T; taus[k - 1] is its precision, k = 1..T
         xs = [float(data.series[j][-1])] + state.future[j].tolist()
-        taus = _tau_per_point(state, j, tau_override)[n:].tolist()
+        taus = tau_all[start:start + T].tolist()
 
         for k in range(1, T):
             log_f = _point_target(coefficients, taus[k - 1], eval_map(coefficients, xs[k - 1]),
@@ -361,24 +403,23 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 
 def sample_noise_predictive(state: ChainState, prior: PriorConfig, rng: RngHandle) -> np.ndarray:
-    """Per-series draw from the noise predictive.
+    """Per-series draw from the noise predictive, all series at once.
 
-    Scans the updated selection row, then the geometric weights with the
-    exact tail lump; a tail selection draws a fresh atom from the base
-    measure.
+    Inverts each updated selection row at one uniform for the pair l, then
+    draws the geometric index k by the closed form of
+    ``draw_truncated_geometric``. k >= N* is the exact tail lump, of mass
+    (1 - lambda)^N*: only there is a fresh atom drawn from the base measure.
     """
-    n_star = state.atoms.max_size()
-    z = np.empty(state.m)
-    for j in range(state.m):
-        l = draw_categorical(state.p[j], rng)
-        weights = geometric_weights(state.lam[j, l], n_star)
-        k = draw_categorical(weights, rng)
-        if k == n_star:  # tail lump
-            tau = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
-        else:
-            tau = float(state.atoms.values[state.atoms.index[j, l], k])
-        z[j] = rng.generator.normal(0.0, tau ** -0.5)
-    return z
+    m, n_star = state.m, state.atoms.max_size()
+    rows = np.arange(m)
+    cdf = np.cumsum(state.p, axis=1)
+    u = rng.generator.random(m) * cdf[:, -1]
+    l = np.minimum((cdf <= u[:, None]).sum(axis=1), m - 1)
+    k = draw_truncated_geometric(state.lam[rows, l], 1, rng) - 1
+    tau = state.atoms.values[state.atoms.index[rows, l], np.minimum(k, n_star - 1)]
+    for j in np.flatnonzero(k >= n_star):  # tail lump
+        tau[j] = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
+    return rng.generator.normal(0.0, tau ** -0.5)
 
 
 def sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
@@ -421,8 +462,7 @@ def _record(state: ChainState, z: np.ndarray) -> TraceRecord:
         x0=state.x0.copy(),
         future=[f.copy() for f in state.future],
         z_pred=np.asarray(z, dtype=float).copy(),
-        atom_counts=None if parametric else dict.fromkeys(
-            (f"{j},{l}" for j, l in state.atoms.pairs()), state.atoms.max_size()),
+        n_star=None if parametric else state.atoms.max_size(),
         tau_common=state.tau_common,
     )
 

@@ -128,10 +128,6 @@ class AtomTable:
     def pairs(self):
         return list(zip(*(u.tolist() for u in self.upper)))
 
-    def matrix(self, j: int) -> np.ndarray:
-        """Precisions tau_{jlk} as an (m, K) matrix for fixed series j."""
-        return self.values[self.index[j]]
-
     def append(self, j: int, l: int, value: float) -> None:
         """Add one atom to pair {j, l}, for building a state by hand."""
         if not value > 0:
@@ -235,7 +231,7 @@ class TraceRecord:
     x0: np.ndarray
     future: list
     z_pred: np.ndarray
-    atom_counts: Optional[dict] = None  # {"j,l": K_jl}
+    n_star: Optional[int] = None  # atoms per pair row, N*
     tau_common: Optional[float] = None
 
     def to_json_dict(self) -> dict:
@@ -251,7 +247,7 @@ class TraceRecord:
             x0=np.asarray(doc["x0"], dtype=float),
             future=[np.asarray(f, dtype=float) for f in doc["future"]],
             z_pred=np.asarray(doc["z_pred"], dtype=float),
-            atom_counts=doc.get("atom_counts"),
+            n_star=doc.get("n_star"),
             tau_common=doc.get("tau_common"),
         )
 
@@ -276,9 +272,8 @@ class TraceRecord:
                 cols[f"future_{j + 1}_{k + 1}"] = float(v)
         for j, v in enumerate(np.asarray(self.z_pred)):
             cols[f"z_pred_{j + 1}"] = float(v)
-        if self.atom_counts is not None:
-            for key, count in sorted(self.atom_counts.items()):
-                cols[f"K_{key.replace(',', '_')}"] = int(count)
+        if self.n_star is not None:
+            cols["n_star"] = int(self.n_star)
         if self.tau_common is not None:
             cols["tau"] = float(self.tau_common)
         return cols
@@ -314,9 +309,25 @@ def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> Chain
     return state
 
 
+def _root_start(coefficients, x1: float, lo: float, hi: float) -> float:
+    """Starting initial condition: the real root of g(x) = x1 in [lo, hi]
+    nearest to x1. Each such root is a mode of the x0 full conditional;
+    starting at x1 itself, usually far below every mode, lets the first slice
+    transitions wander the whole support and settle in a spurious mode. With
+    no root there, x1 itself."""
+    poly = np.array(coefficients[::-1], dtype=float)
+    poly[-1] -= x1
+    roots = np.roots(poly)
+    real = roots.real[(np.abs(roots.imag) < 1e-9) & (roots.real >= lo) & (roots.real <= hi)]
+    if real.size == 0:
+        return x1
+    return float(real[np.argmin(np.abs(real - x1))])
+
+
 def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Starting state: prior draws for (p, lambda, delta), least squares for
-    theta, residual-quantile precisions for the initial atoms.
+    theta, residual-quantile precisions for the initial atoms, and each x0 at
+    a mode of its full conditional (see ``_root_start``).
 
     The model is silent about initialization; any finite start is valid under
     the flat priors, and least squares shortens burn-in considerably. A
@@ -328,11 +339,10 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         raise ValueError(f"prior is for m={prior.m} but data has m={m} series")
     R = prior.poly_degree
 
-    p = np.vstack([draw_dirichlet(prior.dirichlet_alpha[j], rng) for j in range(m)])
-    lam = np.eye(m)
-    for j in range(m):
-        for l in range(j, m):
-            lam[j, l] = lam[l, j] = draw_beta(prior.beta_a[j, l], prior.beta_b[j, l], rng)
+    p = draw_dirichlet(prior.dirichlet_alpha, rng)
+    upper = np.triu_indices(m)
+    lam = np.empty((m, m))
+    lam[upper] = lam[upper[::-1]] = draw_beta(prior.beta_a[upper], prior.beta_b[upper], rng)
 
     theta, fallback, sq_resid = [], [], []
     for j in range(m):
@@ -369,7 +379,8 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         N.append(np.full(total, INIT_SLICE_BOUND, dtype=int))
     alloc = Allocations(delta=delta, d=d, N=N)
 
-    x0 = np.asarray([float(s[0]) for s in data.series])
+    x0 = np.asarray([_root_start(theta[j], float(data.series[j][0]), *prior.x0_support[j].tolist())
+                     for j in range(m)])
     future = []
     for j in range(m):
         vals, x = [], float(data.series[j][-1])

@@ -3,16 +3,30 @@
 The densities of the marginalization oracle (acceptance criterion 2) are
 never evaluated by the chain: they state the slice-augmented joint and the
 transition mixture it must marginalize to, term by term, so the tests can sum
-one and compare it with the other. The dense allocation block is the plain
-form of the chunked kernel the chain runs.
+one and compare it with the other. The rest are plain per-series loops: the
+allocation block's cell probabilities, and the former loop form of the
+kernels whose random stream the vectorized chain keeps bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from pdgsbr.distributions import draw_beta, draw_dirichlet, draw_truncated_geometric
 from pdgsbr.dynamics import eval_map
-from pdgsbr.gibbs import residuals
+from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
+from pdgsbr.model import ensure_atoms
+
+
+def full_path(state, data, j: int) -> np.ndarray:
+    """The complete state sequence x_{j,0}, ..., x_{j,n_j+T_j} of series j."""
+    return np.concatenate(([state.x0[j]], data.series[j], state.future[j]))
+
+
+def residuals(state, data, j: int) -> np.ndarray:
+    """Squared residuals h_i = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2, i = 1..n_j+T_j."""
+    xs = full_path(state, data, j)
+    return (xs[1:] - eval_map(state.theta[j], xs[:-1])) ** 2
 
 
 def normal_pdf(x: float, mean: float, tau: float) -> float:
@@ -44,27 +58,73 @@ def mixture_partial_density(x, x_prev, theta, p_row, lam_row, tau_rows, K: int) 
     return total
 
 
-def dense_alloc_block(state, data, rng):
-    """The allocation block as one dense (n_j, m, N*) block per series: every
-    point is scored against the whole atom matrix and the cells above its
-    slice bound are masked. ``gibbs.update_alloc_block`` must draw the same
-    (delta, d) from the same generator state."""
+def alloc_cell_probs(state, data) -> np.ndarray:
+    """Law of the allocation block: for every point, flat in series order,
+    the normalized probability of each (delta, d) cell as one row of m * N*
+    entries, cell l * N* + k - 1. Cells above the point's slice bound and
+    non-finite weights (the NaN cells of a hand-built ragged table) get 0."""
+    rows = []
     for j in range(state.m):
         h = residuals(state, data, j)
-        taus = state.atoms.matrix(j)  # (m, K)
+        taus = state.atoms.values[state.atoms.index[j]]  # (m, K)
         K = taus.shape[1]
         with np.errstate(invalid="ignore"):
             base = np.log(state.p[j])[:, None] + 0.5 * np.log(taus)
         logw = base[None, :, :] - 0.5 * taus[None, :, :] * h[:, None, None]
-        karange = np.arange(K)
-        mask = karange[None, None, :] >= state.alloc.N[j][:, None, None]
-        logw = np.where(mask | ~np.isfinite(logw), -np.inf, logw)
-        flat = logw.reshape(h.size, state.m * K)
-        peak = flat.max(axis=1, keepdims=True)
-        weights = np.exp(flat - peak)
-        cdf = np.cumsum(weights, axis=1)
-        u = rng.generator.random(h.size) * cdf[:, -1]
-        idx = np.minimum((cdf < u[:, None]).sum(axis=1), state.m * K - 1)
-        state.alloc.delta[j] = (idx // K).astype(int)
-        state.alloc.d[j] = (idx % K + 1).astype(int)
+        mask = np.arange(K)[None, None, :] >= state.alloc.N[j][:, None, None]
+        logw = np.where(mask | ~np.isfinite(logw), -np.inf, logw).reshape(h.size, state.m * K)
+        weights = np.exp(logw - logw.max(axis=1, keepdims=True))
+        rows.append(weights / weights.sum(axis=1, keepdims=True))
+    return np.concatenate(rows)
+
+
+# --- the per-series loop kernels the vectorized ones must reproduce exactly ---
+
+def loop_precision_posterior_params(state, data, prior):
+    m = state.m
+    K = state.atoms.max_size()
+    counts = np.zeros((m, m, K))
+    rsums = np.zeros((m, m, K))
+    for j in range(m):
+        h = residuals(state, data, j)
+        cells = (state.alloc.delta[j], state.alloc.d[j] - 1)
+        np.add.at(counts[j], cells, 1.0)
+        np.add.at(rsums[j], cells, h)
+    upper = state.atoms.upper
+    return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
+            prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
+
+
+def loop_update_slice_N(state, prior, rng):
+    for j in range(state.m):
+        d = state.alloc.d[j]
+        bound = draw_truncated_geometric(state.lam[j, state.alloc.delta[j]], d, rng)
+        state.alloc.N[j] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
+    return ensure_atoms(state, prior, rng)
+
+
+def loop_update_selection_probs(state, prior, rng):
+    m = state.m
+    counts = np.zeros((m, m))
+    for j in range(m):
+        np.add.at(counts[j], state.alloc.delta[j], 1.0)
+    alpha_post = prior.dirichlet_alpha + counts
+    for j in range(m):
+        state.p[j] = draw_dirichlet(alpha_post[j], rng)
+    return state
+
+
+def loop_update_geometric_probs(state, prior, rng):
+    m = state.m
+    S = np.zeros((m, m))
+    Sp = np.zeros((m, m))
+    for j in range(m):
+        np.add.at(S[j], state.alloc.delta[j], 1.0)
+        np.add.at(Sp[j], state.alloc.delta[j], state.alloc.N[j] - 1.0)
+    upper = state.atoms.upper
+    a = prior.beta_a[upper] + 2.0 * pool_pairs(S, upper)
+    b = prior.beta_b[upper] + pool_pairs(Sp, upper)
+    j, l = upper
+    draws = [draw_beta(x, y, rng) for x, y in zip(a.tolist(), b.tolist())]
+    state.lam[j, l] = state.lam[l, j] = draws
     return state

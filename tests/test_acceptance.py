@@ -26,7 +26,6 @@ from pdgsbr.gibbs import (
     geometric_posterior_params,
     parametric_tau_params,
     precision_posterior_params,
-    residuals,
     run_chain,
     run_parametric_gaussian,
     selection_posterior_alpha,
@@ -39,7 +38,7 @@ from pdgsbr.gibbs import (
 )
 from pdgsbr.model import PriorConfig, ensure_atoms, init_chain
 
-from oracle import augmented_joint_density, mixture_partial_density, normal_pdf
+from oracle import augmented_joint_density, mixture_partial_density, normal_pdf, residuals
 from test_gibbs import batch_means_se, make_prior, single_series_state
 
 
@@ -207,7 +206,7 @@ class TestCriterion3DiscreteBlock:
             state.atoms.values = gen.uniform(0.5, 4.0, size=state.atoms.values.shape)
 
             h = residuals(state, data, 0)
-            taus = state.atoms.matrix(0)
+            taus = state.atoms.values[state.atoms.index[0]]
             counts = {i: np.zeros((m, 5)) for i in range(3)}
             for _ in range(n_draws):
                 update_alloc_block(state, data, prior, rng)

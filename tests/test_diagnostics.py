@@ -31,7 +31,7 @@ def make_record(i, theta, p=None):
         x0=np.zeros(m),
         future=[np.zeros(1) for _ in range(m)],
         z_pred=np.zeros(m),
-        atom_counts={f"{j},{j}": 1 for j in range(m)},
+        n_star=1,
     )
 
 

@@ -79,6 +79,8 @@ class TestBeta:
             draw_beta(0.0, 1.0, rng)
         with pytest.raises(ParameterDomainError):
             draw_beta(1.0, -1.0, rng)
+        with pytest.raises(ParameterDomainError):  # one bad element of an array
+            draw_beta(np.array([0.5, 2.0]), np.array([1.0, math.nan]), rng)
 
 
 class TestDirichlet:
@@ -110,6 +112,10 @@ class TestDirichlet:
             draw_dirichlet([], rng)
         with pytest.raises(ParameterDomainError):
             draw_dirichlet([1.0, 0.0], rng)
+        with pytest.raises(ParameterDomainError):  # one bad row of a matrix
+            draw_dirichlet([[1.0, 2.0], [math.inf, 1.0]], rng)
+        with pytest.raises(ParameterDomainError):
+            draw_dirichlet(np.ones((2, 2, 2)), rng)
 
 
 class TestCategorical:

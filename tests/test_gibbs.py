@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, chisquare
 
-from pdgsbr import cli
+from pdgsbr import cli, gibbs
 from pdgsbr.distributions import RngHandle
 from pdgsbr.dynamics import (
     NAMED_MAPS,
@@ -22,7 +23,6 @@ from pdgsbr.gibbs import (
     geometric_posterior_params,
     parametric_tau_params,
     precision_posterior_params,
-    residuals,
     run_chain,
     run_parametric_gaussian,
     sample_noise_predictive,
@@ -48,10 +48,15 @@ from pdgsbr.model import (
 )
 
 from oracle import (
+    alloc_cell_probs,
     augmented_joint_density,
-    dense_alloc_block,
+    loop_precision_posterior_params,
+    loop_update_geometric_probs,
+    loop_update_selection_probs,
+    loop_update_slice_N,
     mixture_partial_density,
     normal_pdf,
+    residuals,
 )
 
 N_KERNEL = 20_000
@@ -141,18 +146,42 @@ def pin_slice_bounds(state, prior, rng, bounds):
     ensure_atoms(state, prior, rng)
 
 
-def assert_alloc_matches_dense_oracle(state, data, prior, rng, sweeps=3):
-    """From equal generator states, the chunked kernel and the dense oracle
-    draw the same (delta, d) and leave the generators in the same state."""
-    expected = copy.deepcopy(state)
-    oracle_rng = RngHandle.from_state(rng.get_state())
-    for _ in range(sweeps):
-        dense_alloc_block(expected, data, oracle_rng)
+def live_cells(state):
+    """Live cells of every point, flat in series order: m min(N_ji, N*)."""
+    return state.m * np.minimum(np.concatenate(state.alloc.N), state.atoms.max_size())
+
+
+def assert_alloc_follows_its_law(state, data, prior, rng, draws=N_KERNEL):
+    """Per point, the chi-square statistic of ``draws`` kernel draws against
+    the oracle's normalized cell probabilities, cells of expected count
+    below 5 pooled. The points are independent, so the sum of their
+    statistics is chi-square with the summed degrees of freedom; it must not
+    fall in the top 1e-3 tail. A cell of probability 0 must never be drawn."""
+    probs = alloc_cell_probs(state, data)
+    K = state.atoms.max_size()
+    counts = np.zeros(probs.shape, dtype=np.int32)
+    points = np.arange(probs.shape[0])
+    for _ in range(draws):
         update_alloc_block(state, data, prior, rng)
-        for j in range(state.m):
-            assert np.array_equal(state.alloc.delta[j], expected.alloc.delta[j])
-            assert np.array_equal(state.alloc.d[j], expected.alloc.d[j])
-        assert rng.get_state() == oracle_rng.get_state()
+        delta, d = np.concatenate(state.alloc.delta), np.concatenate(state.alloc.d)
+        counts[points, delta * K + d - 1] += 1
+    assert counts[probs == 0].sum() == 0
+    total = dof = 0.0
+    for p, observed in zip(probs, counts):
+        expected = draws * p
+        common = expected >= 5
+        obs, exp = list(observed[common]), list(expected[common])
+        rare_obs, rare_exp = observed[~common].sum(), expected[~common].sum()
+        if rare_exp >= 5:
+            obs.append(rare_obs)
+            exp.append(rare_exp)
+        else:  # too rare for a bin of its own: pool it with the largest one
+            top = int(np.argmax(exp))
+            obs[top] += rare_obs
+            exp[top] += rare_exp
+        total += chisquare(obs, exp).statistic if len(exp) > 1 else 0.0
+        dof += len(exp) - 1
+    assert dof > 0 and chi2.sf(total, dof) > 1e-3
 
 
 class TestPosteriorParameterAudits:
@@ -207,6 +236,36 @@ class TestPosteriorParameterAudits:
         rss = sum(residuals(state, data, j).sum() for j in range(state.m))
         assert shape == pytest.approx(prior.gamma_a + 0.5 * total, rel=1e-14)
         assert rate == pytest.approx(prior.gamma_b + 0.5 * rss, rel=1e-12)
+
+
+class TestKernelsKeepTheLoopStream:
+    """The vectorized kernels that keep the random stream: from equal
+    generator states on a 4C state, each gives the outputs of its former
+    per-series loop (tests/oracle.py) bit for bit and leaves the generators
+    in equal states."""
+
+    def test_precision_params_equal_the_loop(self):
+        state, data, prior, _ = fourc_state()
+        shape, rate = precision_posterior_params(state, data, prior)
+        loop_shape, loop_rate = loop_precision_posterior_params(state, data, prior)
+        assert np.array_equal(shape, loop_shape) and np.array_equal(rate, loop_rate)
+
+    @pytest.mark.parametrize("kernel, loop", [
+        (update_slice_N, loop_update_slice_N),
+        (update_selection_probs, loop_update_selection_probs),
+        (update_geometric_probs, loop_update_geometric_probs),
+    ], ids=["slice_N", "selection", "geometric"])
+    def test_kernel_equals_the_loop(self, kernel, loop):
+        state, data, prior, rng = fourc_state()
+        expected, loop_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
+        for _ in range(3):
+            kernel(state, prior, rng)
+            loop(expected, prior, loop_rng)
+            assert state.to_dict() == expected.to_dict()
+            assert rng.get_state() == loop_rng.get_state()
+            update_alloc_block(state, data, prior, rng)  # move on to new counts
+            expected.alloc = copy.deepcopy(state.alloc)
+            loop_rng = RngHandle.from_state(rng.get_state())
 
 
 class TestMarginalizationIdentity:
@@ -292,8 +351,41 @@ class TestAllocBlockKernel:
         assert (state.alloc.delta[1] == 0).mean() > 0.95
 
 
+def ragged_nan_state():
+    """An m = 2 state on a hand-built ragged atom table: 6 of its 15 cells
+    are NaN, and slice bounds up to 7 run past its K = 5 atoms."""
+    rng = RngHandle(4)
+    specs = [(NAMED_MAPS["Q1"], NoiseMixtureSpec((1.0,), (1e-3,)), 30, 0.4),
+             (NAMED_MAPS["Q2"], NoiseMixtureSpec((1.0,), (1e-3,)), 20, 0.5)]
+    data = simulate_multi(specs, [1, 1], rng)
+    prior = make_prior(2)
+    state = init_chain(data, prior, rng)
+    atoms = AtomTable(2)
+    for (j, l), values in {(0, 0): [50.0, 900.0, 2.0], (0, 1): [300.0],
+                           (1, 1): [1e3, 10.0, 4e4, 0.5, 80.0]}.items():
+        for v in values:
+            atoms.append(j, l, v)
+    assert np.isnan(atoms.values).sum() == 6
+    state.atoms = atoms
+    state.p = np.array([[0.3, 0.7], [0.6, 0.4]])
+    mix = np.random.default_rng(3)
+    for j in range(2):  # bounds past K = 5 score every stored atom
+        state.alloc.N[j] = mix.integers(1, 8, size=state.alloc.N[j].size)
+    return state, data, prior, rng
+
+
 class TestAllocBlockMatchesDenseOracle:
+    """The Gumbel-max kernel against the law of the dense oracle. Its draws
+    cannot equal those of an inverse-CDF oracle, so each law test is a
+    per-point chi-square of N_KERNEL draws. A state too large for that is
+    checked exactly: the block must draw the same in one chunk as in many."""
+
     def test_4c_state_with_mixed_bounds(self):
+        # a third of the bounds 1-10, a third 100-600, a third at the cap:
+        # about 1 M live cells. Each cell gets one uniform in point order,
+        # whatever the chunking, so the block in one chunk and in chunks of
+        # ALLOC_CELL_BUDGET cells must draw the same, and it is exact (a law
+        # test at this size would take minutes)
         state, data, prior, rng = fourc_state()
         mix = np.random.default_rng(11)
         bounds = []
@@ -304,35 +396,44 @@ class TestAllocBlockMatchesDenseOracle:
                                      mix.integers(100, 601, size=N.size)],
                                     SLICE_BOUND_CAP))
         pin_slice_bounds(state, prior, rng, bounds)
-        flat = np.sort(np.concatenate(bounds))
-        assert len(list(_alloc_chunks(flat, state.m))) >= 3
-        assert_alloc_matches_dense_oracle(state, data, prior, rng)
+        assert len(list(_alloc_chunks(live_cells(state)))) >= 3
+        whole, whole_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
+        for _ in range(3):
+            update_alloc_block(state, data, prior, rng)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gibbs, "ALLOC_CELL_BUDGET", 2 ** 40)
+                assert len(list(_alloc_chunks(live_cells(whole)))) == 1
+                update_alloc_block(whole, data, prior, whole_rng)
+            assert state.to_dict() == whole.to_dict()
+            assert rng.get_state() == whole_rng.get_state()
+
+    def test_4c_state_with_a_few_large_bounds(self):
+        # most bounds small, one per series in the hundreds, two at the cap
+        # with 6 000 live cells each, so the block splits in chunks
+        state, data, prior, rng = fourc_state()
+        mix = np.random.default_rng(11)
+        bounds = [mix.integers(1, 11, size=N.size) for N in state.alloc.N]
+        for N in bounds:
+            N[mix.integers(N.size)] = mix.integers(100, 601)
+        bounds[0][7] = bounds[2][3] = SLICE_BOUND_CAP
+        pin_slice_bounds(state, prior, rng, bounds)
+        assert len(list(_alloc_chunks(live_cells(state)))) >= 2
+        assert_alloc_follows_its_law(state, data, prior, rng)
 
     def test_ragged_atom_table_with_nan_cells(self):
-        rng = RngHandle(4)
-        specs = [(NAMED_MAPS["Q1"], NoiseMixtureSpec((1.0,), (1e-3,)), 30, 0.4),
-                 (NAMED_MAPS["Q2"], NoiseMixtureSpec((1.0,), (1e-3,)), 20, 0.5)]
-        data = simulate_multi(specs, [1, 1], rng)
-        prior = make_prior(2)
-        state = init_chain(data, prior, rng)
-        atoms = AtomTable(2)
-        for (j, l), values in {(0, 0): [50.0, 900.0, 2.0], (0, 1): [300.0],
-                               (1, 1): [1e3, 10.0, 4e4, 0.5, 80.0]}.items():
-            for v in values:
-                atoms.append(j, l, v)
-        assert np.isnan(atoms.values).sum() == 6
-        state.atoms = atoms
-        state.p = np.array([[0.3, 0.7], [0.6, 0.4]])
-        mix = np.random.default_rng(3)
-        for j in range(2):  # bounds past K = 5 score every stored atom
-            state.alloc.N[j] = mix.integers(1, 8, size=state.alloc.N[j].size)
-        assert_alloc_matches_dense_oracle(state, data, prior, rng)
+        assert_alloc_follows_its_law(*ragged_nan_state())
 
     def test_single_series(self):
         bounds = [1, 4, 2, 4, 3, 1, 4, 2]
         state, data = single_series_state(np.linspace(-0.4, 0.5, 8), [0.1, 0.9],
                                           [1.0, 30.0, 4.0, 900.0], N=bounds)
-        assert_alloc_matches_dense_oracle(state, data, make_prior(1, R=1), RngHandle(6))
+        assert_alloc_follows_its_law(state, data, make_prior(1, R=1), RngHandle(6))
+
+    def test_small_cell_budget_splits_the_block_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "ALLOC_CELL_BUDGET", 64)
+        state, data, prior, rng = ragged_nan_state()
+        assert len(list(_alloc_chunks(live_cells(state)))) >= 3
+        assert_alloc_follows_its_law(state, data, prior, rng)
 
     def test_peak_memory_is_bounded_by_the_cell_budget(self):
         # one dense array at the cap is 423 x 3 x 2000 doubles, about 20 MB
@@ -576,6 +677,26 @@ class TestNoisePredictive:
         assert abs(wide - 0.99) < 3.0 * math.sqrt(0.99 * 0.01 / N_KERNEL) + 1e-3
 
 
+    def test_selection_row_picks_the_pair(self):
+        # m = 2, lam ~ 1 so only each pair's first atom is drawn: the pairs
+        # {0, 0} and {1, 1} have tau = 1e8 (|z| < 1e-3 almost surely), {0, 1}
+        # has tau = 1, so a series draws a wide z with its probability of
+        # selecting the other one: 0.8 for series 0, 0.5 for series 1
+        atoms = AtomTable(2, [[1e8], [1.0], [1e8]])
+        state = ChainState(
+            atoms=atoms,
+            alloc=Allocations(delta=[np.zeros(1, dtype=int)] * 2, d=[np.ones(1, dtype=int)] * 2,
+                              N=[np.ones(1, dtype=int)] * 2),
+            p=np.array([[0.2, 0.8], [0.5, 0.5]]), lam=np.full((2, 2), 1 - 1e-12),
+            theta=[np.zeros(1)] * 2, x0=np.zeros(2), future=[np.zeros(0)] * 2)
+        rng = RngHandle(63)
+        draws = np.array([sample_noise_predictive(state, make_prior(2, R=0), rng)
+                          for _ in range(N_KERNEL)])
+        wide = (np.abs(draws) > 1e-3).mean(axis=0)
+        assert abs(wide[0] - 0.8) < 4.0 * math.sqrt(0.16 / N_KERNEL)
+        assert abs(wide[1] - 0.5) < 4.0 * math.sqrt(0.25 / N_KERNEL)
+
+
 class TestDrivers:
     def small_run(self, seed=7, **cfg):
         rng = RngHandle(seed)
@@ -602,7 +723,7 @@ class TestDrivers:
             assert np.array_equal(ra.theta[0], rb.theta[0])
             assert np.array_equal(ra.x0, rb.x0)
             assert np.array_equal(ra.z_pred, rb.z_pred)
-            assert ra.atom_counts == rb.atom_counts
+            assert ra.n_star == rb.n_star
 
     def test_single_series_entry_point_matches_general_one(self):
         # GSBR is PD-GSBR with m = 1; cmd_run rejects other m for it
@@ -646,7 +767,7 @@ class TestDrivers:
         config = GibbsConfig(iterations=600, burn_in=200, seed=9)
         records = run_parametric_gaussian(data, prior, config)
         taus = np.array([r.tau_common for r in records])
-        assert records[0].p is None and records[0].atom_counts is None
+        assert records[0].p is None and records[0].n_star is None
         assert 60 < taus.mean() < 160
 
     def test_config_validation(self):

@@ -25,17 +25,17 @@ CASES = {
 GOLDEN = {
     "2.4": {
         "4a-strong": {
-            "trace.jsonl": "30045b43bb003f182509e5e6ec084ea616037720b1b3ad74e8a40acfa92bcc06",
-            "trace.csv": "1c77db003a48ea5265ad421280ee3b90ab0c014e41f159d15aa4bf9f5b2acd11",
+            "trace.jsonl": "47167ff25cc8db37a28b6e3f742f0b66f7e6a3729bd9993a65ffdfe2321308b2",
+            "trace.csv": "de45a94b342192f47abdc76c3cd971ca2098cca27c5517cc5ae367c1231ef476",
         },
         "4c-checkpointed": {
-            "trace.jsonl": "b97823b4ca45e1f4a8aa7e1193e8c74c6ac1f36a97ec95fdce4dfa34bec36019",
-            "trace.csv": "f40388f9fd9cd54972c5b25f950ce820273e1e1d8418aa4949425ffff67b55e5",
-            "checkpoint.json": "97be94c08c09e80743a09117fc90d19f87956da2a94ae7de3e73e9b372e5f20e",
+            "trace.jsonl": "7aed6138bc1ca85e1631265bb03bb0f894f9a9be0ec7e3786c191a696d4ead42",
+            "trace.csv": "7f0a9691d8006d9f20c946af6e628eed127d32e32da1be68ecdf1dbfac5788d9",
+            "checkpoint.json": "e9796d899de4e8543c9c433d2d7f67783719e821474e072487b8e89f729540ed",
         },
         "4a-parametric": {
-            "trace.jsonl": "0f3165f2ebd7b9ee20c0a4c5608bc61a48785966930bbfe9e682b078f7a65bb4",
-            "trace.csv": "3d722dc7e0fd34d29f1cd05ecfd0aa788377d98481aa10d81ffc56e96f3d5aaa",
+            "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
+            "trace.csv": "34db92af87a7f01f13831258e292006a215fcc4f69b72ce702903465a5cc651e",
         },
     },
 }

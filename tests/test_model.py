@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pdgsbr.model import (
     INIT_SLICE_BOUND,
     PriorConfig,
     TraceRecord,
+    _root_start,
     ensure_atoms,
     geometric_weights,
     init_chain,
@@ -97,7 +99,8 @@ class TestAtomTable:
         assert table.index[0, 2] == table.index[2, 0]
         assert table.values[table.index[0, 2], 0] == 7.0
         table.values[table.index[0, 2], 0] = 9.0
-        assert table.matrix(2)[0, 0] == 9.0 and table.matrix(0)[2, 0] == 9.0
+        assert table.values[table.index[2]][0, 0] == 9.0
+        assert table.values[table.index[0]][2, 0] == 9.0
         assert table.size(1, 1) == 0 and table.size(2, 0) == 1
 
     def test_pairs_are_unordered_upper_triangle(self):
@@ -122,7 +125,7 @@ class TestAtomTable:
         table = AtomTable(2, [[1.5, 0.5], [2.5, 4.0], [3.5, 1.0]])
         back = AtomTable(2, json.loads(json.dumps(table.values.tolist())))
         assert np.array_equal(back.values, table.values)
-        assert back.matrix(1)[0, 0] == 2.5
+        assert back.values[back.index[1]][0, 0] == 2.5
         assert back.max_size() == 2
 
     def test_max_size(self):
@@ -132,9 +135,10 @@ class TestAtomTable:
         table.append(0, 0, 1.0)
         assert table.max_size() == 3
         assert [table.size(j, l) for j, l in table.pairs()] == [1, 3, 0]
-        assert np.array_equal(table.matrix(1)[0], [1.0, 2.0, 3.0])
+        assert np.array_equal(table.values[table.index[1]][0], [1.0, 2.0, 3.0])
         # a hand-built ragged row is NaN beyond its own atoms
-        assert np.array_equal(table.matrix(0)[0], [1.0, np.nan, np.nan], equal_nan=True)
+        assert np.array_equal(table.values[table.index[0]][0], [1.0, np.nan, np.nan],
+                              equal_nan=True)
 
 
 class TestEnsureAtoms:
@@ -202,8 +206,23 @@ class TestInitChain:
             assert np.all(state.alloc.N[j] == INIT_SLICE_BOUND)
             assert np.all(state.alloc.d[j] <= state.alloc.N[j])
             assert state.future[j].size == 1
-        assert np.array_equal(state.x0, [s[0] for s in data.series])
+        # each x0 starts at a root of g_j(x0) = x_{j1}, a mode of its full conditional
+        starts = [eval_map(state.theta[j], state.x0[j]) for j in range(2)]
+        assert np.allclose(starts, [s[0] for s in data.series], atol=1e-9)
         assert state.init_fallback == [False, False]
+
+    def test_x0_starts_at_the_root_nearest_x1(self):
+        # g(x) = x^3 - 3x meets x1 = 0 at 0 and +/- sqrt(3), and x1 = 1.5 at
+        # about -1.38, -0.56 and 1.94
+        cubic = (0.0, -3.0, 0.0, 1.0)
+        assert _root_start(cubic, 0.0, -5.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+        assert _root_start(cubic, 0.0, 1.0, 5.0) == pytest.approx(math.sqrt(3.0))
+        start = _root_start(cubic, 1.5, -5.0, 5.0)
+        assert start == pytest.approx(1.9422, abs=1e-4)
+        assert start ** 3 - 3.0 * start == pytest.approx(1.5)
+        # no root in the support, or a constant map: start at x1 itself
+        assert _root_start(cubic, 0.0, 2.0, 5.0) == 0.0
+        assert _root_start((0.0, 0.0), 0.4, -5.0, 5.0) == 0.4
 
     def test_least_squares_start_recovers_clean_orbit(self):
         # oracle: with near-noiseless data the quintic fit of x_{i+1} on x_i
@@ -285,7 +304,7 @@ class TestTraceIO:
                     x0=np.array([0.1, -0.2]),
                     future=[np.array([1.0 + i]), np.array([2.0])],
                     z_pred=np.array([0.01, -0.02]),
-                    atom_counts={"0,0": 2, "0,1": 3, "1,1": 1},
+                    n_star=3,
                 )
             )
         return records
@@ -297,7 +316,7 @@ class TestTraceIO:
         back = read_trace_jsonl(path)
         assert len(back) == len(records)
         assert np.array_equal(back[2].theta[0], records[2].theta[0])
-        assert back[1].atom_counts == records[1].atom_counts
+        assert back[1].n_star == records[1].n_star == 3
         assert np.array_equal(back[3].future[0], records[3].future[0])
 
     def test_csv_columns_are_stable_and_exact(self, tmp_path):
@@ -310,7 +329,7 @@ class TestTraceIO:
         assert "theta_1_0" in header and "theta_2_2" in header
         assert "p_1_2" in header and "lam_1_2" in header and "lam_2_1" not in header
         assert "x0_1" in header and "future_1_1" in header and "z_pred_2" in header
-        assert "K_0_1" in header
+        assert "n_star" in header and not any(h.startswith("K_") for h in header)
         body = np.loadtxt(path, delimiter=",", skiprows=1)
         col = header.index("theta_1_1")
         # theta[0] = arange(3) + i, so coefficient 1 of series 1 walks 1,2,3,4
