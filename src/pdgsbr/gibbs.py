@@ -43,9 +43,14 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# Slice-sampling window for interior out-of-sample points (their flat prior
-# needs a bounded support; orbits of interest live deep inside it).
+# Support of the interior out-of-sample points (their flat prior needs a
+# bounded one; orbits of interest live deep inside it).
 FUTURE_SUPPORT = (-1e6, 1e6)
+
+# Proposals per interior out-of-sample point and update (see update_future).
+# On 4a-parametric-h20 about 3-6 % of updates find none accepted and fall
+# back to a slice transition (five 1 000-sweep chains, 38 000 updates each).
+FUTURE_PROPOSALS = 16
 
 # Condition-number threshold beyond which a control-parameter draw refuses to
 # proceed; silently regularizing would change the stated model.
@@ -371,34 +376,75 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     return state
 
 
+def _redraw_interior(state: ChainState, data: MultiSeries, config: GibbsConfig,
+                     rng: RngHandle, tau: np.ndarray) -> None:
+    """The interior out-of-sample points of ``update_future``, odd k then even
+    k, on the flat point layout; ``tau`` holds every point's precision."""
+    lo, hi = FUTURE_SUPPORT
+    gen = rng.generator
+    series, first = point_layout(state)
+    _, x = _path_points(state, data, first)  # x[p] is the value of point p
+    horizon = np.array([f.size for f in state.future])
+    start = first + data.lengths  # each series' first out-of-sample point
+    k = np.arange(series.size) - start[series] + 1  # point p is x_{j,n_j+k}
+    interior = (k >= 1) & (k < horizon[series])
+    coef = np.asarray(state.theta).T  # (R + 1, m)
+    for parity in (1, 0):
+        q = np.flatnonzero(interior & (k % 2 == parity))
+        if q.size == 0:
+            continue
+        c = coef[:, series[q]]
+        g_prev = eval_map(c, x[q - 1])
+        v = g_prev[:, None] + (gen.standard_normal((q.size, FUTURE_PROPOSALS))
+                               / np.sqrt(tau[q])[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            misfit = tau[q + 1, None] * (x[q + 1, None] - eval_map(c[:, :, None], v)) ** 2
+        accept = (gen.random(v.shape) < np.exp(-0.5 * misfit)) & (v >= lo) & (v <= hi)
+        hit = accept.any(axis=1)
+        x[q[hit]] = v[hit, accept[hit].argmax(axis=1)]
+        for i in np.flatnonzero(~hit).tolist():  # fallback: one slice transition
+            p = int(q[i])
+            log_f = _point_target(c[:, i].tolist(), float(tau[p]), float(g_prev[i]),
+                                  float(tau[p + 1]), float(x[p + 1]))
+            x[p] = slice_sample_1d(log_f, lo, hi, min(max(float(x[p]), lo), hi),
+                                   config.slice_width, config.max_stepout, rng)
+    for j in np.flatnonzero(horizon).tolist():
+        state.future[j] = x[start[j]:start[j] + horizon[j]]
+
+
 def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
                   rng: RngHandle, config: GibbsConfig,
                   tau_override: Optional[float] = None) -> ChainState:
-    """Redraw the out-of-sample points: slice transitions for the interior
-    ones (two Gaussian factors in the exponent) and an exact normal for the
-    terminal one."""
-    lo, hi = FUTURE_SUPPORT
-    _, first = point_layout(state)
+    """Redraw the out-of-sample points x_{j,n_j+1..n_j+T_j} of every series.
+
+    Given the rest of the path, the interior points k = 1..T_j - 1 with odd k
+    are conditionally independent of each other, and so are those with even
+    k: all series' odd points are redrawn in one vectorized pass, then all
+    even ones. Point k's full conditional (``_point_target``) is its Gaussian
+    factor N(g_j(x_{k-1}), 1/tau_k) times exp(-tau_{k+1}/2 (x_{k+1} - g_j(v))^2)
+    on FUTURE_SUPPORT. It draws FUTURE_PROPOSALS proposals from the Gaussian
+    factor, accepts each with probability the second factor and takes the
+    first accepted: an exact draw from the conditional. A point with none
+    accepted takes one slice transition instead. Whether any proposal is
+    accepted does not depend on the current value, so the update mixes two
+    kernels that both leave the conditional invariant (Tierney 1994).
+
+    Then each terminal point is an exact normal draw given its predecessor,
+    one scalar call per series in series order.
+    """
+    live = [j for j, f in enumerate(state.future) if f.size]
+    if not live:
+        return state
+    series, first = point_layout(state)
     tau_all = _tau_per_point(state, tau_override)
-    for j in range(state.m):
-        T = len(state.future[j])
-        if T == 0:
-            continue
-        start = first[j] + data.lengths[j]  # the series' first out-of-sample point
-        coefficients = state.theta[j].tolist()
-        # xs[k] is x_{j,n+k}, k = 0..T; taus[k - 1] is its precision, k = 1..T
-        xs = [float(data.series[j][-1])] + state.future[j].tolist()
-        taus = tau_all[start:start + T].tolist()
-
-        for k in range(1, T):
-            log_f = _point_target(coefficients, taus[k - 1], eval_map(coefficients, xs[k - 1]),
-                                  taus[k], xs[k + 1])
-            xs[k] = slice_sample_1d(log_f, lo, hi, min(max(xs[k], lo), hi),
-                                    config.slice_width, config.max_stepout, rng)
-
-        mean = eval_map(coefficients, xs[T - 1])
-        xs[T] = rng.generator.normal(mean, taus[T - 1] ** -0.5)
-        state.future[j] = np.asarray(xs[1:])
+    if any(state.future[j].size > 1 for j in live):
+        _redraw_interior(state, data, config, rng, tau_all)
+    last = [*(first[1:] - 1).tolist(), series.size - 1]  # each series' last point
+    for j in live:
+        x = state.future[j].copy()
+        mean = eval_map(state.theta[j].tolist(), float(x[-2] if x.size > 1 else data.series[j][-1]))
+        x[-1] = rng.generator.normal(mean, float(tau_all[last[j]]) ** -0.5)
+        state.future[j] = x
     return state
 
 

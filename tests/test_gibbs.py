@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2, chisquare
 
 from pdgsbr import cli, gibbs
-from pdgsbr.distributions import RngHandle
+from pdgsbr.distributions import RngHandle, slice_sample_1d
 from pdgsbr.dynamics import (
     NAMED_MAPS,
     MultiSeries,
@@ -51,6 +51,7 @@ from oracle import (
     alloc_cell_probs,
     augmented_joint_density,
     loop_precision_posterior_params,
+    loop_update_future,
     loop_update_geometric_probs,
     loop_update_selection_probs,
     loop_update_slice_N,
@@ -621,29 +622,113 @@ class TestFutureKernel:
         assert abs(sq.mean() - 0.25) < 4.0 * sq.std() / math.sqrt(N_KERNEL)
 
     def test_interior_point_marginal_oracle(self):
-        # linear map: the joint over (x_{n+1}, x_{n+2}) factorizes, so the
-        # interior point is marginally N(g(x_n), 1/tau) and the terminal one
-        # N(a g(x_n), a^2/tau_1 + 1/tau_2)
-        a = 0.8
+        # nothing after x_{n+2} is observed, so whatever g is, the interior
+        # point is marginally N(g(x_n), 1/tau) and the terminal one has the
+        # moments of g(x_{n+1}) + N(0, 1/tau) (Gauss-Hermite quadrature)
+        tau, x_n = 2.0, -0.5
+        nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+        weights /= weights.sum()
+        for theta in ([0.0, 0.8], list(NAMED_MAPS["Q1"][:3])):  # linear, quadratic
+            state, data = single_series_state(
+                [0.2, x_n], theta, [tau], horizon=2, future=[0.0, 0.0]
+            )
+            prior = make_prior(1, R=len(theta) - 1, horizon=np.array([2]))
+            config = GibbsConfig(iterations=1, slice_width=0.5)
+            rng = RngHandle(52)
+            g = eval_map(theta, x_n)
+            draws = np.empty((N_KERNEL, 2))
+            for t in range(N_KERNEL):
+                update_future(state, data, prior, rng, config)
+                draws[t] = state.future[0]
+            assert abs(draws[:, 0].mean() - g) < 3.0 * batch_means_se(draws[:, 0])
+            sq = (draws[:, 0] - g) ** 2
+            assert abs(sq.mean() - 1 / tau) < 3.0 * batch_means_se(sq)
+            g_next = eval_map(theta, g + nodes / math.sqrt(tau))
+            mean2 = weights @ g_next
+            var2 = weights @ (g_next - mean2) ** 2 + 1 / tau
+            assert abs(draws[:, 1].mean() - mean2) < 3.0 * batch_means_se(draws[:, 1])
+            sq2 = (draws[:, 1] - mean2) ** 2
+            assert abs(sq2.mean() - var2) < 3.0 * batch_means_se(sq2)
+
+    @pytest.mark.parametrize("taus, fallback_share", [
+        ((2.0, 2.0), (0.01, 0.05)),
+        ((2.0, 2e5), (0.9, 0.97)),
+    ], ids=["proposals", "fallback"])
+    def test_one_update_from_the_joint_keeps_it(self, taus, fallback_share, monkeypatch):
+        # linear map: (x_{n+1}, x_{n+2}) is Gaussian. N_KERNEL independent
+        # states start from exact joint draws and take one update each. The
+        # redrawn pair, and the new x_{n+1} with the old x_{n+2}, must follow
+        # the joint. With tau_2 = 2e5 almost no proposal is accepted, so the
+        # slice fallback does most updates; a long chain there would only
+        # show Gibbs coupling (correlation ~0.99999), so one step is tested.
+        a, x_n = 0.8, -0.5
+        tau1, tau2 = taus
         state, data = single_series_state(
-            [0.2, -0.5], [0.0, a], [2.0], horizon=2, future=[0.0, 0.0]
+            [0.2, x_n], [0.0, a], [50.0, tau1, tau2], horizon=2, d=[1, 1, 2, 3]
         )
         prior = make_prior(1, R=1, horizon=np.array([2]))
         config = GibbsConfig(iterations=1, slice_width=0.5)
-        rng = RngHandle(52)
-        g = a * -0.5
-        draws = np.empty((N_KERNEL, 2))
+        joint = np.random.default_rng(61)
+        old1 = a * x_n + joint.standard_normal(N_KERNEL) / math.sqrt(tau1)
+        old2 = a * old1 + joint.standard_normal(N_KERNEL) / math.sqrt(tau2)
+        fallbacks = []
+        monkeypatch.setattr(gibbs, "slice_sample_1d",
+                            lambda *args: fallbacks.append(1) or slice_sample_1d(*args))
+        rng = RngHandle(62)
+        new = np.empty((N_KERNEL, 2))
         for t in range(N_KERNEL):
+            state.future[0] = np.array([old1[t], old2[t]])
             update_future(state, data, prior, rng, config)
-            draws[t] = state.future[0]
-        se1 = batch_means_se(draws[:, 0])
-        assert abs(draws[:, 0].mean() - g) < 3.0 * se1
-        sq = (draws[:, 0] - g) ** 2
-        assert abs(sq.mean() - 0.5) < 3.0 * batch_means_se(sq)
-        var2 = a ** 2 * 0.5 + 0.5
-        assert abs(draws[:, 1].mean() - a * g) < 3.0 * batch_means_se(draws[:, 1])
-        sq2 = (draws[:, 1] - a * g) ** 2
-        assert abs(sq2.mean() - var2) < 3.0 * batch_means_se(sq2)
+            new[t] = state.future[0]
+        low, high = fallback_share
+        assert low <= len(fallbacks) / N_KERNEL <= high
+        assert (new[:, 0] != old1).mean() > 0.99  # no update keeps its point
+        mean1, var1 = a * x_n, 1 / tau1
+        mean2, var2, cov = a * mean1, a ** 2 * var1 + 1 / tau2, a * var1
+        for draws, mean, var in ((new[:, 0], mean1, var1), (new[:, 1], mean2, var2)):
+            assert abs(draws.mean() - mean) < 4.0 * math.sqrt(var / N_KERNEL)
+            assert abs(((draws - mean) ** 2).mean() / var - 1) < 4.0 * math.sqrt(2 / N_KERNEL)
+        for x, y in ((new[:, 0], new[:, 1]), (new[:, 0], old2)):
+            cross = ((x - mean1) * (y - mean2)).mean()
+            assert abs(cross - cov) < 4.0 * math.sqrt((var1 * var2 + cov ** 2) / N_KERNEL)
+
+    @pytest.mark.parametrize("tau_override", [None, 2.0], ids=["mixture", "common"])
+    def test_mixed_horizons_follow_the_point_loop(self, tau_override):
+        # horizons (0, 1, 4): the flat two-class kernel must give the
+        # point-by-point loop's futures bit for bit from equal generators
+        rng = RngHandle(71)
+        specs = [(NAMED_MAPS[name], NoiseMixtureSpec((0.7, 0.3), (1e-4, 1e-2)), 20, 0.3)
+                 for name in ("Q1", "Q2", "Q3")]
+        data = simulate_multi(specs, [0, 1, 4], rng)
+        prior = make_prior(3, R=2, horizon=np.array([0, 1, 4]))
+        state = init_chain(data, prior, rng)
+        config = GibbsConfig(iterations=1)
+        for _ in range(3):
+            sweep(state, data, prior, config, rng)
+        for _ in range(20):
+            expected, loop_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
+            untouched = state.future[0]
+            update_future(state, data, prior, rng, config, tau_override)
+            loop_update_future(expected, data, loop_rng, config, tau_override)
+            assert [f.size for f in state.future] == [0, 1, 4]
+            assert state.future[0] is untouched
+            assert all(np.array_equal(f, e) for f, e in zip(state.future, expected.future))
+            assert rng.get_state() == loop_rng.get_state()
+            update_alloc_block(state, data, prior, rng)  # move on to new precisions
+
+    def test_unit_horizons_draw_one_scalar_normal_per_series(self):
+        state, data, prior, rng = random_fixture(8)
+        assert [f.size for f in state.future] == [1, 1]
+        gen = RngHandle.from_state(rng.get_state()).generator
+        expected = []
+        for j in range(state.m):
+            delta, d = state.alloc.delta[j][-1], state.alloc.d[j][-1]
+            tau = float(state.atoms.values[state.atoms.index[j, delta], d - 1])
+            expected.append([gen.normal(eval_map(state.theta[j].tolist(), float(data.series[j][-1])),
+                                        tau ** -0.5)])
+        update_future(state, data, prior, rng, GibbsConfig(iterations=1))
+        assert [f.tolist() for f in state.future] == expected
+        assert rng.generator.bit_generator.state == gen.bit_generator.state
 
     def test_zero_horizon_is_a_no_op(self):
         state, data = single_series_state([0.2, -0.4], [0.0, 1.5], [4.0])

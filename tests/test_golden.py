@@ -15,10 +15,16 @@ import pytest
 
 from pdgsbr import cli
 
+# experiment, sampler, selection prior, sampler overrides, and the chain's
+# horizon per series (None keeps the config's). The horizon-3 case pins the
+# interior out-of-sample kernel, which no bundled config reaches; its data
+# keep their bundled horizon (simulated with 3 held-out points per series,
+# 4A's second series leaves the map's basin at this data seed).
 CASES = {
-    "4a-strong": ("4a", "pdgsbr", "dirichlet_alpha_strong", {}),
-    "4c-checkpointed": ("4c", "pdgsbr", "dirichlet_alpha_strong", {"checkpoint_interval": 40}),
-    "4a-parametric": ("4a", "parametric", "dirichlet_alpha", {}),
+    "4a-strong": ("4a", "pdgsbr", "dirichlet_alpha_strong", {}, None),
+    "4c-checkpointed": ("4c", "pdgsbr", "dirichlet_alpha_strong", {"checkpoint_interval": 40}, None),
+    "4a-parametric": ("4a", "parametric", "dirichlet_alpha", {}, None),
+    "4a-parametric-h3": ("4a", "parametric", "dirichlet_alpha", {}, 3),
 }
 
 # SHA-256 of each pinned file in the run directory, per case.
@@ -37,6 +43,10 @@ GOLDEN = {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
             "trace.csv": "34db92af87a7f01f13831258e292006a215fcc4f69b72ce702903465a5cc651e",
         },
+        "4a-parametric-h3": {
+            "trace.jsonl": "373e1aee80c8ee3f85620ebe081e43a74027cd50e335caca5956f31b3e32edd0",
+            "trace.csv": "7d3f188692c33c53e0fd82da493be20fc1309c5168cc05a276ae5132c143f083",
+        },
     },
 }
 
@@ -48,8 +58,10 @@ def test_trace_matches_golden_digest(case, tmp_path):
     digests = GOLDEN.get(NUMPY_MINOR)
     if digests is None:
         pytest.skip(f"no golden digests for numpy {NUMPY_MINOR}")
-    experiment, sampler, alpha_key, overrides = CASES[case]
+    experiment, sampler, alpha_key, overrides, horizon = CASES[case]
     doc = cli.bundled_config(experiment)
+    if horizon is not None:
+        doc["prior"]["horizon"] = [horizon] * len(doc["data"]["maps"])
     doc["sampler"].update(iterations=100, burn_in=20, thinning=1, **overrides)
     cli.cmd_simulate(doc, tmp_path / "data")
     cli.cmd_run(doc, tmp_path / "data" / "data.json", tmp_path / "run", sampler=sampler,
