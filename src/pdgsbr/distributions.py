@@ -143,8 +143,8 @@ def slice_sample_1d(
     The stepping-out interval is expanded by at most ``max_stepout`` widths in
     total (split randomly between the two sides, Neal 2003) and is always
     clipped to [lo, hi]. Leaves the normalized target invariant; suitable for
-    the multimodal polynomial-exponent targets of the initial-condition and
-    interior out-of-sample kernels.
+    the multimodal polynomial-exponent target of the initial-condition
+    kernel.
     """
     if not lo < hi:
         raise ParameterDomainError(f"empty support [{lo}, {hi}]")

@@ -3,8 +3,9 @@
 One sweep applies, in a fixed documented order: the (d, delta) block, the
 slice bounds N (with atom growth), the precisions, the selection rows, the
 geometric probabilities, the control parameters, the initial conditions, the
-out-of-sample points, and finally the noise-predictive draws. Any fixed scan
-order is a valid Gibbs sampler; fixing it makes traces reproducible.
+out-of-sample paths (one block each), and finally the noise-predictive draws.
+Any fixed scan order is a valid Gibbs sampler; fixing it makes traces
+reproducible.
 
 The precisions span many orders of magnitude, so linear-space mixture
 weights underflow. The allocation block draws in log space by Gumbel-max,
@@ -42,15 +43,6 @@ from .model import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Support of the interior out-of-sample points (their flat prior needs a
-# bounded one; orbits of interest live deep inside it).
-FUTURE_SUPPORT = (-1e6, 1e6)
-
-# Proposals per interior out-of-sample point and update (see update_future).
-# On 4a-parametric-h20 about 3-6 % of updates find none accepted and fall
-# back to a slice transition (five 1 000-sweep chains, 38 000 updates each).
-FUTURE_PROPOSALS = 16
 
 # Condition-number threshold beyond which a control-parameter draw refuses to
 # proceed; silently regularizing would change the stated model.
@@ -138,13 +130,11 @@ def residuals(state: ChainState, data: MultiSeries) -> np.ndarray:
     return (nxt - eval_map(np.asarray(state.theta).T[:, series], prev)) ** 2
 
 
-def _point_target(coefficients, tau_in, g_prev, tau_out, x_next):
-    """Log full conditional of a latent point v between x_prev and x_next:
-    -1/2 (tau_in (v - g(x_prev))^2 + tau_out (x_next - g(v))^2). The initial
-    condition has no predecessor: tau_in = 0."""
+def _point_target(coefficients, tau, x_next):
+    """Log full conditional of an initial condition v, which has no
+    predecessor: -1/2 tau (x_next - g(v))^2."""
     def log_f(v):
-        return -0.5 * (tau_in * (v - g_prev) ** 2
-                       + tau_out * (x_next - eval_map(coefficients, v)) ** 2)
+        return -0.5 * tau * (x_next - eval_map(coefficients, v)) ** 2
     return log_f
 
 
@@ -368,7 +358,7 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     _, first = point_layout(state)
     taus = _tau_per_point(state, tau_override)[first].tolist()  # each series' first point
     for j in range(state.m):
-        log_f = _point_target(state.theta[j].tolist(), 0.0, 0.0, taus[j], float(data.series[j][0]))
+        log_f = _point_target(state.theta[j].tolist(), taus[j], float(data.series[j][0]))
         lo, hi = prior.x0_support[j].tolist()
         current = min(max(float(state.x0[j]), lo), hi)
         state.x0[j] = slice_sample_1d(log_f, lo, hi, current,
@@ -376,75 +366,51 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     return state
 
 
-def _redraw_interior(state: ChainState, data: MultiSeries, config: GibbsConfig,
-                     rng: RngHandle, tau: np.ndarray) -> None:
-    """The interior out-of-sample points of ``update_future``, odd k then even
-    k, on the flat point layout; ``tau`` holds every point's precision."""
-    lo, hi = FUTURE_SUPPORT
-    gen = rng.generator
-    series, first = point_layout(state)
-    _, x = _path_points(state, data, first)  # x[p] is the value of point p
-    horizon = np.array([f.size for f in state.future])
-    start = first + data.lengths  # each series' first out-of-sample point
-    k = np.arange(series.size) - start[series] + 1  # point p is x_{j,n_j+k}
-    interior = (k >= 1) & (k < horizon[series])
-    coef = np.asarray(state.theta).T  # (R + 1, m)
-    for parity in (1, 0):
-        q = np.flatnonzero(interior & (k % 2 == parity))
-        if q.size == 0:
-            continue
-        c = coef[:, series[q]]
-        g_prev = eval_map(c, x[q - 1])
-        v = g_prev[:, None] + (gen.standard_normal((q.size, FUTURE_PROPOSALS))
-                               / np.sqrt(tau[q])[:, None])
-        with np.errstate(over="ignore", invalid="ignore"):
-            misfit = tau[q + 1, None] * (x[q + 1, None] - eval_map(c[:, :, None], v)) ** 2
-        accept = (gen.random(v.shape) < np.exp(-0.5 * misfit)) & (v >= lo) & (v <= hi)
-        hit = accept.any(axis=1)
-        x[q[hit]] = v[hit, accept[hit].argmax(axis=1)]
-        for i in np.flatnonzero(~hit).tolist():  # fallback: one slice transition
-            p = int(q[i])
-            log_f = _point_target(c[:, i].tolist(), float(tau[p]), float(g_prev[i]),
-                                  float(tau[p + 1]), float(x[p + 1]))
-            x[p] = slice_sample_1d(log_f, lo, hi, min(max(float(x[p]), lo), hi),
-                                   config.slice_width, config.max_stepout, rng)
-    for j in np.flatnonzero(horizon).tolist():
-        state.future[j] = x[start[j]:start[j] + horizon[j]]
-
-
 def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
                   rng: RngHandle, config: GibbsConfig,
                   tau_override: Optional[float] = None) -> ChainState:
-    """Redraw the out-of-sample points x_{j,n_j+1..n_j+T_j} of every series.
+    """Redraw each series' out-of-sample path x_{j,n_j+1..n_j+T_j} as one block.
 
-    Given the rest of the path, the interior points k = 1..T_j - 1 with odd k
-    are conditionally independent of each other, and so are those with even
-    k: all series' odd points are redrawn in one vectorized pass, then all
-    even ones. Point k's full conditional (``_point_target``) is its Gaussian
-    factor N(g_j(x_{k-1}), 1/tau_k) times exp(-tau_{k+1}/2 (x_{k+1} - g_j(v))^2)
-    on FUTURE_SUPPORT. It draws FUTURE_PROPOSALS proposals from the Gaussian
-    factor, accepts each with probability the second factor and takes the
-    first accepted: an exact draw from the conditional. A point with none
-    accepted takes one slice transition instead. Whether any proposal is
-    accepted does not depend on the current value, so the update mixes two
-    kernels that both leave the conditional invariant (Tierney 1994).
+    Nothing after the path is observed, so given the rest of the chain its
+    full conditional is the forward Markov chain x_{n+k} ~ N(g_j(x_{n+k-1}),
+    1/tau_k), k = 1..T_j, restricted to the series' state support
+    ``prior.x0_support[j]``. A forward pass draws a path from that chain, and
+    the path is kept iff every point lies in the support; otherwise the old
+    path stays. This is an independence Metropolis-Hastings step whose
+    acceptance ratio is the support indicator, so it is exact (Tierney 1994).
 
-    Then each terminal point is an exact normal draw given its predecessor,
-    one scalar call per series in series order.
+    One standard_normal(sum T_j) call serves all series, series by series
+    with k ascending; each step is g_j(x) + tau_k^-1/2 z in Python floats,
+    which gives the draws of scalar ``Generator.normal`` calls bit for bit.
+    ``config`` is unused; callers pass it as they do to ``update_x0``.
     """
-    live = [j for j, f in enumerate(state.future) if f.size]
-    if not live:
+    horizon = [f.size for f in state.future]
+    total = sum(horizon)
+    if not total:
         return state
-    series, first = point_layout(state)
-    tau_all = _tau_per_point(state, tau_override)
-    if any(state.future[j].size > 1 for j in live):
-        _redraw_interior(state, data, config, rng, tau_all)
-    last = [*(first[1:] - 1).tolist(), series.size - 1]  # each series' last point
-    for j in live:
-        x = state.future[j].copy()
-        mean = eval_map(state.theta[j].tolist(), float(x[-2] if x.size > 1 else data.series[j][-1]))
-        x[-1] = rng.generator.normal(mean, float(tau_all[last[j]]) ** -0.5)
-        state.future[j] = x
+    if tau_override is not None:
+        sd = [float(tau_override) ** -0.5] * total
+    else:  # the future points' precisions only
+        delta = np.concatenate([a[n:] for a, n in zip(state.alloc.delta, data.lengths)])
+        d = np.concatenate([a[n:] for a, n in zip(state.alloc.d, data.lengths)])
+        rows = state.atoms.index[np.repeat(np.arange(state.m), horizon), delta]
+        sd = [t ** -0.5 for t in state.atoms.values[rows, d - 1].tolist()]
+    z = rng.generator.standard_normal(total).tolist()
+    k = 0
+    for j, steps in enumerate(horizon):
+        if not steps:
+            continue
+        coefficients = state.theta[j].tolist()
+        lo, hi = prior.x0_support[j].tolist()
+        x, path = float(data.series[j][-1]), []
+        for noise, scale in zip(z[k:k + steps], sd[k:k + steps]):
+            x = eval_map(coefficients, x) + scale * noise
+            if not lo <= x <= hi:
+                break
+            path.append(x)
+        else:
+            state.future[j] = np.array(path)
+        k += steps
     return state
 
 

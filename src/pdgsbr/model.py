@@ -46,9 +46,9 @@ def as_int(value) -> int:
 class PriorConfig:
     """Every fixed hyperparameter of the hierarchical model.
 
-    Flat (improper) priors are used for the control parameters and the
-    initial conditions; x0_support bounds the slice-sampling window for the
-    latter.
+    Flat priors are used for the control parameters (improper) and for the
+    unobserved states x_{j0} and x_{j,n_j+1..n_j+T_j}, which are uniform on
+    x0_support[j], series j's state support.
     """
 
     m: int
@@ -59,7 +59,7 @@ class PriorConfig:
     gamma_b: float = 1e-3
     poly_degree: int = 5
     horizon: Optional[np.ndarray] = None  # T_j per series, default 1
-    x0_support: Optional[np.ndarray] = None  # (lo, hi) per series, default [-5, 5]
+    x0_support: Optional[np.ndarray] = None  # state support (lo, hi) per series, default [-5, 5]
 
     def __post_init__(self):
         m = self.m
@@ -185,7 +185,6 @@ class ChainState:
     x0: np.ndarray  # per series initial condition
     future: list  # per series: array of T_j out-of-sample values
     iteration: int = 0
-    init_fallback: Optional[list] = None  # True where OLS init was singular
     tau_common: Optional[float] = None  # only used by the parametric baseline
 
     @property
@@ -215,7 +214,6 @@ class ChainState:
             x0=np.asarray(doc["x0"], dtype=float),
             future=[np.asarray(f, dtype=float) for f in doc["future"]],
             iteration=doc["iteration"],
-            init_fallback=doc.get("init_fallback"),
             tau_common=doc.get("tau_common"),
         )
 
@@ -331,8 +329,9 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
 
     The model is silent about initialization; any finite start is valid under
     the flat priors, and least squares shortens burn-in considerably. A
-    singular design falls back to theta = 0, with a logged warning and a
-    per-series flag.
+    singular design falls back to theta = 0, with a logged warning. The
+    out-of-sample path starts on the least-squares orbit, a point outside
+    the state support replaced by the last observation.
     """
     m = data.m
     if prior.m != m:
@@ -344,7 +343,7 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     lam = np.empty((m, m))
     lam[upper] = lam[upper[::-1]] = draw_beta(prior.beta_a[upper], prior.beta_b[upper], rng)
 
-    theta, fallback, sq_resid = [], [], []
+    theta, sq_resid = [], []
     for j in range(m):
         x = data.series[j]
         design = np.vander(x[:-1], R + 1, increasing=True)
@@ -352,10 +351,8 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         if rank < R + 1 or not np.all(np.isfinite(coeffs)):
             logger.warning("series %d: singular least-squares start; theta starts at 0", j + 1)
             theta.append(np.zeros(R + 1))
-            fallback.append(True)
         else:
             theta.append(coeffs)
-            fallback.append(False)
         sq_resid.append((x[1:] - design @ theta[j]) ** 2)
 
     # Initial atoms matched to the least-squares residual scales. Base-measure
@@ -384,16 +381,17 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     future = []
     for j in range(m):
         vals, x = [], float(data.series[j][-1])
+        lo, hi = prior.x0_support[j].tolist()
         for _ in range(int(prior.horizon[j])):
             x = eval_map(theta[j], x)
-            if not np.isfinite(x) or abs(x) > 1e6:  # keep the start numerically tame
+            if not lo <= x <= hi:
                 x = float(data.series[j][-1])
             vals.append(x)
         future.append(np.asarray(vals))
 
     state = ChainState(
         atoms=atoms, alloc=alloc, p=p, lam=lam, theta=theta, x0=x0,
-        future=future, iteration=0, init_fallback=fallback,
+        future=future, iteration=0,
     )
     state.validate()
     return state

@@ -6,27 +6,16 @@ transition mixture it must marginalize to, term by term, so the tests can sum
 one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
 whose random stream the vectorized chain keeps bit for bit, and the
-out-of-sample kernel point by point.
+out-of-sample kernel point by point with scalar normal draws.
 """
 
 import math
 
 import numpy as np
 
-from pdgsbr.distributions import (
-    draw_beta,
-    draw_dirichlet,
-    draw_truncated_geometric,
-    slice_sample_1d,
-)
+from pdgsbr.distributions import draw_beta, draw_dirichlet, draw_truncated_geometric
 from pdgsbr.dynamics import eval_map
-from pdgsbr.gibbs import (
-    FUTURE_PROPOSALS,
-    FUTURE_SUPPORT,
-    SLICE_BOUND_CAP,
-    _point_target,
-    pool_pairs,
-)
+from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
 from pdgsbr.model import ensure_atoms
 
 
@@ -142,52 +131,25 @@ def loop_update_geometric_probs(state, prior, rng):
     return state
 
 
-def loop_update_future(state, data, rng, config, tau_override=None):
-    """update_future point by point on each series' path x_{j,n_j..n_j+T_j}.
-
-    For odd k, then even k, the proposal normals and uniforms of all interior
-    points of that class (series order, then k) are drawn as two blocks; each
-    point takes its first accepted proposal, and the points with none then
-    take one slice transition each, in the same order. Last, one normal per
-    terminal point, in series order.
-    """
-    lo, hi = FUTURE_SUPPORT
-    gen = rng.generator
-    paths, taus = [], []
+def loop_update_future(state, data, prior, rng, tau_override=None):
+    """update_future series by series and point by point: each path draws
+    one ``Generator.normal`` per point, x_k ~ N(g_j(x_{k-1}), 1/tau_k) from
+    x_{j,n_j}, and replaces the old path only if every point lies in
+    ``prior.x0_support[j]``."""
     for j in range(state.m):
-        paths.append([float(data.series[j][-1])] + state.future[j].tolist())
-        n = data.lengths[j]  # the path's points are points n_j..n_j+T_j, 1-based
-        if tau_override is not None:
-            taus.append([tau_override] * len(paths[j]))
-        else:
-            delta, d = state.alloc.delta[j][n - 1:], state.alloc.d[j][n - 1:]
-            taus.append(state.atoms.values[state.atoms.index[j, delta], d - 1].tolist())
-    for parity in (1, 0):
-        points = [(j, k) for j in range(state.m) for k in range(1, len(paths[j]) - 1)
-                  if k % 2 == parity]
-        if not points:
+        n, horizon = data.lengths[j], state.future[j].size
+        if not horizon:
             continue
-        z = gen.standard_normal((len(points), FUTURE_PROPOSALS))
-        u = gen.random((len(points), FUTURE_PROPOSALS))
-        misses = []
-        for (j, k), z_row, u_row in zip(points, z.tolist(), u.tolist()):
-            xs, tau, theta = paths[j], taus[j], state.theta[j].tolist()
-            g_prev = eval_map(theta, xs[k - 1])
-            for zi, ui in zip(z_row, u_row):
-                v = g_prev + zi / math.sqrt(tau[k])
-                misfit = tau[k + 1] * (xs[k + 1] - eval_map(theta, v)) ** 2
-                if ui < math.exp(-0.5 * misfit) and lo <= v <= hi:
-                    xs[k] = v
-                    break
-            else:
-                misses.append((j, k, g_prev))
-        for j, k, g_prev in misses:
-            xs, tau = paths[j], taus[j]
-            log_f = _point_target(state.theta[j].tolist(), tau[k], g_prev, tau[k + 1], xs[k + 1])
-            xs[k] = slice_sample_1d(log_f, lo, hi, min(max(xs[k], lo), hi),
-                                    config.slice_width, config.max_stepout, rng)
-    for j, xs in enumerate(paths):
-        if len(xs) > 1:
-            xs[-1] = gen.normal(eval_map(state.theta[j].tolist(), xs[-2]), taus[j][-1] ** -0.5)
-            state.future[j] = np.asarray(xs[1:])
+        if tau_override is not None:
+            taus = [tau_override] * horizon
+        else:
+            delta, d = state.alloc.delta[j][n:], state.alloc.d[j][n:]
+            taus = state.atoms.values[state.atoms.index[j, delta], d - 1].tolist()
+        x, path = float(data.series[j][-1]), []
+        for tau in taus:
+            x = rng.generator.normal(eval_map(state.theta[j].tolist(), x), tau ** -0.5)
+            path.append(x)
+        lo, hi = prior.x0_support[j]
+        if all(lo <= v <= hi for v in path):
+            state.future[j] = np.asarray(path)
     return state

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2, chisquare
 
 from pdgsbr import cli, gibbs
-from pdgsbr.distributions import RngHandle, slice_sample_1d
+from pdgsbr.distributions import RngHandle
 from pdgsbr.dynamics import (
     NAMED_MAPS,
     MultiSeries,
@@ -68,6 +68,29 @@ def batch_means_se(samples, n_batches=100):
     size = len(samples) // n_batches
     means = samples[: size * n_batches].reshape(n_batches, size).mean(axis=1)
     return means.std(ddof=1) / math.sqrt(n_batches)
+
+
+def forward_paths_in_support(theta, x_n, taus, support, size=400_000, seed=53):
+    """Rejection-sampled reference law of an out-of-sample path: forward-chain
+    paths x_k = g(x_{k-1}) + N(0, 1/tau_k) from x_n, kept iff every point
+    lies in ``support``. Returns the kept paths and the share cut off."""
+    gen = np.random.default_rng(seed)
+    paths = np.empty((size, len(taus)))
+    x = np.full(size, x_n)
+    for k, tau in enumerate(taus):
+        x = paths[:, k] = eval_map(theta, x) + gen.standard_normal(size) / math.sqrt(tau)
+    lo, hi = support
+    inside = np.all((paths >= lo) & (paths <= hi), axis=1)
+    return paths[inside], 1.0 - inside.mean()
+
+
+def path_moments(found, expected):
+    """(found, expected) sample pairs of the first and second moments of a
+    two-point path: x1, x2, x1^2, x2^2 and x1 x2."""
+    def stats(paths):
+        x1, x2 = paths.T
+        return x1, x2, x1 ** 2, x2 ** 2, x1 * x2
+    return list(zip(stats(found), stats(expected)))
 
 
 def make_prior(m, R=5, **kw):
@@ -621,100 +644,150 @@ class TestFutureKernel:
         sq = (draws - mean) ** 2
         assert abs(sq.mean() - 0.25) < 4.0 * sq.std() / math.sqrt(N_KERNEL)
 
-    def test_interior_point_marginal_oracle(self):
-        # nothing after x_{n+2} is observed, so whatever g is, the interior
-        # point is marginally N(g(x_n), 1/tau) and the terminal one has the
-        # moments of g(x_{n+1}) + N(0, 1/tau) (Gauss-Hermite quadrature)
+    @pytest.mark.parametrize("theta, rejected", [
+        ([0.0, 0.8], (0.0, 0.0)),
+        (list(NAMED_MAPS["Q1"][:3]), (0.02, 0.05)),
+    ], ids=["linear", "quadratic"])
+    def test_path_follows_the_forward_chain_in_the_support(self, theta, rejected):
+        # nothing after x_{n+2} is observed, so the path's law is the forward
+        # chain from x_n restricted to the support [-5, 5]; under Q1 at
+        # tau = 2 the support cuts off about 3 % of the chain's paths
         tau, x_n = 2.0, -0.5
-        nodes, weights = np.polynomial.hermite_e.hermegauss(40)
-        weights /= weights.sum()
-        for theta in ([0.0, 0.8], list(NAMED_MAPS["Q1"][:3])):  # linear, quadratic
-            state, data = single_series_state(
-                [0.2, x_n], theta, [tau], horizon=2, future=[0.0, 0.0]
-            )
-            prior = make_prior(1, R=len(theta) - 1, horizon=np.array([2]))
-            config = GibbsConfig(iterations=1, slice_width=0.5)
-            rng = RngHandle(52)
-            g = eval_map(theta, x_n)
-            draws = np.empty((N_KERNEL, 2))
-            for t in range(N_KERNEL):
-                update_future(state, data, prior, rng, config)
-                draws[t] = state.future[0]
-            assert abs(draws[:, 0].mean() - g) < 3.0 * batch_means_se(draws[:, 0])
-            sq = (draws[:, 0] - g) ** 2
-            assert abs(sq.mean() - 1 / tau) < 3.0 * batch_means_se(sq)
-            g_next = eval_map(theta, g + nodes / math.sqrt(tau))
-            mean2 = weights @ g_next
-            var2 = weights @ (g_next - mean2) ** 2 + 1 / tau
-            assert abs(draws[:, 1].mean() - mean2) < 3.0 * batch_means_se(draws[:, 1])
-            sq2 = (draws[:, 1] - mean2) ** 2
-            assert abs(sq2.mean() - var2) < 3.0 * batch_means_se(sq2)
+        state, data = single_series_state([0.2, x_n], theta, [tau], horizon=2, future=[0.0, 0.0])
+        prior = make_prior(1, R=len(theta) - 1, horizon=np.array([2]))
+        reference, cut = forward_paths_in_support(theta, x_n, [tau, tau], prior.x0_support[0])
+        assert rejected[0] <= cut <= rejected[1]
+        rng = RngHandle(52)
+        draws = np.empty((N_KERNEL, 2))
+        for t in range(N_KERNEL):
+            update_future(state, data, prior, rng, GibbsConfig(iterations=1))
+            draws[t] = state.future[0]
+        assert np.all(np.abs(draws) <= 5.0)
+        for found, expected in path_moments(draws, reference):
+            bound = 4.0 * math.hypot(batch_means_se(found),
+                                     expected.std() / math.sqrt(expected.size))
+            assert abs(found.mean() - expected.mean()) < bound
 
-    @pytest.mark.parametrize("taus, fallback_share", [
-        ((2.0, 2.0), (0.01, 0.05)),
-        ((2.0, 2e5), (0.9, 0.97)),
-    ], ids=["proposals", "fallback"])
-    def test_one_update_from_the_joint_keeps_it(self, taus, fallback_share, monkeypatch):
-        # linear map: (x_{n+1}, x_{n+2}) is Gaussian. N_KERNEL independent
-        # states start from exact joint draws and take one update each. The
-        # redrawn pair, and the new x_{n+1} with the old x_{n+2}, must follow
-        # the joint. With tau_2 = 2e5 almost no proposal is accepted, so the
-        # slice fallback does most updates; a long chain there would only
-        # show Gibbs coupling (correlation ~0.99999), so one step is tested.
+    def test_one_update_from_the_truncated_joint_keeps_it(self):
+        # N_KERNEL independent states start from exact draws of the
+        # truncated joint of (x_{n+1}, x_{n+2}) under Q1 and take one update
+        # each; the new paths must follow that joint, and a path is kept
+        # about as often as the support cuts a forward path off
+        tau, x_n, theta = 2.0, -0.5, list(NAMED_MAPS["Q1"][:3])
+        state, data = single_series_state([0.2, x_n], theta, [tau], horizon=2)
+        prior = make_prior(1, R=2, horizon=np.array([2]))
+        reference, cut = forward_paths_in_support(theta, x_n, [tau, tau], prior.x0_support[0])
+        old, reference = reference[:N_KERNEL], reference[N_KERNEL:]
+        rng = RngHandle(63)
+        new = np.empty((N_KERNEL, 2))
+        for t in range(N_KERNEL):
+            state.future[0] = old[t].copy()
+            update_future(state, data, prior, rng, GibbsConfig(iterations=1))
+            new[t] = state.future[0]
+        kept = np.all(new == old, axis=1).mean()
+        assert abs(kept - cut) < 4.0 * math.sqrt(cut / N_KERNEL)
+        for found, expected in path_moments(new, reference):
+            bound = 4.0 * math.hypot(found.std() / math.sqrt(N_KERNEL),
+                                     expected.std() / math.sqrt(expected.size))
+            assert abs(found.mean() - expected.mean()) < bound
+
+    def test_new_path_is_independent_of_the_old(self):
+        # linear map, precisions (2, 2e5): x_{n+1} and x_{n+2} are coupled
+        # with correlation about 0.99999, which froze point-wise updates. A
+        # block draw that the support never rejects moves every point, and
+        # the new path is uncorrelated with the old one
         a, x_n = 0.8, -0.5
-        tau1, tau2 = taus
         state, data = single_series_state(
-            [0.2, x_n], [0.0, a], [50.0, tau1, tau2], horizon=2, d=[1, 1, 2, 3]
+            [0.2, x_n], [0.0, a], [50.0, 2.0, 2e5], horizon=2, d=[1, 1, 2, 3]
         )
         prior = make_prior(1, R=1, horizon=np.array([2]))
-        config = GibbsConfig(iterations=1, slice_width=0.5)
         joint = np.random.default_rng(61)
-        old1 = a * x_n + joint.standard_normal(N_KERNEL) / math.sqrt(tau1)
-        old2 = a * old1 + joint.standard_normal(N_KERNEL) / math.sqrt(tau2)
-        fallbacks = []
-        monkeypatch.setattr(gibbs, "slice_sample_1d",
-                            lambda *args: fallbacks.append(1) or slice_sample_1d(*args))
+        old = np.empty((N_KERNEL, 2))
+        old[:, 0] = a * x_n + joint.standard_normal(N_KERNEL) / math.sqrt(2.0)
+        old[:, 1] = a * old[:, 0] + joint.standard_normal(N_KERNEL) / math.sqrt(2e5)
         rng = RngHandle(62)
         new = np.empty((N_KERNEL, 2))
         for t in range(N_KERNEL):
-            state.future[0] = np.array([old1[t], old2[t]])
-            update_future(state, data, prior, rng, config)
+            state.future[0] = old[t].copy()
+            update_future(state, data, prior, rng, GibbsConfig(iterations=1))
             new[t] = state.future[0]
-        low, high = fallback_share
-        assert low <= len(fallbacks) / N_KERNEL <= high
-        assert (new[:, 0] != old1).mean() > 0.99  # no update keeps its point
-        mean1, var1 = a * x_n, 1 / tau1
-        mean2, var2, cov = a * mean1, a ** 2 * var1 + 1 / tau2, a * var1
-        for draws, mean, var in ((new[:, 0], mean1, var1), (new[:, 1], mean2, var2)):
-            assert abs(draws.mean() - mean) < 4.0 * math.sqrt(var / N_KERNEL)
-            assert abs(((draws - mean) ** 2).mean() / var - 1) < 4.0 * math.sqrt(2 / N_KERNEL)
-        for x, y in ((new[:, 0], new[:, 1]), (new[:, 0], old2)):
-            cross = ((x - mean1) * (y - mean2)).mean()
-            assert abs(cross - cov) < 4.0 * math.sqrt((var1 * var2 + cov ** 2) / N_KERNEL)
+        assert np.all(new != old)
+        for x in new.T:
+            for y in old.T:
+                r = np.corrcoef(x, y)[0, 1]
+                assert abs(r) < 4.0 / math.sqrt(N_KERNEL)
+
+    def test_proposal_leaving_a_tight_support_keeps_the_path(self):
+        # g(x) = 2x from x_n = 0.04 with near-zero noise: the proposal's first
+        # point 0.08 lies in [-0.1, 0.1], its second 0.16 does not, so the
+        # whole old path stays; the draw still uses one normal per point
+        state, data = single_series_state([0.2, 0.04], [0.0, 2.0], [1e12], horizon=2,
+                                          future=[0.0, 0.05])
+        prior = make_prior(1, R=1, horizon=np.array([2]), x0_support=np.array([[-0.1, 0.1]]))
+        rng = RngHandle(73)
+        gen = RngHandle.from_state(rng.get_state()).generator
+        gen.standard_normal(2)
+        update_future(state, data, prior, rng, GibbsConfig(iterations=1))
+        assert state.future[0].tolist() == [0.0, 0.05]
+        assert rng.generator.bit_generator.state == gen.bit_generator.state
+
+    def test_tiny_precision_terminal_point_stays_in_the_support(self):
+        # a terminal point allocated to tau = 8e-6 proposes with sd ~350: it
+        # must stay in [-5, 5] and move only when a proposal lands there
+        state, data = single_series_state([0.2, -0.4], [0.0, 1.5], [8e-6], horizon=1,
+                                          future=[0.0])
+        prior = make_prior(1, R=1, horizon=np.array([1]))
+        rng = RngHandle(74)
+        draws = np.empty(2000)
+        for t in range(draws.size):
+            update_future(state, data, prior, rng, GibbsConfig(iterations=1))
+            draws[t] = state.future[0][0]
+        assert np.all(np.abs(draws) <= 5.0)
+        assert 0.0 < np.mean(np.diff(draws) != 0) < 0.05
+
+    def test_long_horizon_parametric_chain_stays_in_the_support(self):
+        # 4A with 20 held-out points per series: an unbounded forward draw
+        # runs away here and halts the chain with a singular theta design
+        doc = cli.bundled_config("4A")
+        doc["data"]["horizon"] = [20, 20]
+        specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
+        data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+        doc["prior"]["horizon"] = horizons
+        prior = cli.parse_prior_block(doc["prior"], data.m)
+        records = run_parametric_gaussian(data, prior, GibbsConfig(iterations=400, seed=75))
+        assert len(records) == 400
+        for record in records:
+            for f, (lo, hi) in zip(record.future, prior.x0_support):
+                assert f.size == 20 and np.all((f >= lo) & (f <= hi))
 
     @pytest.mark.parametrize("tau_override", [None, 2.0], ids=["mixture", "common"])
     def test_mixed_horizons_follow_the_point_loop(self, tau_override):
-        # horizons (0, 1, 4): the flat two-class kernel must give the
-        # point-by-point loop's futures bit for bit from equal generators
+        # horizons (0, 1, 4): the one-call forward pass must give the
+        # futures of a loop of scalar normal draws bit for bit from equal
+        # generators; the third series' tight support rejects some paths
         rng = RngHandle(71)
         specs = [(NAMED_MAPS[name], NoiseMixtureSpec((0.7, 0.3), (1e-4, 1e-2)), 20, 0.3)
                  for name in ("Q1", "Q2", "Q3")]
         data = simulate_multi(specs, [0, 1, 4], rng)
-        prior = make_prior(3, R=2, horizon=np.array([0, 1, 4]))
+        prior = make_prior(3, R=2, horizon=np.array([0, 1, 4]),
+                           x0_support=np.array([[-5.0, 5.0], [-5.0, 5.0], [-1.0, 0.7]]))
         state = init_chain(data, prior, rng)
         config = GibbsConfig(iterations=1)
         for _ in range(3):
             sweep(state, data, prior, config, rng)
+        kept = 0
         for _ in range(20):
             expected, loop_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
-            untouched = state.future[0]
+            untouched, before = state.future[0], state.future[2].copy()
             update_future(state, data, prior, rng, config, tau_override)
-            loop_update_future(expected, data, loop_rng, config, tau_override)
+            loop_update_future(expected, data, prior, loop_rng, tau_override)
             assert [f.size for f in state.future] == [0, 1, 4]
             assert state.future[0] is untouched
             assert all(np.array_equal(f, e) for f, e in zip(state.future, expected.future))
             assert rng.get_state() == loop_rng.get_state()
+            kept += np.array_equal(state.future[2], before)
             update_alloc_block(state, data, prior, rng)  # move on to new precisions
+        assert 0 < kept < 20
 
     def test_unit_horizons_draw_one_scalar_normal_per_series(self):
         state, data, prior, rng = random_fixture(8)

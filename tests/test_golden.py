@@ -16,10 +16,10 @@ import pytest
 from pdgsbr import cli
 
 # experiment, sampler, selection prior, sampler overrides, and the chain's
-# horizon per series (None keeps the config's). The horizon-3 case pins the
-# interior out-of-sample kernel, which no bundled config reaches; its data
-# keep their bundled horizon (simulated with 3 held-out points per series,
-# 4A's second series leaves the map's basin at this data seed).
+# horizon per series (None keeps the config's). The horizon-3 case pins
+# out-of-sample paths longer than one point, which no bundled config reaches;
+# its data keep their bundled horizon (simulated with 3 held-out points per
+# series, 4A's second series leaves the map's basin at this data seed).
 CASES = {
     "4a-strong": ("4a", "pdgsbr", "dirichlet_alpha_strong", {}, None),
     "4c-checkpointed": ("4c", "pdgsbr", "dirichlet_alpha_strong", {"checkpoint_interval": 40}, None),
@@ -37,15 +37,15 @@ GOLDEN = {
         "4c-checkpointed": {
             "trace.jsonl": "7aed6138bc1ca85e1631265bb03bb0f894f9a9be0ec7e3786c191a696d4ead42",
             "trace.csv": "7f0a9691d8006d9f20c946af6e628eed127d32e32da1be68ecdf1dbfac5788d9",
-            "checkpoint.json": "e9796d899de4e8543c9c433d2d7f67783719e821474e072487b8e89f729540ed",
+            "checkpoint.json": "3e36e570dfed0daaf44533529662c4c099081a897306c1f87494f4eccccd46c4",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
             "trace.csv": "34db92af87a7f01f13831258e292006a215fcc4f69b72ce702903465a5cc651e",
         },
         "4a-parametric-h3": {
-            "trace.jsonl": "373e1aee80c8ee3f85620ebe081e43a74027cd50e335caca5956f31b3e32edd0",
-            "trace.csv": "7d3f188692c33c53e0fd82da493be20fc1309c5168cc05a276ae5132c143f083",
+            "trace.jsonl": "e7eaefc9d500ead958d21505ff18d067c2eededf70dc44ddc97503657a32f122",
+            "trace.csv": "b7ef89f5caf9c562fd0e384c92d256d26968f44ff27ddb8583fc57ce297747ae",
         },
     },
 }

@@ -192,9 +192,11 @@ class TestEnsureAtoms:
 
 
 class TestInitChain:
-    def test_state_invariants(self):
+    def test_state_invariants(self, caplog):
         data, prior = small_data(), small_prior()
-        state = init_chain(data, prior, RngHandle(2))
+        with caplog.at_level(logging.WARNING, logger="pdgsbr.model"):
+            state = init_chain(data, prior, RngHandle(2))
+        assert not caplog.records  # no singular start
         assert state.m == 2
         assert np.allclose(state.p.sum(axis=1), 1.0)
         assert np.allclose(state.lam, state.lam.T)
@@ -209,7 +211,6 @@ class TestInitChain:
         # each x0 starts at a root of g_j(x0) = x_{j1}, a mode of its full conditional
         starts = [eval_map(state.theta[j], state.x0[j]) for j in range(2)]
         assert np.allclose(starts, [s[0] for s in data.series], atol=1e-9)
-        assert state.init_fallback == [False, False]
 
     def test_x0_starts_at_the_root_nearest_x1(self):
         # g(x) = x^3 - 3x meets x1 = 0 at 0 and +/- sqrt(3), and x1 = 1.5 at
@@ -239,10 +240,17 @@ class TestInitChain:
         prior = small_prior(m=1)
         with caplog.at_level(logging.WARNING, logger="pdgsbr.model"):
             state = init_chain(data, prior, RngHandle(4))
-        assert state.init_fallback == [True]
         assert [r.getMessage() for r in caplog.records] == [
             "series 1: singular least-squares start; theta starts at 0"]
         assert np.array_equal(state.theta[0], np.zeros(6))
+
+    def test_future_starts_inside_the_state_support(self):
+        # x_{i+1} = 2 x_i: the fitted orbit from 0.64 runs 1.28, 2.56, 5.12;
+        # 5.12 leaves [-5, 5], so that point restarts at the last observation
+        data = MultiSeries(series=[0.01 * 2.0 ** np.arange(7)])
+        prior = small_prior(m=1, poly_degree=1, horizon=[4])
+        state = init_chain(data, prior, RngHandle(4))
+        assert state.future[0] == pytest.approx([1.28, 2.56, 0.64, 1.28])
 
     def test_prior_data_mismatch(self):
         with pytest.raises(ValueError):
@@ -271,6 +279,20 @@ class TestCheckpoint:
         assert np.array_equal(back.atoms.index, state.atoms.index)
         # the restored generator continues the exact stream
         assert rng_back.generator.random() == rng.generator.random()
+
+    def test_checkpoint_with_a_dropped_key_still_loads(self, tmp_path):
+        # checkpoints once carried a per-series "init_fallback" flag list
+        data, prior = small_data(), small_prior()
+        rng = RngHandle(6)
+        state = init_chain(data, prior, rng)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, rng)
+        doc = json.loads(path.read_text())
+        doc["state"]["init_fallback"] = [False, True]
+        path.write_text(json.dumps(doc))
+        back, _, _ = load_checkpoint(path)
+        assert back.to_dict() == state.to_dict()
+        assert "init_fallback" not in back.to_dict()
 
     def test_interrupted_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         data, prior = small_data(), small_prior()
