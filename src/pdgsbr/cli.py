@@ -9,7 +9,6 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import importlib.resources
@@ -262,6 +261,10 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             resume = load_checkpoint(resume_path)[:2]  # (state, rng)
         if (resume[0].tau_common is not None) != (sampler == "parametric"):
             raise ConfigError(f"{resume_path} was written by another sampler than {sampler!r}")
+        done = max(resume[0].iteration - config.burn_in, 0) // config.thinning
+        if done >= (config.iterations - config.burn_in) // config.thinning:
+            raise ConfigError(f"{resume_path} is at sweep {resume[0].iteration}: the rest "
+                              f"of a {config.iterations}-sweep run keeps no sweep")
     records = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )
@@ -281,12 +284,24 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
 
 # --- report ----------------------------------------------------------------------
 
-def _write_grid_csv(path, grid_density) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file line by line: the ``header`` names, then each row of
+    ``rows`` (an iterable of str), comma-joined and CRLF-ended like
+    csv.writer's lines. No value here needs quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "density"])
-        for g, d in zip(grid_density.grid, grid_density.density):
-            writer.writerow([repr(float(g)), repr(float(d))])
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(row) + "\r\n")
+
+
+def _repr_rows(table: np.ndarray):
+    """Each row of a 2-D float array as the ``repr`` of its values."""
+    return (map(repr, row.tolist()) for row in table)
+
+
+def _write_grid_csv(path, grid_density) -> None:
+    _write_csv(path, ["grid", "density"],
+               _repr_rows(np.column_stack((grid_density.grid, grid_density.density))))
 
 
 def _kde_with_bounds(samples, bounds):
@@ -327,25 +342,20 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
 
     if data.maps_true is not None:
         table = pare_table(records, data)
-        with open(os.path.join(out_dir, "pare_table.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            degree = table["per_coefficient"].shape[1]
-            writer.writerow(["series"] + [f"theta_{r}" for r in range(degree)] + ["mean"])
-            for j in range(m):
-                writer.writerow([j + 1] + [f"{v:.6g}" for v in table["per_coefficient"][j]]
-                                + [f"{table['row_mean'][j]:.6g}"])
+        degree = table["per_coefficient"].shape[1]
+        _write_csv(os.path.join(out_dir, "pare_table.csv"),
+                   ["series"] + [f"theta_{r}" for r in range(degree)] + ["mean"],
+                   ([str(j + 1)] + [f"{v:.6g}" for v in table["per_coefficient"][j]]
+                    + [f"{table['row_mean'][j]:.6g}"] for j in range(m)))
         summary["mean_pare"] = {str(j + 1): float(table["row_mean"][j]) for j in range(m)}
 
     for j in range(m):
         theta_samples = np.asarray([r.theta[j] for r in records])
-        with open(os.path.join(out_dir, f"ergodic_theta_{j + 1}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"theta_{r}" for r in range(theta_samples.shape[1])])
-            running = np.column_stack(
-                [ergodic_average(theta_samples[:, r]) for r in range(theta_samples.shape[1])]
-            )
-            for row in running:
-                writer.writerow([repr(float(v)) for v in row])
+        running = np.column_stack(
+            [ergodic_average(theta_samples[:, r]) for r in range(theta_samples.shape[1])]
+        )
+        _write_csv(os.path.join(out_dir, f"ergodic_theta_{j + 1}.csv"),
+                   [f"theta_{r}" for r in range(theta_samples.shape[1])], _repr_rows(running))
 
         future_samples = [float(r.future[j][0]) for r in records if len(r.future[j])]
         try:

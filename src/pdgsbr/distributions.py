@@ -88,10 +88,12 @@ def draw_dirichlet(alpha: np.ndarray, rng: RngHandle) -> np.ndarray:
     return g / g.sum(axis=-1, keepdims=True)
 
 
-def draw_categorical(weights: np.ndarray, rng: RngHandle) -> int:
+def draw_categorical(weights: np.ndarray, rng: RngHandle, size=None):
     """Draw a zero-based index with probability proportional to ``weights``.
 
-    Weights need not be normalized; the draw is scale-invariant.
+    Weights need not be normalized; the draw is scale-invariant. With
+    ``size``, an int array of that many independent draws, which equals
+    ``size`` scalar calls: one uniform per draw, in order.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
@@ -102,8 +104,10 @@ def draw_categorical(weights: np.ndarray, rng: RngHandle) -> int:
     if total <= 0:
         raise DegenerateWeightsError("all weights are zero")
     cumulative = np.cumsum(weights)
-    u = rng.generator.random() * total
-    return int(min(np.searchsorted(cumulative, u, side="right"), weights.size - 1))
+    index = np.searchsorted(cumulative, rng.generator.random(size) * total, side="right")
+    if size is None:
+        return int(min(index, weights.size - 1))
+    return np.minimum(index, weights.size - 1)
 
 
 def draw_truncated_geometric(lam, min_value, rng: RngHandle):

@@ -79,8 +79,9 @@ class GibbsConfig:
             setattr(self, name, (as_int if kind is int else kind)(getattr(self, name)))
         if not (self.iterations > self.burn_in >= 0):
             raise ValueError("need iterations > burn_in >= 0")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+        if not 1 <= self.thinning <= self.iterations - self.burn_in:
+            raise ValueError("need 1 <= thinning <= iterations - burn_in, "
+                             "or the run keeps no sweep")
         if self.slice_width <= 0 or self.max_stepout < 1:
             raise ValueError("invalid slice-sampler tuning")
 

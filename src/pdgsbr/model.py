@@ -11,7 +11,7 @@ pair order, with a symmetric (m, m) pair-to-row index (see AtomTable).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import logging
 import os
@@ -232,9 +232,6 @@ class TraceRecord:
     n_star: Optional[int] = None  # atoms per pair row, N*
     tau_common: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return _plain(self)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TraceRecord":
         return cls(
@@ -250,31 +247,55 @@ class TraceRecord:
         )
 
     def flat_columns(self) -> dict:
-        """Flattened scalar columns, in a stable documented order."""
-        cols = {"iteration": self.iteration}
-        for j, t in enumerate(self.theta):
-            for r, v in enumerate(np.asarray(t)):
-                cols[f"theta_{j + 1}_{r}"] = float(v)
-        if self.p is not None:
-            m = np.asarray(self.p).shape[0]
-            for j in range(m):
-                for l in range(m):
-                    cols[f"p_{j + 1}_{l + 1}"] = float(self.p[j, l])
-            for j in range(m):
-                for l in range(j, m):
-                    cols[f"lam_{j + 1}_{l + 1}"] = float(self.lam[j, l])
-        for j, v in enumerate(np.asarray(self.x0)):
-            cols[f"x0_{j + 1}"] = float(v)
-        for j, f in enumerate(self.future):
-            for k, v in enumerate(np.asarray(f)):
-                cols[f"future_{j + 1}_{k + 1}"] = float(v)
-        for j, v in enumerate(np.asarray(self.z_pred)):
-            cols[f"z_pred_{j + 1}"] = float(v)
-        if self.n_star is not None:
-            cols["n_star"] = int(self.n_star)
-        if self.tau_common is not None:
-            cols["tau"] = float(self.tau_common)
-        return cols
+        """Flattened scalar columns, in the documented order of ``trace.csv``."""
+        blocks = _csv_blocks(_stack_fields([self]))
+        return {name: v for names, values in blocks for name, v in zip(names, values[0].tolist())}
+
+
+def _stack_fields(records) -> dict:
+    """Every TraceRecord field over ``records``, keyed and ordered like the
+    fields, each stacked into one array with the records along the first
+    axis (theta and future: one array per series). A field that is None in
+    the first record is None."""
+    first = records[0]
+
+    def stack(name, dtype=float):
+        if getattr(first, name) is None:
+            return None
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    def per_series(name):
+        return [np.array([getattr(r, name)[j] for r in records], dtype=float)
+                for j in range(len(getattr(first, name)))]
+
+    return {"iteration": stack("iteration", int), "theta": per_series("theta"),
+            "p": stack("p"), "lam": stack("lam"), "x0": stack("x0"),
+            "future": per_series("future"), "z_pred": stack("z_pred"),
+            "n_star": stack("n_star", int), "tau_common": stack("tau_common")}
+
+
+def _csv_blocks(stacked: dict) -> list:
+    """The flat trace columns, in their documented order: (names, values)
+    blocks, ``values`` of shape (records, len(names)). λ is symmetric, so
+    only its upper triangle is a column."""
+    def numbered(prefix, values, first=1):
+        return [f"{prefix}_{k}" for k in range(first, values.shape[1] + first)], values
+
+    blocks = [(["iteration"], stacked["iteration"][:, None])]
+    blocks += [numbered(f"theta_{j + 1}", t, 0) for j, t in enumerate(stacked["theta"])]
+    if stacked["p"] is not None:
+        n, m = stacked["p"].shape[:2]
+        upper = np.triu_indices(m)
+        blocks.append(([f"p_{j + 1}_{l + 1}" for j in range(m) for l in range(m)],
+                       stacked["p"].reshape(n, m * m)))
+        blocks.append(([f"lam_{j + 1}_{l + 1}" for j, l in zip(*(u.tolist() for u in upper))],
+                       stacked["lam"][:, upper[0], upper[1]]))
+    blocks.append(numbered("x0", stacked["x0"]))
+    blocks += [numbered(f"future_{j + 1}", f) for j, f in enumerate(stacked["future"])]
+    blocks.append(numbered("z_pred", stacked["z_pred"]))
+    blocks += [([name], stacked[key][:, None]) for name, key in
+               (("n_star", "n_star"), ("tau", "tau_common")) if stacked[key] is not None]
+    return blocks
 
 
 def geometric_weights(lam: float, K: int) -> np.ndarray:
@@ -369,9 +390,7 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     delta, d, N = [], [], []
     for j in range(m):
         total = data.lengths[j] + int(prior.horizon[j])
-        delta.append(
-            np.asarray([draw_categorical(p[j], rng) for _ in range(total)], dtype=int)
-        )
+        delta.append(draw_categorical(p[j], rng, total))
         d.append(rng.generator.integers(1, INIT_SLICE_BOUND + 1, size=total))
         N.append(np.full(total, INIT_SLICE_BOUND, dtype=int))
     alloc = Allocations(delta=delta, d=d, N=N)
@@ -418,21 +437,37 @@ def load_checkpoint(path):
 
 
 def write_trace_csv(path, records) -> None:
+    """A header of the ``flat_columns`` names, then one line per record,
+    each float as its ``repr`` (an exact round trip), every line ended by
+    csv's CRLF. Written line by line from the records' stacked fields."""
     if not records:
         raise ValueError("empty trace")
-    fieldnames = list(records[0].flat_columns().keys())
+    blocks = _csv_blocks(_stack_fields(records))
+    # adjacent blocks of one dtype share an array: the int columns stay ints,
+    # and a row converts in a few tolist() calls
+    runs = [np.hstack([values for _, values in run])
+            for _, run in itertools.groupby(blocks, key=lambda block: block[1].dtype)]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for record in records:
-            row = record.flat_columns()
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+        fh.write(",".join(name for names, _ in blocks for name in names) + "\r\n")
+        for i in range(len(records)):
+            fh.write(",".join(map(repr, [v for run in runs for v in run[i].tolist()])) + "\r\n")
 
 
 def write_trace_jsonl(path, records) -> None:
+    """One JSON object per record, keyed by the TraceRecord fields in order;
+    written line by line from the records' stacked fields."""
+    stacked = _stack_fields(records) if records else {}
+
+    def row(value, i):
+        if value is None:
+            return None
+        if isinstance(value, list):
+            return [series[i].tolist() for series in value]
+        return value[i].tolist()
+
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict()) + "\n")
+        for i in range(len(records)):
+            fh.write(json.dumps({name: row(value, i) for name, value in stacked.items()}) + "\n")
 
 
 def read_trace_jsonl(path) -> list:

@@ -5,10 +5,14 @@ never evaluated by the chain: they state the slice-augmented joint and the
 transition mixture it must marginalize to, term by term, so the tests can sum
 one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
-whose random stream the vectorized chain keeps bit for bit, and the
-out-of-sample kernel point by point with scalar normal draws.
+whose random stream the vectorized chain keeps bit for bit, the
+out-of-sample kernel point by point with scalar normal draws, and the trace
+writers record by record.
 """
 
+import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -153,3 +157,62 @@ def loop_update_future(state, data, prior, rng, tau_override=None):
         if all(lo <= v <= hi for v in path):
             state.future[j] = np.asarray(path)
     return state
+
+
+# --- the per-record trace writers the stacked ones must reproduce byte for byte ---
+
+def plain(value):
+    """JSON-ready form of a field value: a dataclass becomes a dict of its
+    fields in declaration order, arrays nested lists, sequences lists;
+    anything else is returned as it is."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def loop_flat_columns(record) -> dict:
+    """A record's CSV columns, element by element."""
+    cols = {"iteration": record.iteration}
+    for j, t in enumerate(record.theta):
+        for r, v in enumerate(np.asarray(t)):
+            cols[f"theta_{j + 1}_{r}"] = float(v)
+    if record.p is not None:
+        m = np.asarray(record.p).shape[0]
+        for j in range(m):
+            for l in range(m):
+                cols[f"p_{j + 1}_{l + 1}"] = float(record.p[j, l])
+        for j in range(m):
+            for l in range(j, m):
+                cols[f"lam_{j + 1}_{l + 1}"] = float(record.lam[j, l])
+    for j, v in enumerate(np.asarray(record.x0)):
+        cols[f"x0_{j + 1}"] = float(v)
+    for j, f in enumerate(record.future):
+        for k, v in enumerate(np.asarray(f)):
+            cols[f"future_{j + 1}_{k + 1}"] = float(v)
+    for j, v in enumerate(np.asarray(record.z_pred)):
+        cols[f"z_pred_{j + 1}"] = float(v)
+    if record.n_star is not None:
+        cols["n_star"] = int(record.n_star)
+    if record.tau_common is not None:
+        cols["tau"] = float(record.tau_common)
+    return cols
+
+
+def loop_write_trace_csv(path, records) -> None:
+    fieldnames = list(loop_flat_columns(records[0]).keys())
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for record in records:
+            row = loop_flat_columns(record)
+            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+
+
+def loop_write_trace_jsonl(path, records) -> None:
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(plain(record)) + "\n")

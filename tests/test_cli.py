@@ -196,6 +196,31 @@ class TestRun:
                          "--out", str(tmp_path / "mixed"), "--resume",
                          str(par / "checkpoint.json")]) == 2
 
+    def test_run_that_keeps_no_sweep_exits_2(self, tmp_path, sim_dir, capsys):
+        # 20 sweeps, 10 of burn-in, every 50th kept: nothing would be retained
+        cfg, sim = sim_dir
+        doc = base_config()
+        doc["sampler"].update(iterations=20, burn_in=10, thinning=50)
+        cfg = write_config(tmp_path, doc, "no_sweep.yaml")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()  # rejected before the chain starts
+
+    def test_resume_that_keeps_no_sweep_exits_2(self, tmp_path, sim_dir, capsys):
+        # a finished run's checkpoint leaves no sweep for the same config to keep
+        cfg, sim = sim_dir
+        done = tmp_path / "done"
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(done)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(tmp_path / "again"), "--resume",
+                         str(done / "checkpoint.json")]) == 2
+        assert "keeps no sweep" in capsys.readouterr().err
+
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
         doc = yaml.safe_load(open(cfg))

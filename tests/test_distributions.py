@@ -152,6 +152,29 @@ class TestCategorical:
             draw_categorical([1.0, float("nan")], rng)
 
 
+    def test_array_draws_equal_scalar_draws(self):
+        # one uniform per draw, in order: size draws at once are size scalar
+        # draws at the same seed, and leave the generator in the same state
+        weights = np.array([0.2, 0.0, 1.3, 0.5])
+        a, b = RngHandle(41), RngHandle(41)
+        draws = draw_categorical(weights, a, 500)
+        expected = [draw_categorical(weights, b) for _ in range(500)]
+        assert draws.shape == (500,) and draws.dtype.kind == "i"
+        assert draws.tolist() == expected
+        assert all(isinstance(v, int) for v in expected)
+        assert a.get_state() == b.get_state()
+        assert draw_categorical(weights, a, 0).shape == (0,)
+        assert a.get_state() == b.get_state()
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [1.0, float("nan")], [],
+                                         [[1.0, 2.0]]])
+    def test_array_form_has_the_same_domain_errors(self, rng, weights):
+        with pytest.raises(DegenerateWeightsError):
+            draw_categorical(weights, rng)
+        with pytest.raises(DegenerateWeightsError):
+            draw_categorical(weights, rng, 3)
+
+
 class TestTruncatedGeometric:
     def test_tail_enumeration(self, rng):
         # oracle: normalized tail series lam (1-lam)^(r - 2) for r >= 2

@@ -933,5 +933,8 @@ class TestDrivers:
             GibbsConfig(iterations=10, burn_in=10)
         with pytest.raises(ValueError):
             GibbsConfig(iterations=10, thinning=0)
+        with pytest.raises(ValueError):  # would keep no sweep
+            GibbsConfig(iterations=20, burn_in=10, thinning=11)
+        assert GibbsConfig(iterations=20, burn_in=10, thinning=10).thinning == 10
         with pytest.raises(ValueError):
             GibbsConfig(iterations=10, slice_width=-1.0)

@@ -50,22 +50,82 @@ GOLDEN = {
     },
 }
 
+# SHA-256 of every file `report` writes from a case's trace, per case. These
+# chains run 140 sweeps, so their 120 retained draws reach the future HPDI.
+GOLDEN_REPORT = {
+    "2.4": {
+        "4a-strong": {
+            "boi.json": "1379637f4588ad8125c54a6e53e5ffb88476a24f74461d0c160c2dc25d657598",
+            "ergodic_theta_1.csv": "6fb359237bd8632952a6a86123d2a6582fbf3da6b4bd621a70d648f216b8cea9",
+            "ergodic_theta_2.csv": "9b07931226064fd71d511aefa57099c7322b35ed599cb38d3daca34b97f88e0f",
+            "hpdi.json": "53d78cea3fdee8f1f5f1056116a0c8b9e0be0cf915ec6f3c52bb90eeaa6d866c",
+            "kde_future_1.csv": "8bea82f698967cfcde63532020132b24ebc38af5d82dfb8e72f95a9e22985125",
+            "kde_future_2.csv": "cfb21b56588defde2c18781d4e2b08fa09e779fa85f49335126d6cef39194cad",
+            "kde_noise_1.csv": "bf3ad1567710e47a908caedf775116f05c35b505629af784e92cf117c0857fc0",
+            "kde_noise_2.csv": "fd5dc594c55f7cc7b0da8508ed6e8f2cec6228d763bc241628221203e0742e32",
+            "kde_x0_1.csv": "3d8f43940bb16e338087cd6a585772ea8904493bffb85548ddd4929f9233c039",
+            "kde_x0_2.csv": "cd614c512338f90e824370010f2dc8f68b4f2f61003e8cded228de7903a5105b",
+            "pare_table.csv": "0b6c2e4c30caf33534874d7bdb4b409ffb62644711b6a5bc809379ea38dadd6a",
+            "posterior_mean_lambda.csv": "9abd08a92fcd657066ab1c81b45dfaf35cfc1dd672217f2bb4a127dcc89fc444",
+            "posterior_mean_p.csv": "d1000140e0a916ddcabe25f27110a97df87f844d2200688b8313c8bc90e20700",
+            "summary.json": "954bbe5eada226eb8d9784a148965278e0948485a0b6b3f7be769312bf08a647",
+        },
+        "4a-parametric-h3": {
+            "ergodic_theta_1.csv": "3716ae6a6b59074b67f7e8e870caf46004af9435d38bcc4a1b57db3a4b3d725e",
+            "ergodic_theta_2.csv": "5c38211336b7571161fc893217f88eee01859a5d9959a11eb68bdb6eb1f0f24c",
+            "hpdi.json": "0db3871e7c1ea08fef04a10eadd082fe3be0e3b7c2f42f0ab9572745d83f16be",
+            "kde_future_1.csv": "82c0d5d659d2a907c227de7eb9641e0608bb7cc5fed262fb3ed7f042ad7f893c",
+            "kde_future_2.csv": "48f0d353f93dac92d0e9a4fe3557425f8d9d4e2129b1e3e02bbe576979bbe684",
+            "kde_noise_1.csv": "bedaa8654a7dd3984c85d075603ddd0aec7965688da502a881c19033b3b248ef",
+            "kde_noise_2.csv": "04c05d1648e14c6242ea14c34b426a974b2887d5ec46fddfd707a392304eb1a6",
+            "kde_x0_1.csv": "2a443dc0f0abbd69bf9e2bcd298bdb70d85b4c0ed47e93872f14d4cd14da9a58",
+            "kde_x0_2.csv": "d3241d3563023d96819887978bdde55ad36f27190429fc7ae521e46eeb0fbd2a",
+            "pare_table.csv": "65a5729319c2c206793e658fc8571427920cbaf3b3541a5204fec1b631a38292",
+            "summary.json": "ca05cad9551f350abb2d9c7651da7412e593b26d180cb31631d8209418d45f6e",
+        },
+    },
+}
+
 NUMPY_MINOR = ".".join(np.__version__.split(".")[:2])
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_matches_golden_digest(case, tmp_path):
-    digests = GOLDEN.get(NUMPY_MINOR)
+def digests_or_skip(table: dict) -> dict:
+    digests = table.get(NUMPY_MINOR)
     if digests is None:
         pytest.skip(f"no golden digests for numpy {NUMPY_MINOR}")
+    return digests
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_case(case, tmp_path, iterations=100):
+    """Simulate the case's data and run its chain; returns the run directory."""
     experiment, sampler, alpha_key, overrides, horizon = CASES[case]
     doc = cli.bundled_config(experiment)
     if horizon is not None:
         doc["prior"]["horizon"] = [horizon] * len(doc["data"]["maps"])
-    doc["sampler"].update(iterations=100, burn_in=20, thinning=1, **overrides)
+    doc["sampler"].update(iterations=iterations, burn_in=20, thinning=1, **overrides)
     cli.cmd_simulate(doc, tmp_path / "data")
     cli.cmd_run(doc, tmp_path / "data" / "data.json", tmp_path / "run", sampler=sampler,
                 seed_override=2024, alpha_key=alpha_key)
-    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
-             for name in digests[case]}
+    return tmp_path / "run"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_matches_golden_digest(case, tmp_path):
+    digests = digests_or_skip(GOLDEN)
+    run = run_case(case, tmp_path)
+    found = {name: sha256(run / name) for name in digests[case]}
+    assert found == digests[case]
+
+
+@pytest.mark.parametrize("case", ["4a-strong", "4a-parametric-h3"])
+def test_report_matches_golden_digest(case, tmp_path):
+    digests = digests_or_skip(GOLDEN_REPORT)
+    run = run_case(case, tmp_path, iterations=140)
+    out = tmp_path / "report"
+    cli.cmd_report(run / "trace.jsonl", tmp_path / "data" / "data.json", out)
+    found = {path.name: sha256(path) for path in sorted(out.iterdir())}
     assert found == digests[case]

@@ -1,12 +1,15 @@
 import json
 import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import loop_flat_columns, loop_write_trace_csv, loop_write_trace_jsonl
 from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import NAMED_MAPS, MultiSeries, NoiseMixtureSpec, eval_map, simulate_multi
 from pdgsbr.model import (
@@ -372,6 +375,68 @@ class TestTraceIO:
         write_trace_jsonl(tmp_path / "t.jsonl", [record])
         back = read_trace_jsonl(tmp_path / "t.jsonl")[0]
         assert back.p is None and back.tau_common == 2.5
+
+
+# floats whose text is easy to get wrong, mixed with arbitrary ones
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def trace_records(draw):
+    """A short trace of one chain: m = 1-3 series, mixture or parametric,
+    horizons all 0, all 1 or ragged (0, 3, 0, ...)."""
+    m = draw(st.integers(1, 3))
+    parametric = draw(st.booleans())
+    horizons = draw(st.sampled_from([(0,), (1,), (0, 3)]))
+    coefficients = draw(st.integers(1, 4))
+
+    def floats(*shape):
+        return np.array(draw(st.lists(EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    return [
+        TraceRecord(
+            iteration=draw(st.integers(0, 10 ** 6)),
+            theta=[floats(coefficients) for _ in range(m)],
+            p=None if parametric else floats(m, m),
+            lam=None if parametric else floats(m, m),
+            x0=floats(m),
+            future=[floats(horizons[j % len(horizons)]) for j in range(m)],
+            z_pred=floats(m),
+            n_star=None if parametric else draw(st.integers(1, 2000)),
+            tau_common=draw(EDGE_FLOATS) if parametric else None,
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+class TestTraceWritersMatchTheRecordLoop:
+    """The stacked trace writers give the bytes of the former per-record
+    writers (tests/oracle.py): csv.DictWriter over the flat columns, and
+    json.dumps of each record's fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace_records())
+    def test_same_bytes(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for write, loop_write, name in ((write_trace_csv, loop_write_trace_csv, "trace.csv"),
+                                            (write_trace_jsonl, loop_write_trace_jsonl,
+                                             "trace.jsonl")):
+                write(tmp / name, records)
+                loop_write(tmp / f"loop_{name}", records)
+                assert (tmp / name).read_bytes() == (tmp / f"loop_{name}").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(trace_records())
+    def test_flat_columns_in_the_same_order(self, records):
+        for record in records:
+            got, expected = record.flat_columns(), loop_flat_columns(record)
+            assert [(k, repr(v)) for k, v in got.items()] == \
+                [(k, repr(v)) for k, v in expected.items()]
 
 
 class TestAllocations:
