@@ -26,6 +26,5 @@ from .model import (
     PriorConfig,
     TraceRecord,
     ensure_atoms,
-    geometric_weights,
     init_chain,
 )

@@ -47,7 +47,6 @@ from .model import (
     as_int,
     load_checkpoint,
     read_trace_jsonl,
-    write_trace_csv,
     write_trace_jsonl,
 )
 
@@ -268,8 +267,8 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     records = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), records)
-    write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), records)
+    write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), records,
+                      csv_path=os.path.join(out_dir, "trace.csv"))
     write_manifest(out_dir, "run", doc, {
         "sampler": sampler,
         "chain_seed": config.seed,

@@ -85,10 +85,6 @@ class NoiseMixtureSpec:
         if any(x <= 0 for x in v) or any(x < 0 for x in w):
             raise ValueError("variances must be positive, weights non-negative")
 
-    @property
-    def variance(self) -> float:
-        return sum(w * v for w, v in zip(self.weights, self.variances))
-
 
 def compound_noise(selection: Sequence[float], components: Sequence[Optional[NoiseMixtureSpec]]) -> NoiseMixtureSpec:
     """Compound a selection-probability row with shared component mixtures.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import operator
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
@@ -248,68 +249,42 @@ class TraceRecord:
 
     def flat_columns(self) -> dict:
         """Flattened scalar columns, in the documented order of ``trace.csv``."""
-        blocks = _csv_blocks(_stack_fields([self]))
-        return {name: v for names, values in blocks for name, v in zip(names, values[0].tolist())}
+        return {name: v for names, values in _blocks([self])
+                for name, v in zip(names, values[0].tolist()) if name}
 
 
-def _stack_fields(records) -> dict:
-    """Every TraceRecord field over ``records``, keyed and ordered like the
-    fields, each stacked into one array with the records along the first
-    axis (theta and future: one array per series). A field that is None in
-    the first record is None."""
-    first = records[0]
+def _blocks(records) -> list:
+    """Every TraceRecord scalar over ``records``, in JSONL field order:
+    (names, values) blocks, ``values`` of shape (records, k) in the order of
+    the JSON nesting and ``names`` their trace.csv columns, in the
+    documented order. λ is symmetric, so its lower triangle has no column
+    (name None). A field that is None in the first record has no block."""
+    first, n = records[0], len(records)
 
-    def stack(name, dtype=float):
-        if getattr(first, name) is None:
-            return None
-        return np.array([getattr(r, name) for r in records], dtype=dtype)
+    def block(rows, names, dtype=float):
+        values = np.array(rows, dtype=dtype)
+        return names, values.reshape(n, values[0].size)
 
-    def per_series(name):
-        return [np.array([getattr(r, name)[j] for r in records], dtype=float)
-                for j in range(len(getattr(first, name)))]
+    def numbered(prefix, rows, start=1):
+        return block(rows, [f"{prefix}_{k}" for k in range(start, np.size(rows[0]) + start)])
 
-    return {"iteration": stack("iteration", int), "theta": per_series("theta"),
-            "p": stack("p"), "lam": stack("lam"), "x0": stack("x0"),
-            "future": per_series("future"), "z_pred": stack("z_pred"),
-            "n_star": stack("n_star", int), "tau_common": stack("tau_common")}
-
-
-def _csv_blocks(stacked: dict) -> list:
-    """The flat trace columns, in their documented order: (names, values)
-    blocks, ``values`` of shape (records, len(names)). λ is symmetric, so
-    only its upper triangle is a column."""
-    def numbered(prefix, values, first=1):
-        return [f"{prefix}_{k}" for k in range(first, values.shape[1] + first)], values
-
-    blocks = [(["iteration"], stacked["iteration"][:, None])]
-    blocks += [numbered(f"theta_{j + 1}", t, 0) for j, t in enumerate(stacked["theta"])]
-    if stacked["p"] is not None:
-        n, m = stacked["p"].shape[:2]
-        upper = np.triu_indices(m)
-        blocks.append(([f"p_{j + 1}_{l + 1}" for j in range(m) for l in range(m)],
-                       stacked["p"].reshape(n, m * m)))
-        blocks.append(([f"lam_{j + 1}_{l + 1}" for j, l in zip(*(u.tolist() for u in upper))],
-                       stacked["lam"][:, upper[0], upper[1]]))
-    blocks.append(numbered("x0", stacked["x0"]))
-    blocks += [numbered(f"future_{j + 1}", f) for j, f in enumerate(stacked["future"])]
-    blocks.append(numbered("z_pred", stacked["z_pred"]))
-    blocks += [([name], stacked[key][:, None]) for name, key in
-               (("n_star", "n_star"), ("tau", "tau_common")) if stacked[key] is not None]
+    blocks = [block([r.iteration for r in records], ["iteration"], int)]
+    blocks += [numbered(f"theta_{j + 1}", [r.theta[j] for r in records], 0)
+               for j in range(len(first.theta))]
+    if first.p is not None:
+        pairs = list(itertools.product(range(1, len(first.p) + 1), repeat=2))
+        blocks.append(block([r.p for r in records], [f"p_{j}_{l}" for j, l in pairs]))
+        blocks.append(block([r.lam for r in records],
+                            [f"lam_{j}_{l}" if j <= l else None for j, l in pairs]))
+    blocks.append(numbered("x0", [r.x0 for r in records]))
+    blocks += [numbered(f"future_{j + 1}", [r.future[j] for r in records])
+               for j in range(len(first.future))]
+    blocks.append(numbered("z_pred", [r.z_pred for r in records]))
+    if first.n_star is not None:
+        blocks.append(block([r.n_star for r in records], ["n_star"], int))
+    if first.tau_common is not None:
+        blocks.append(block([r.tau_common for r in records], ["tau"]))
     return blocks
-
-
-def geometric_weights(lam: float, K: int) -> np.ndarray:
-    """K leading geometric weights lam (1-lam)^(k-1) plus the exact tail lump.
-
-    The tail is computed as (1-lam)^K so the vector sums to 1 exactly.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    one_minus = 1.0 - lam
-    head = lam * one_minus ** np.arange(K)
-    return np.append(head, one_minus ** K)
 
 
 def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
@@ -419,14 +394,15 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
 # --- checkpoint and trace I/O -----------------------------------------------
 
 def save_checkpoint(path, state: ChainState, rng: RngHandle, extra: Optional[dict] = None) -> None:
-    """Write the checkpoint to a sibling temp file, then rename it over ``path``,
-    so a run killed mid-write leaves the previous checkpoint whole."""
+    """Write the checkpoint, compact JSON, to a sibling temp file, then rename
+    it over ``path``, so a run killed mid-write leaves the previous checkpoint
+    whole."""
     doc = {"state": state.to_dict(), "rng": rng.get_state()}
     if extra:
         doc.update(extra)
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
     os.replace(tmp, path)
 
 
@@ -436,38 +412,63 @@ def load_checkpoint(path):
     return ChainState.from_dict(doc["state"]), RngHandle.from_state(doc["rng"]), doc
 
 
-def write_trace_csv(path, records) -> None:
-    """A header of the ``flat_columns`` names, then one line per record,
-    each float as its ``repr`` (an exact round trip), every line ended by
-    csv's CRLF. Written line by line from the records' stacked fields."""
+# json.dumps's spelling of the non-finite floats whose repr is the key
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _slots(value) -> str:
+    """``json.dumps`` of a ``_plain`` value with every number a ``%s`` slot."""
+    if value is None:
+        return "null"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_slots, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_slots(v)}" for k, v in value.items()) + "}"
+    return "%s"
+
+
+def _trace_lines(records):
+    """The trace rendered once: the trace.csv header, then each record's
+    (JSONL line, CSV line). Every value is formatted once, by ``repr``,
+    which is also ``json.dumps``'s text of an int and a finite float: the
+    JSON line fills its slots with the texts and the CSV line picks its
+    columns from them. Only a non-finite float is spelled apart in JSON."""
     if not records:
         raise ValueError("empty trace")
-    blocks = _csv_blocks(_stack_fields(records))
-    # adjacent blocks of one dtype share an array: the int columns stay ints,
-    # and a row converts in a few tolist() calls
-    runs = [np.hstack([values for _, values in run])
-            for _, run in itertools.groupby(blocks, key=lambda block: block[1].dtype)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(name for names, _ in blocks for name in names) + "\r\n")
-        for i in range(len(records)):
-            fh.write(",".join(map(repr, [v for run in runs for v in run[i].tolist()])) + "\r\n")
+    block_names, columns = zip(*_blocks(records))
+    names = [name for block in block_names for name in block]
+    csv_columns = operator.itemgetter(*[k for k, name in enumerate(names) if name])
+    finite = np.logical_and.reduce([np.isfinite(values).all(axis=1) for values in columns])
+    template = _slots(_plain(records[0])) + "\n"
+    yield ",".join(filter(None, names)) + "\r\n"
+    for i, is_finite in enumerate(finite.tolist()):
+        texts = []
+        for values in columns:
+            texts += map(repr, values[i].tolist())
+        csv_line = ",".join(csv_columns(texts)) + "\r\n"
+        if not is_finite:
+            texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+        yield template % tuple(texts), csv_line
 
 
-def write_trace_jsonl(path, records) -> None:
-    """One JSON object per record, keyed by the TraceRecord fields in order;
-    written line by line from the records' stacked fields."""
-    stacked = _stack_fields(records) if records else {}
+def write_trace_csv(path, records) -> None:
+    """A header of the ``flat_columns`` names, then one line per record,
+    each value as its ``repr`` (an exact round trip), every line ended by
+    csv's CRLF."""
+    write_trace_jsonl(os.devnull, records, csv_path=path)
 
-    def row(value, i):
-        if value is None:
-            return None
-        if isinstance(value, list):
-            return [series[i].tolist() for series in value]
-        return value[i].tolist()
 
-    with open(path, "w") as fh:
-        for i in range(len(records)):
-            fh.write(json.dumps({name: row(value, i) for name, value in stacked.items()}) + "\n")
+def write_trace_jsonl(path, records, csv_path=os.devnull) -> None:
+    """One JSON object per record, keyed by the TraceRecord fields in order,
+    as ``json.dumps`` writes it. With ``csv_path``, the ``write_trace_csv``
+    file too: both are written record by record from one rendering."""
+    lines = _trace_lines(records)
+    header = next(lines)
+    with open(path, "w") as jsonl, open(csv_path, "w", newline="") as csv:
+        csv.write(header)
+        for json_line, csv_line in lines:
+            jsonl.write(json_line)
+            csv.write(csv_line)
 
 
 def read_trace_jsonl(path) -> list:

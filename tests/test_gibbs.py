@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import tracemalloc
 
@@ -45,6 +46,7 @@ from pdgsbr.model import (
     ensure_atoms,
     init_chain,
     load_checkpoint,
+    write_trace_jsonl,
 )
 
 from oracle import (
@@ -906,6 +908,27 @@ class TestDrivers:
             assert np.array_equal(ra.x0, rb.x0)
             assert np.array_equal(ra.future[0], rb.future[0])
             assert np.array_equal(ra.z_pred, rb.z_pred)
+
+    def test_indented_checkpoint_resumes_byte_for_byte(self, tmp_path):
+        # checkpoints were once written by json.dump(doc, fh, indent=1)
+        data, prior, _ = self.small_run()
+        compact = tmp_path / "compact.json"
+        run_chain(data, prior, GibbsConfig(iterations=30, burn_in=0, thinning=1, seed=5),
+                  checkpoint_path=compact)
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=1))
+        assert indented.read_bytes() != compact.read_bytes()
+        full_cfg = GibbsConfig(iterations=60, burn_in=0, thinning=1, seed=5,
+                               checkpoint_interval=10)
+        for name in ("compact", "indented"):
+            state, rng, _ = load_checkpoint(tmp_path / f"{name}.json")
+            records = run_chain(data, prior, full_cfg, resume=(state, rng),
+                                checkpoint_path=tmp_path / f"{name}_end.json")
+            write_trace_jsonl(tmp_path / f"{name}.jsonl", records,
+                              csv_path=tmp_path / f"{name}.csv")
+        for suffix in ("_end.json", ".jsonl", ".csv"):
+            assert (tmp_path / f"indented{suffix}").read_bytes() == \
+                (tmp_path / f"compact{suffix}").read_bytes()
 
     def test_halt_records_sweep_index(self):
         # constant series: the control-parameter draw must fail on sweep 1

@@ -37,7 +37,7 @@ GOLDEN = {
         "4c-checkpointed": {
             "trace.jsonl": "7aed6138bc1ca85e1631265bb03bb0f894f9a9be0ec7e3786c191a696d4ead42",
             "trace.csv": "7f0a9691d8006d9f20c946af6e628eed127d32e32da1be68ecdf1dbfac5788d9",
-            "checkpoint.json": "3e36e570dfed0daaf44533529662c4c099081a897306c1f87494f4eccccd46c4",
+            "checkpoint.json": "e81d32bb0e66ce9f2be1e7972cf6864baedd79f76fc1db476c5ade53e5e5fa63",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",

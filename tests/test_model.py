@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import loop_flat_columns, loop_write_trace_csv, loop_write_trace_jsonl
+from pdgsbr import model
 from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import NAMED_MAPS, MultiSeries, NoiseMixtureSpec, eval_map, simulate_multi
 from pdgsbr.model import (
@@ -21,7 +22,6 @@ from pdgsbr.model import (
     TraceRecord,
     _root_start,
     ensure_atoms,
-    geometric_weights,
     init_chain,
     load_checkpoint,
     read_trace_jsonl,
@@ -69,30 +69,6 @@ class TestPriorConfig:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             small_prior(horizon=np.array([-1, 1]))
-
-
-class TestGeometricWeights:
-    def test_closed_form_values(self):
-        w = geometric_weights(0.5, 3)
-        assert np.allclose(w, [0.5, 0.25, 0.125, 0.125], atol=1e-16)
-
-    def test_tail_is_exact_remainder(self):
-        w = geometric_weights(0.3, 7)
-        assert w[-1] == pytest.approx(0.7 ** 7, abs=1e-18)
-
-    @given(st.floats(1e-6, 1 - 1e-6), st.integers(1, 200))
-    @settings(max_examples=200, deadline=None)
-    def test_sums_to_one_and_monotone(self, lam, K):
-        w = geometric_weights(lam, K)
-        assert abs(w.sum() - 1.0) < 1e-12
-        assert np.all(w >= 0)
-        assert np.all(np.diff(w[:-1]) <= 1e-18)  # head decreases geometrically
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            geometric_weights(0.0, 3)
-        with pytest.raises(ValueError):
-            geometric_weights(0.5, 0)
 
 
 class TestAtomTable:
@@ -305,11 +281,17 @@ class TestCheckpoint:
         save_checkpoint(path, state, rng)
         before = path.read_bytes()
 
-        def killed_mid_write(doc, fh, **kwargs):
-            fh.write('{"state": {"atoms": [[')
-            raise RuntimeError("killed")
+        def killed_mid_write(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
 
-        monkeypatch.setattr(json, "dump", killed_mid_write)
+            def write(text):
+                type(fh).write(fh, text[: len(text) // 2])
+                raise RuntimeError("killed")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(model, "open", killed_mid_write, raising=False)
         state.iteration = 7
         with pytest.raises(RuntimeError):
             save_checkpoint(path, state, rng)
@@ -363,6 +345,12 @@ class TestTraceIO:
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_trace_csv(tmp_path / "empty.csv", [])
+        # the JSONL writer once wrote an empty file here
+        with pytest.raises(ValueError, match="empty trace"):
+            write_trace_jsonl(tmp_path / "empty.jsonl", [])
+        with pytest.raises(ValueError, match="empty trace"):
+            write_trace_jsonl(tmp_path / "both.jsonl", [], csv_path=tmp_path / "both.csv")
+        assert not list(tmp_path.iterdir())
 
     def test_parametric_record_omits_mixture_blocks(self, tmp_path):
         record = TraceRecord(
@@ -437,6 +425,20 @@ class TestTraceWritersMatchTheRecordLoop:
             got, expected = record.flat_columns(), loop_flat_columns(record)
             assert [(k, repr(v)) for k, v in got.items()] == \
                 [(k, repr(v)) for k, v in expected.items()]
+
+
+class TestOneCallTraceWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(trace_records())
+    def test_both_files_match_the_record_loop(self, records):
+        # one rendering feeds both files; each must keep its own writer's bytes
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_trace_jsonl(tmp / "trace.jsonl", records, csv_path=tmp / "trace.csv")
+            loop_write_trace_jsonl(tmp / "loop.jsonl", records)
+            loop_write_trace_csv(tmp / "loop.csv", records)
+            assert (tmp / "trace.jsonl").read_bytes() == (tmp / "loop.jsonl").read_bytes()
+            assert (tmp / "trace.csv").read_bytes() == (tmp / "loop.csv").read_bytes()
 
 
 class TestAllocations:
