@@ -24,7 +24,7 @@ from .model import (
     AtomTable,
     ChainState,
     PriorConfig,
-    TraceRecord,
+    Trace,
     ensure_atoms,
     init_chain,
 )

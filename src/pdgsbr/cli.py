@@ -264,10 +264,10 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
         if done >= (config.iterations - config.burn_in) // config.thinning:
             raise ConfigError(f"{resume_path} is at sweep {resume[0].iteration}: the rest "
                               f"of a {config.iterations}-sweep run keeps no sweep")
-    records = SAMPLERS[sampler](
+    trace = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )
-    write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), records,
+    write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), trace,
                       csv_path=os.path.join(out_dir, "trace.csv"))
     write_manifest(out_dir, "run", doc, {
         "sampler": sampler,
@@ -278,7 +278,7 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
         "thinning": config.thinning,
         "alpha_key": alpha_key,
     })
-    return records
+    return trace
 
 
 # --- report ----------------------------------------------------------------------
@@ -303,8 +303,7 @@ def _write_grid_csv(path, grid_density) -> None:
                _repr_rows(np.column_stack((grid_density.grid, grid_density.density))))
 
 
-def _kde_with_bounds(samples, bounds):
-    samples = np.asarray(samples, dtype=float)
+def _kde_with_bounds(samples: np.ndarray, bounds):
     if bounds is not None:
         lo, hi = bounds
         return kde(samples, grid=np.linspace(lo, hi, KDE_GRID_SIZE))
@@ -316,61 +315,54 @@ def _kde_with_bounds(samples, bounds):
 
 def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
     with _config_errors(f"trace {trace_path}"):
-        records = read_trace_jsonl(trace_path)
-    if not records:
-        raise ConfigError(f"empty trace: {trace_path}")
+        trace = read_trace_jsonl(trace_path)
     data = _load_data(data_path)
-    m = len(records[0].theta)
+    m = trace.theta.shape[1]
     if data.m != m:
         raise ConfigError(f"trace has m={m} series but data has m={data.m}")
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
 
-    nonparametric = records[0].p is not None
-    if nonparametric:
-        mean_p = posterior_mean_matrix(records)
+    if trace.p is not None:
+        mean_p = posterior_mean_matrix(trace.p)
         np.savetxt(os.path.join(out_dir, "posterior_mean_p.csv"), mean_p,
                    delimiter=",", fmt="%.17g")
-        lam_mean = np.mean([r.lam for r in records], axis=0)
-        np.savetxt(os.path.join(out_dir, "posterior_mean_lambda.csv"), lam_mean,
+        np.savetxt(os.path.join(out_dir, "posterior_mean_lambda.csv"), np.mean(trace.lam, axis=0),
                    delimiter=",", fmt="%.17g")
         summary["boi"] = {
-            str(j + 1): boi(records, j, [l for l in range(m) if l != j]) for j in range(m)
+            str(j + 1): boi(trace.p, j, [l for l in range(m) if l != j]) for j in range(m)
         }
         summary["posterior_mean_p"] = mean_p.tolist()
 
     if data.maps_true is not None:
-        table = pare_table(records, data)
+        table = pare_table(trace.theta, data)
         degree = table["per_coefficient"].shape[1]
         _write_csv(os.path.join(out_dir, "pare_table.csv"),
-                   ["series"] + [f"theta_{r}" for r in range(degree)] + ["mean"],
+                   ["series"] + [f"theta_{k}" for k in range(degree)] + ["mean"],
                    ([str(j + 1)] + [f"{v:.6g}" for v in table["per_coefficient"][j]]
                     + [f"{table['row_mean'][j]:.6g}"] for j in range(m)))
         summary["mean_pare"] = {str(j + 1): float(table["row_mean"][j]) for j in range(m)}
 
     for j in range(m):
-        theta_samples = np.asarray([r.theta[j] for r in records])
-        running = np.column_stack(
-            [ergodic_average(theta_samples[:, r]) for r in range(theta_samples.shape[1])]
-        )
+        running = np.column_stack([ergodic_average(column) for column in trace.theta[:, j].T])
         _write_csv(os.path.join(out_dir, f"ergodic_theta_{j + 1}.csv"),
-                   [f"theta_{r}" for r in range(theta_samples.shape[1])], _repr_rows(running))
+                   [f"theta_{k}" for k in range(running.shape[1])], _repr_rows(running))
 
-        future_samples = [float(r.future[j][0]) for r in records if len(r.future[j])]
+        has_future = trace.future[j].shape[1] > 0
         try:
             _write_grid_csv(os.path.join(out_dir, f"kde_noise_{j + 1}.csv"),
-                            _kde_with_bounds([r.z_pred[j] for r in records], kde_bounds))
+                            _kde_with_bounds(trace.z_pred[:, j], kde_bounds))
             _write_grid_csv(os.path.join(out_dir, f"kde_x0_{j + 1}.csv"),
-                            _kde_with_bounds([r.x0[j] for r in records], None))
-            if future_samples:
+                            _kde_with_bounds(trace.x0[:, j], None))
+            if has_future:
                 _write_grid_csv(os.path.join(out_dir, f"kde_future_{j + 1}.csv"),
-                                _kde_with_bounds(future_samples, None))
+                                _kde_with_bounds(trace.future[j][:, 0], None))
         except InsufficientSamplesError as exc:
             logger.warning("series %d: no KDE grids: %s", j + 1, exc)
-        if not future_samples:
+        if not has_future:
             continue
         try:
-            interval = hpdi(future_samples, 0.95)
+            interval = hpdi(trace.future[j][:, 0], 0.95)
         except InsufficientSamplesError as exc:
             logger.warning("series %d: no future HPDI: %s", j + 1, exc)
             continue
@@ -379,7 +371,7 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
             "width": interval.upper - interval.lower, "mass": interval.mass,
         }
 
-    if nonparametric:
+    if trace.p is not None:
         with open(os.path.join(out_dir, "boi.json"), "w") as fh:
             json.dump({"boi": summary["boi"],
                        "posterior_mean_p": summary["posterior_mean_p"]}, fh, indent=1)

@@ -30,20 +30,21 @@ def ergodic_average(samples: Sequence[float]) -> np.ndarray:
     return np.cumsum(samples) / np.arange(1, samples.size + 1)
 
 
-def posterior_mean_matrix(trace) -> np.ndarray:
-    """Elementwise trace average of the selection-probability matrix."""
-    mats = [r.p for r in trace if r.p is not None]
-    if not mats:
+def posterior_mean_matrix(p) -> np.ndarray:
+    """Elementwise average of a trace's (records, m, m) selection-probability
+    column ``p``."""
+    if p is None:
         raise ValueError("trace carries no selection probabilities")
-    return np.mean(mats, axis=0)
+    return np.mean(p, axis=0)
 
 
-def boi(trace, series_index: int, donor_indices: Sequence[int]) -> float:
-    """Posterior-mean borrowing: E(sum of p_{j,l} over donors l | data)."""
+def boi(p, series_index: int, donor_indices: Sequence[int]) -> float:
+    """Posterior-mean borrowing: E(sum of p_{j,l} over donors l | data), from a
+    trace's (records, m, m) selection-probability column ``p``."""
     donors = list(donor_indices)
     if series_index in donors:
         raise ValueError("donor set must exclude the receiving series")
-    mean_p = posterior_mean_matrix(trace)
+    mean_p = posterior_mean_matrix(p)
     return float(mean_p[series_index, donors].sum())
 
 
@@ -120,22 +121,19 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     return KdeGrid(grid=grid, density=density, bandwidth=h)
 
 
-def pare_table(trace, data) -> dict:
-    """PARE of posterior-mean coefficients per series, plus row means.
+def pare_table(theta, data) -> dict:
+    """PARE of posterior-mean coefficients per series, plus row means, from a
+    trace's (records, m, R+1) coefficient column ``theta``.
 
     Returns {"per_coefficient": m x (R+1) array, "row_mean": length-m array,
     "posterior_mean_theta": m x (R+1) array}.
     """
     if data.maps_true is None:
         raise TruthUnavailableError("data carries no ground-truth maps")
-    if not trace:
-        raise ValueError("empty trace")
-    m = len(trace[0].theta)
-    theta_mean = [np.mean([np.asarray(r.theta[j]) for r in trace], axis=0) for j in range(m)]
+    theta_mean = np.mean(theta, axis=0)
     rows = []
-    for j in range(m):
-        truth = np.asarray(data.maps_true[j], dtype=float)
-        est = np.asarray(theta_mean[j], dtype=float)
+    for est, truth in zip(theta_mean, data.maps_true):
+        truth = np.asarray(truth, dtype=float)
         if est.size != truth.size:
             width = max(est.size, truth.size)
             truth = np.pad(truth, (0, width - truth.size))
@@ -145,5 +143,5 @@ def pare_table(trace, data) -> dict:
     return {
         "per_coefficient": table,
         "row_mean": table.mean(axis=1),
-        "posterior_mean_theta": np.asarray(theta_mean),
+        "posterior_mean_theta": theta_mean,
     }

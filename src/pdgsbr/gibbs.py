@@ -35,7 +35,7 @@ from .errors import SingularDesignError
 from .model import (
     ChainState,
     PriorConfig,
-    TraceRecord,
+    Trace,
     as_int,
     ensure_atoms,
     init_chain,
@@ -465,24 +465,9 @@ def parametric_sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
     return state, z
 
 
-def _record(state: ChainState, z: np.ndarray) -> TraceRecord:
-    parametric = state.tau_common is not None  # only the baseline sets it
-    return TraceRecord(
-        iteration=state.iteration,
-        theta=[t.copy() for t in state.theta],
-        p=None if parametric else state.p.copy(),
-        lam=None if parametric else state.lam.copy(),
-        x0=state.x0.copy(),
-        future=[f.copy() for f in state.future],
-        z_pred=np.asarray(z, dtype=float).copy(),
-        n_star=None if parametric else state.atoms.max_size(),
-        tau_common=state.tau_common,
-    )
-
-
 def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
            rng: RngHandle, step, checkpoint_path=None):
-    records = []
+    rows = []
     while state.iteration < config.iterations:
         current = state.iteration + 1
         try:
@@ -492,19 +477,27 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
             logger.error("chain halted at sweep %d: %s", current, exc)
             raise
         if current > config.burn_in and (current - config.burn_in) % config.thinning == 0:
-            records.append(_record(state, z))
+            mixture = state.tau_common is None  # only the baseline sets it
+            rows.append({
+                "iteration": state.iteration, "theta": np.array(state.theta),
+                "p": state.p.copy() if mixture else None,
+                "lam": state.lam.copy() if mixture else None,
+                "x0": state.x0.copy(), "future": [f.copy() for f in state.future],
+                "z_pred": z, "n_star": state.atoms.max_size() if mixture else None,
+                "tau_common": state.tau_common,
+            })
         if checkpoint_path and (current == config.iterations or (
                 config.checkpoint_interval and current % config.checkpoint_interval == 0)):
             save_checkpoint(checkpoint_path, state, rng, {"config": asdict(config)})
         if current % 1000 == 0:
             logger.info("sweep %d/%d", current, config.iterations)
-    return records
+    return Trace.stack(rows)
 
 
 def run_chain(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
               checkpoint_path=None, resume=None):
-    """Run the pairwise-dependent sampler; returns the retained trace records.
-    With m = 1 it is the single-series GSBR sampler.
+    """Run the pairwise-dependent sampler; returns the Trace of the retained
+    sweeps. With m = 1 it is the single-series GSBR sampler.
 
     ``resume`` is an optional (state, rng) pair from a checkpoint; the replay
     is bit-exact because the generator state is serialized alongside.
@@ -519,7 +512,8 @@ def run_chain(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
 
 def run_parametric_gaussian(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
                             checkpoint_path=None, resume=None):
-    """Common-precision Gaussian baseline over (tau, theta, x0, futures)."""
+    """Common-precision Gaussian baseline over (tau, theta, x0, futures);
+    returns the Trace of the retained sweeps."""
     if resume is not None:
         state, rng = resume
     else:

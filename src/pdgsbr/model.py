@@ -220,71 +220,99 @@ class ChainState:
 
 
 @dataclass
-class TraceRecord:
-    """One retained (post burn-in, post thinning) Gibbs iteration."""
+class Trace:
+    """The retained (post burn-in, post thinning) sweeps of one chain, as
+    columns with the record on axis 0, in ``trace.jsonl`` field order. A
+    field that does not apply to the sampler is None: p, lam and n_star for
+    the parametric baseline, tau_common for the mixture."""
 
-    iteration: int
-    theta: list
-    p: Optional[np.ndarray]
-    lam: Optional[np.ndarray]
-    x0: np.ndarray
-    future: list
-    z_pred: np.ndarray
-    n_star: Optional[int] = None  # atoms per pair row, N*
-    tau_common: Optional[float] = None
+    iteration: np.ndarray  # (n,) int
+    theta: np.ndarray  # (n, m, R+1)
+    p: Optional[np.ndarray]  # (n, m, m)
+    lam: Optional[np.ndarray]  # (n, m, m)
+    x0: np.ndarray  # (n, m)
+    future: list  # per series: (n, T_j)
+    z_pred: np.ndarray  # (n, m)
+    n_star: Optional[np.ndarray] = None  # (n,) int: atoms per pair row, N*
+    tau_common: Optional[np.ndarray] = None  # (n,)
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "TraceRecord":
+    def stack(cls, rows) -> "Trace":
+        """The trace of ``rows``, each a mapping of the field names to one
+        record's values (a ``trace.jsonl`` object). ValueError if there are
+        none, if the records disagree in shape, or if a field is null in some
+        but not all of them (only p, lam, n_star and tau_common may be null)."""
+        if not rows:
+            raise ValueError("empty trace")
+        n = len(rows)
+
+        def column(name, values, shape, dtype=float):
+            nulls = sum(value is None for value in values)
+            if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
+                return None
+            if nulls:
+                raise ValueError(f"{name} is null in {nulls} of {n} records")
+            array = np.array(values, dtype=dtype)  # ValueError if their lengths differ
+            if array.shape != (n, *shape):
+                raise ValueError(f"{name} has shape {array.shape[1:]} where {shape} is expected")
+            return array
+
+        theta_shape = np.shape(rows[0]["theta"])
+        if len(theta_shape) != 2:
+            raise ValueError(f"theta has shape {theta_shape} where (m, R+1) is expected")
+        m = theta_shape[0]
+        paths = [row["future"] for row in rows]
+        if any(len(path) != m for path in paths):
+            raise ValueError(f"future does not hold m = {m} paths in every record")
         return cls(
-            iteration=doc["iteration"],
-            theta=[np.asarray(t, dtype=float) for t in doc["theta"]],
-            p=None if doc.get("p") is None else np.asarray(doc["p"], dtype=float),
-            lam=None if doc.get("lam") is None else np.asarray(doc["lam"], dtype=float),
-            x0=np.asarray(doc["x0"], dtype=float),
-            future=[np.asarray(f, dtype=float) for f in doc["future"]],
-            z_pred=np.asarray(doc["z_pred"], dtype=float),
-            n_star=doc.get("n_star"),
-            tau_common=doc.get("tau_common"),
+            column("iteration", [row["iteration"] for row in rows], (), int),
+            column("theta", [row["theta"] for row in rows], theta_shape),
+            *(column(name, [row.get(name) for row in rows], (m, m)) for name in ("p", "lam")),
+            column("x0", [row["x0"] for row in rows], (m,)),
+            [column("future", [path[j] for path in paths], (len(paths[0][j]),))
+             for j in range(m)],
+            column("z_pred", [row["z_pred"] for row in rows], (m,)),
+            column("n_star", [row.get("n_star") for row in rows], (), int),
+            column("tau_common", [row.get("tau_common") for row in rows], ()),
         )
 
-    def flat_columns(self) -> dict:
-        """Flattened scalar columns, in the documented order of ``trace.csv``."""
-        return {name: v for names, values in _blocks([self])
-                for name, v in zip(names, values[0].tolist()) if name}
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def __getitem__(self, i) -> "Trace":
+        """Record i: every field with the record axis dropped, arrays as views."""
+        def pick(value):
+            return value if value is None else (
+                [v[i] for v in value] if isinstance(value, list) else value[i])
+        return Trace(*(pick(getattr(self, f.name)) for f in fields(self)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _blocks(records) -> list:
-    """Every TraceRecord scalar over ``records``, in JSONL field order:
-    (names, values) blocks, ``values`` of shape (records, k) in the order of
-    the JSON nesting and ``names`` their trace.csv columns, in the
-    documented order. λ is symmetric, so its lower triangle has no column
-    (name None). A field that is None in the first record has no block."""
-    first, n = records[0], len(records)
-
-    def block(rows, names, dtype=float):
-        values = np.array(rows, dtype=dtype)
-        return names, values.reshape(n, values[0].size)
-
-    def numbered(prefix, rows, start=1):
-        return block(rows, [f"{prefix}_{k}" for k in range(start, np.size(rows[0]) + start)])
-
-    blocks = [block([r.iteration for r in records], ["iteration"], int)]
-    blocks += [numbered(f"theta_{j + 1}", [r.theta[j] for r in records], 0)
-               for j in range(len(first.theta))]
-    if first.p is not None:
-        pairs = list(itertools.product(range(1, len(first.p) + 1), repeat=2))
-        blocks.append(block([r.p for r in records], [f"p_{j}_{l}" for j, l in pairs]))
-        blocks.append(block([r.lam for r in records],
-                            [f"lam_{j}_{l}" if j <= l else None for j, l in pairs]))
-    blocks.append(numbered("x0", [r.x0 for r in records]))
-    blocks += [numbered(f"future_{j + 1}", [r.future[j] for r in records])
-               for j in range(len(first.future))]
-    blocks.append(numbered("z_pred", [r.z_pred for r in records]))
-    if first.n_star is not None:
-        blocks.append(block([r.n_star for r in records], ["n_star"], int))
-    if first.tau_common is not None:
-        blocks.append(block([r.tau_common for r in records], ["tau"]))
-    return blocks
+def _blocks(trace: Trace) -> list:
+    """Every trace scalar, in JSONL field order: (names, values) blocks,
+    ``values`` of shape (records, k) in the order of the JSON nesting and
+    ``names`` their trace.csv columns, in the documented order. λ is
+    symmetric, so its lower triangle has no column (name None). A field that
+    is None has no block."""
+    n, m, width = trace.theta.shape
+    series = range(1, m + 1)
+    pairs = list(itertools.product(series, repeat=2))
+    blocks = [(["iteration"], trace.iteration),
+              ([f"theta_{j}_{r}" for j in series for r in range(width)], trace.theta)]
+    if trace.p is not None:
+        blocks += [([f"p_{j}_{l}" for j, l in pairs], trace.p),
+                   ([f"lam_{j}_{l}" if j <= l else None for j, l in pairs], trace.lam)]
+    blocks.append(([f"x0_{j}" for j in series], trace.x0))
+    blocks += [([f"future_{j}_{k}" for k in range(1, path.shape[1] + 1)], path)
+               for j, path in zip(series, trace.future)]
+    blocks.append(([f"z_pred_{j}" for j in series], trace.z_pred))
+    if trace.n_star is not None:
+        blocks.append((["n_star"], trace.n_star))
+    if trace.tau_common is not None:
+        blocks.append((["tau"], trace.tau_common))
+    return [(names, values.reshape(n, len(names))) for names, values in blocks]
 
 
 def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
@@ -427,19 +455,17 @@ def _slots(value) -> str:
     return "%s"
 
 
-def _trace_lines(records):
+def _trace_lines(trace: Trace):
     """The trace rendered once: the trace.csv header, then each record's
     (JSONL line, CSV line). Every value is formatted once, by ``repr``,
     which is also ``json.dumps``'s text of an int and a finite float: the
     JSON line fills its slots with the texts and the CSV line picks its
     columns from them. Only a non-finite float is spelled apart in JSON."""
-    if not records:
-        raise ValueError("empty trace")
-    block_names, columns = zip(*_blocks(records))
+    block_names, columns = zip(*_blocks(trace))
     names = [name for block in block_names for name in block]
     csv_columns = operator.itemgetter(*[k for k, name in enumerate(names) if name])
     finite = np.logical_and.reduce([np.isfinite(values).all(axis=1) for values in columns])
-    template = _slots(_plain(records[0])) + "\n"
+    template = _slots(_plain(trace[0])) + "\n"
     yield ",".join(filter(None, names)) + "\r\n"
     for i, is_finite in enumerate(finite.tolist()):
         texts = []
@@ -451,18 +477,13 @@ def _trace_lines(records):
         yield template % tuple(texts), csv_line
 
 
-def write_trace_csv(path, records) -> None:
-    """A header of the ``flat_columns`` names, then one line per record,
-    each value as its ``repr`` (an exact round trip), every line ended by
-    csv's CRLF."""
-    write_trace_jsonl(os.devnull, records, csv_path=path)
-
-
-def write_trace_jsonl(path, records, csv_path=os.devnull) -> None:
-    """One JSON object per record, keyed by the TraceRecord fields in order,
-    as ``json.dumps`` writes it. With ``csv_path``, the ``write_trace_csv``
-    file too: both are written record by record from one rendering."""
-    lines = _trace_lines(records)
+def write_trace_jsonl(path, trace: Trace, csv_path=os.devnull) -> None:
+    """One JSON object per record, keyed by the Trace fields in order, as
+    ``json.dumps`` writes it. With ``csv_path``, trace.csv too: a header of
+    the column names, then one line per record, each value as its ``repr``
+    (an exact round trip), every line ended by csv's CRLF. Both files are
+    written record by record from one rendering."""
+    lines = _trace_lines(trace)
     header = next(lines)
     with open(path, "w") as jsonl, open(csv_path, "w", newline="") as csv:
         csv.write(header)
@@ -471,11 +492,6 @@ def write_trace_jsonl(path, records, csv_path=os.devnull) -> None:
             csv.write(csv_line)
 
 
-def read_trace_jsonl(path) -> list:
-    records = []
+def read_trace_jsonl(path) -> Trace:
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(TraceRecord.from_json_dict(json.loads(line)))
-    return records
+        return Trace.stack([json.loads(line) for line in fh if line.strip()])

@@ -11,7 +11,6 @@ writers record by record.
 """
 
 import csv
-import dataclasses
 import json
 import math
 
@@ -160,15 +159,15 @@ def loop_update_future(state, data, prior, rng, tau_override=None):
 
 
 # --- the per-record trace writers the stacked ones must reproduce byte for byte ---
+# A record here is one trace row: a dict of the Trace fields in trace.jsonl order.
 
 def plain(value):
-    """JSON-ready form of a field value: a dataclass becomes a dict of its
-    fields in declaration order, arrays nested lists, sequences lists;
-    anything else is returned as it is."""
+    """JSON-ready form of a field value: arrays become nested lists, dicts
+    and sequences keep their order; anything else is returned as it is."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if dataclasses.is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {name: plain(v) for name, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     return value
@@ -176,29 +175,29 @@ def plain(value):
 
 def loop_flat_columns(record) -> dict:
     """A record's CSV columns, element by element."""
-    cols = {"iteration": record.iteration}
-    for j, t in enumerate(record.theta):
+    cols = {"iteration": record["iteration"]}
+    for j, t in enumerate(record["theta"]):
         for r, v in enumerate(np.asarray(t)):
             cols[f"theta_{j + 1}_{r}"] = float(v)
-    if record.p is not None:
-        m = np.asarray(record.p).shape[0]
+    if record["p"] is not None:
+        m = np.asarray(record["p"]).shape[0]
         for j in range(m):
             for l in range(m):
-                cols[f"p_{j + 1}_{l + 1}"] = float(record.p[j, l])
+                cols[f"p_{j + 1}_{l + 1}"] = float(record["p"][j][l])
         for j in range(m):
             for l in range(j, m):
-                cols[f"lam_{j + 1}_{l + 1}"] = float(record.lam[j, l])
-    for j, v in enumerate(np.asarray(record.x0)):
+                cols[f"lam_{j + 1}_{l + 1}"] = float(record["lam"][j][l])
+    for j, v in enumerate(np.asarray(record["x0"])):
         cols[f"x0_{j + 1}"] = float(v)
-    for j, f in enumerate(record.future):
+    for j, f in enumerate(record["future"]):
         for k, v in enumerate(np.asarray(f)):
             cols[f"future_{j + 1}_{k + 1}"] = float(v)
-    for j, v in enumerate(np.asarray(record.z_pred)):
+    for j, v in enumerate(np.asarray(record["z_pred"])):
         cols[f"z_pred_{j + 1}"] = float(v)
-    if record.n_star is not None:
-        cols["n_star"] = int(record.n_star)
-    if record.tau_common is not None:
-        cols["tau"] = float(record.tau_common)
+    if record["n_star"] is not None:
+        cols["n_star"] = int(record["n_star"])
+    if record["tau_common"] is not None:
+        cols["tau"] = float(record["tau_common"])
     return cols
 
 

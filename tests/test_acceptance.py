@@ -269,8 +269,8 @@ class TestCriterion5SingleSeriesRecovery:
         data = simulate_multi(specs, [1], rng)
         prior = make_prior(1)
         config = GibbsConfig(iterations=10_000, burn_in=5_000, seed=77)
-        records = run_chain(data, prior, config)
-        table = pare_table(records, data)
+        trace = run_chain(data, prior, config)
+        table = pare_table(trace.theta, data)
         verdict(5, "single-series quintic recovery", table["row_mean"][0] < 2.0)
 
 

@@ -41,6 +41,17 @@ def base_config(**overrides):
     return doc
 
 
+# one hand-made trace record of each sampler, for two series
+MIXTURE = {"iteration": 31, "theta": [[0.1, 0.2], [0.3, 0.4]], "p": [[0.6, 0.4], [0.3, 0.7]],
+           "lam": [[0.5, 0.2], [0.2, 0.8]], "x0": [0.1, 0.2], "future": [[0.5], [0.6]],
+           "z_pred": [0.01, -0.02], "n_star": 3, "tau_common": None}
+PARAMETRIC = dict(MIXTURE, p=None, lam=None, n_star=None, tau_common=2.5)
+
+
+def jsonl(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -165,10 +176,15 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
                          "--out", str(rest_dir), "--resume",
                          str(half_dir / "checkpoint.json")]) == 0
+        for name in ("trace.jsonl", "trace.csv"):
+            half, rest = read_bytes(half_dir / name), read_bytes(rest_dir / name)
+            if name == "trace.csv":  # each file has its own header
+                rest = rest.split(b"\r\n", 1)[1]
+            assert half + rest == read_bytes(full_dir / name)
         first = read_trace_jsonl(half_dir / "trace.jsonl")
         rest = read_trace_jsonl(rest_dir / "trace.jsonl")
         reference = read_trace_jsonl(full_dir / "trace.jsonl")
-        combined = first + rest
+        combined = list(first) + list(rest)
         assert len(combined) == len(reference)
         for a, b in zip(combined, reference):
             assert a.iteration == b.iteration
@@ -311,7 +327,20 @@ class TestReport:
         assert (out / "summary.json").exists() and (out / "ergodic_theta_2.csv").exists()
         assert "no KDE grids" in caplog.text
 
+    def test_hand_made_trace_is_reported(self, tmp_path, sim_dir):
+        # each malformed trace below differs from this one in one record or field
+        _, sim = sim_dir
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(jsonl(MIXTURE, MIXTURE))
+        assert cli.main(["report", "--trace", str(trace), "--data", str(sim / "data.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("verb, name, content, code", [
+        ("report", "trace.jsonl", jsonl(MIXTURE, PARAMETRIC), 2),
+        ("report", "trace.jsonl", jsonl(PARAMETRIC, MIXTURE), 2),
+        ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, theta=[[0.1, 0.2], [0.3]])), 2),
+        ("report", "trace.jsonl", jsonl(dict(MIXTURE, theta=0.5)), 2),
+        ("report", "trace.jsonl", "", 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2', 2),
         ("run", "data.json", '{"m": 2}', 2),
@@ -322,7 +351,9 @@ class TestReport:
         ("report", "trace.jsonl", '{"iteration": 31}', 2),
         ("run", "data.json", None, 4),
         ("report", "trace.jsonl", None, 4),
-    ], ids=["one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
+    ], ids=["mixture-then-parametric", "parametric-then-mixture",
+            "theta-lengths-differ", "theta-a-number", "empty-trace",
+            "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
     def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,

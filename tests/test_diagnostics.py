@@ -18,21 +18,6 @@ from pdgsbr.diagnostics import (
 )
 from pdgsbr.dynamics import NAMED_MAPS
 from pdgsbr.errors import InsufficientSamplesError, TruthUnavailableError
-from pdgsbr.model import TraceRecord
-
-
-def make_record(i, theta, p=None):
-    m = len(theta)
-    return TraceRecord(
-        iteration=i,
-        theta=[np.asarray(t, dtype=float) for t in theta],
-        p=None if p is None else np.asarray(p, dtype=float),
-        lam=None if p is None else np.full((m, m), 0.5),
-        x0=np.zeros(m),
-        future=[np.zeros(1) for _ in range(m)],
-        z_pred=np.zeros(m),
-        n_star=1,
-    )
 
 
 class TestPare:
@@ -90,29 +75,25 @@ class TestErgodicAverage:
 class TestPosteriorMeanMatrixAndBoi:
     def test_single_record_is_identity(self):
         p = [[0.7, 0.3], [0.2, 0.8]]
-        trace = [make_record(0, [np.zeros(3)] * 2, p)]
-        assert np.array_equal(posterior_mean_matrix(trace), p)
+        assert np.array_equal(posterior_mean_matrix(np.array([p])), p)
 
     def test_elementwise_average(self):
-        t1 = make_record(0, [np.zeros(3)] * 2, [[1.0, 0.0], [0.0, 1.0]])
-        t2 = make_record(1, [np.zeros(3)] * 2, [[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(posterior_mean_matrix([t1, t2]), 0.5)
+        p = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        assert np.allclose(posterior_mean_matrix(p), 0.5)
 
     def test_missing_p_rejected(self):
-        trace = [make_record(0, [np.zeros(3)])]
+        # the parametric baseline's trace has no p column
         with pytest.raises(ValueError):
-            posterior_mean_matrix(trace)
+            posterior_mean_matrix(None)
 
     def test_boi_sums_donor_columns(self):
         p = [[0.1, 0.5, 0.4], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]
-        trace = [make_record(0, [np.zeros(2)] * 3, p)]
-        assert boi(trace, 1, [0, 2]) == pytest.approx(0.4)
-        assert boi(trace, 2, [1]) == pytest.approx(0.3)
+        assert boi(np.array([p]), 1, [0, 2]) == pytest.approx(0.4)
+        assert boi(np.array([p]), 2, [1]) == pytest.approx(0.3)
 
     def test_boi_rejects_self_donation(self):
-        trace = [make_record(0, [np.zeros(2)] * 2, [[0.5, 0.5], [0.5, 0.5]])]
         with pytest.raises(ValueError):
-            boi(trace, 0, [0, 1])
+            boi(np.full((1, 2, 2), 0.5), 0, [0, 1])
 
 
 class TestHpdi:
@@ -207,10 +188,9 @@ class TestPareTable:
     def test_exact_two_series(self):
         truth = [NAMED_MAPS["Q1"], NAMED_MAPS["C1"]]
         data = SimpleNamespace(maps_true=truth)
-        theta = [np.asarray(m, dtype=float) for m in truth]
-        theta[0] = theta[0] * 1.1  # uniform 10% inflation on series 1
-        trace = [make_record(0, theta), make_record(1, theta)]
-        out = pare_table(trace, data)
+        theta = np.array(truth)
+        theta[0] *= 1.1  # uniform 10% inflation on series 1
+        out = pare_table(np.array([theta, theta]), data)
         # zero coefficients of Q1 get the absolute convention: |0*1.1 - 0| = 0
         assert np.allclose(out["per_coefficient"][0], np.where(np.asarray(truth[0]) != 0, 10.0, 0.0))
         assert np.allclose(out["per_coefficient"][1], 0.0)
@@ -223,16 +203,11 @@ class TestPareTable:
         est = np.zeros(6)
         est[:3] = truth[0]
         est[5] = 0.04  # spurious quintic term against an implicit zero truth
-        out = pare_table([make_record(0, [est])], data)
+        out = pare_table(np.array([[est]]), data)
         assert out["per_coefficient"].shape == (1, 6)
         assert out["per_coefficient"][0, 5] == pytest.approx(4.0)
 
     def test_truth_required(self):
         data = SimpleNamespace(maps_true=None)
         with pytest.raises(TruthUnavailableError):
-            pare_table([make_record(0, [np.zeros(3)])], data)
-
-    def test_empty_trace_rejected(self):
-        data = SimpleNamespace(maps_true=[NAMED_MAPS["Q1"]])
-        with pytest.raises(ValueError):
-            pare_table([], data)
+            pare_table(np.zeros((1, 1, 3)), data)

@@ -900,7 +900,7 @@ class TestDrivers:
         state, rng, _ = load_checkpoint(ck)
         second = run_chain(data, prior, full_cfg, resume=(state, rng))
 
-        combined = first + second
+        combined = list(first) + list(second)
         assert len(combined) == len(full)
         for ra, rb in zip(combined, full):
             assert ra.iteration == rb.iteration

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import loop_flat_columns, loop_write_trace_csv, loop_write_trace_jsonl
+from oracle import loop_write_trace_csv, loop_write_trace_jsonl
 from pdgsbr import model
 from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import NAMED_MAPS, MultiSeries, NoiseMixtureSpec, eval_map, simulate_multi
@@ -19,14 +20,13 @@ from pdgsbr.model import (
     ChainState,
     INIT_SLICE_BOUND,
     PriorConfig,
-    TraceRecord,
+    Trace,
     _root_start,
     ensure_atoms,
     init_chain,
     load_checkpoint,
     read_trace_jsonl,
     save_checkpoint,
-    write_trace_csv,
     write_trace_jsonl,
 )
 
@@ -298,38 +298,30 @@ class TestCheckpoint:
         assert path.read_bytes() == before
 
 
-class TestTraceIO:
-    def make_records(self, n=4):
-        records = []
-        for i in range(n):
-            records.append(
-                TraceRecord(
-                    iteration=i,
-                    theta=[np.arange(3.0) + i, np.arange(3.0) - i],
-                    p=np.array([[0.6, 0.4], [0.3, 0.7]]),
-                    lam=np.array([[0.5, 0.2], [0.2, 0.8]]),
-                    x0=np.array([0.1, -0.2]),
-                    future=[np.array([1.0 + i]), np.array([2.0])],
-                    z_pred=np.array([0.01, -0.02]),
-                    n_star=3,
-                )
-            )
-        return records
+def write_trace_csv(path, trace):
+    write_trace_jsonl(os.devnull, trace, csv_path=path)
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        records = self.make_records()
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, records)
-        back = read_trace_jsonl(path)
-        assert len(back) == len(records)
-        assert np.array_equal(back[2].theta[0], records[2].theta[0])
-        assert back[1].n_star == records[1].n_star == 3
-        assert np.array_equal(back[3].future[0], records[3].future[0])
+
+class TestTraceIO:
+    def make_trace(self, n=4):
+        return Trace.stack([
+            {
+                "iteration": i,
+                "theta": [np.arange(3.0) + i, np.arange(3.0) - i],
+                "p": np.array([[0.6, 0.4], [0.3, 0.7]]),
+                "lam": np.array([[0.5, 0.2], [0.2, 0.8]]),
+                "x0": np.array([0.1, -0.2]),
+                "future": [np.array([1.0 + i]), np.array([2.0])],
+                "z_pred": np.array([0.01, -0.02]),
+                "n_star": 3,
+            }
+            for i in range(n)
+        ])
 
     def test_csv_columns_are_stable_and_exact(self, tmp_path):
-        records = self.make_records()
+        trace = self.make_trace()
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, records)
+        write_trace_csv(path, trace)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         assert header[0] == "iteration"
@@ -343,26 +335,34 @@ class TestTraceIO:
         assert np.array_equal(body[:, col], [1.0, 2.0, 3.0, 4.0])
 
     def test_empty_trace_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_trace_csv(tmp_path / "empty.csv", [])
-        # the JSONL writer once wrote an empty file here
+        # the JSONL writer once wrote an empty file for an empty trace
         with pytest.raises(ValueError, match="empty trace"):
-            write_trace_jsonl(tmp_path / "empty.jsonl", [])
+            Trace.stack([])
+        (tmp_path / "empty.jsonl").write_text("\n")
         with pytest.raises(ValueError, match="empty trace"):
-            write_trace_jsonl(tmp_path / "both.jsonl", [], csv_path=tmp_path / "both.csv")
-        assert not list(tmp_path.iterdir())
+            read_trace_jsonl(tmp_path / "empty.jsonl")
 
     def test_parametric_record_omits_mixture_blocks(self, tmp_path):
-        record = TraceRecord(
-            iteration=0, theta=[np.zeros(2)], p=None, lam=None,
-            x0=np.array([0.0]), future=[np.array([1.0])],
-            z_pred=np.array([0.0]), tau_common=2.5,
-        )
-        cols = record.flat_columns()
-        assert "tau" in cols and not any(k.startswith("p_") for k in cols)
-        write_trace_jsonl(tmp_path / "t.jsonl", [record])
+        trace = Trace.stack([{
+            "iteration": 0, "theta": [np.zeros(2)], "p": None, "lam": None,
+            "x0": np.array([0.0]), "future": [np.array([1.0])],
+            "z_pred": np.array([0.0]), "tau_common": 2.5,
+        }])
+        write_trace_jsonl(tmp_path / "t.jsonl", trace, csv_path=tmp_path / "t.csv")
+        header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
+        assert "tau" in header and not any(k.startswith(("p_", "lam_", "n_star")) for k in header)
         back = read_trace_jsonl(tmp_path / "t.jsonl")[0]
-        assert back.p is None and back.tau_common == 2.5
+        assert back.p is None and back.n_star is None and back.tau_common == 2.5
+
+    def test_records_are_views_of_the_columns(self):
+        trace = self.make_trace()
+        assert len(trace) == 4 and len(list(trace)) == 4
+        record = trace[2]
+        assert record.iteration == 2 and record.n_star == 3 and record.tau_common is None
+        assert np.shares_memory(record.theta, trace.theta)
+        assert np.array_equal(record.theta[0], [2.0, 3.0, 4.0])
+        assert np.array_equal(record.future[0], [3.0])
+        assert np.array_equal(trace[-1].x0, trace.x0[3])
 
 
 # floats whose text is easy to get wrong, mixed with arbitrary ones
@@ -374,8 +374,9 @@ EDGE_FLOATS = st.one_of(
 
 @st.composite
 def trace_records(draw):
-    """A short trace of one chain: m = 1-3 series, mixture or parametric,
-    horizons all 0, all 1 or ragged (0, 3, 0, ...)."""
+    """The rows of a short trace of one chain, each a dict of the Trace
+    fields: m = 1-3 series, mixture or parametric, horizons all 0, all 1 or
+    ragged (0, 3, 0, ...)."""
     m = draw(st.integers(1, 3))
     parametric = draw(st.booleans())
     horizons = draw(st.sampled_from([(0,), (1,), (0, 3)]))
@@ -386,17 +387,17 @@ def trace_records(draw):
                                       max_size=int(np.prod(shape))))).reshape(shape)
 
     return [
-        TraceRecord(
-            iteration=draw(st.integers(0, 10 ** 6)),
-            theta=[floats(coefficients) for _ in range(m)],
-            p=None if parametric else floats(m, m),
-            lam=None if parametric else floats(m, m),
-            x0=floats(m),
-            future=[floats(horizons[j % len(horizons)]) for j in range(m)],
-            z_pred=floats(m),
-            n_star=None if parametric else draw(st.integers(1, 2000)),
-            tau_common=draw(EDGE_FLOATS) if parametric else None,
-        )
+        {
+            "iteration": draw(st.integers(0, 10 ** 6)),
+            "theta": [floats(coefficients) for _ in range(m)],
+            "p": None if parametric else floats(m, m),
+            "lam": None if parametric else floats(m, m),
+            "x0": floats(m),
+            "future": [floats(horizons[j % len(horizons)]) for j in range(m)],
+            "z_pred": floats(m),
+            "n_star": None if parametric else draw(st.integers(1, 2000)),
+            "tau_common": draw(EDGE_FLOATS) if parametric else None,
+        }
         for _ in range(draw(st.integers(1, 4)))
     ]
 
@@ -408,37 +409,53 @@ class TestTraceWritersMatchTheRecordLoop:
 
     @settings(max_examples=150, deadline=None)
     @given(trace_records())
-    def test_same_bytes(self, records):
+    def test_same_bytes(self, rows):
+        trace = Trace.stack(rows)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             for write, loop_write, name in ((write_trace_csv, loop_write_trace_csv, "trace.csv"),
                                             (write_trace_jsonl, loop_write_trace_jsonl,
                                              "trace.jsonl")):
-                write(tmp / name, records)
-                loop_write(tmp / f"loop_{name}", records)
+                write(tmp / name, trace)
+                loop_write(tmp / f"loop_{name}", rows)
                 assert (tmp / name).read_bytes() == (tmp / f"loop_{name}").read_bytes()
-
-    @settings(max_examples=50, deadline=None)
-    @given(trace_records())
-    def test_flat_columns_in_the_same_order(self, records):
-        for record in records:
-            got, expected = record.flat_columns(), loop_flat_columns(record)
-            assert [(k, repr(v)) for k, v in got.items()] == \
-                [(k, repr(v)) for k, v in expected.items()]
 
 
 class TestOneCallTraceWriter:
     @settings(max_examples=150, deadline=None)
     @given(trace_records())
-    def test_both_files_match_the_record_loop(self, records):
+    def test_both_files_match_the_record_loop(self, rows):
         # one rendering feeds both files; each must keep its own writer's bytes
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            write_trace_jsonl(tmp / "trace.jsonl", records, csv_path=tmp / "trace.csv")
-            loop_write_trace_jsonl(tmp / "loop.jsonl", records)
-            loop_write_trace_csv(tmp / "loop.csv", records)
+            write_trace_jsonl(tmp / "trace.jsonl", Trace.stack(rows), csv_path=tmp / "trace.csv")
+            loop_write_trace_jsonl(tmp / "loop.jsonl", rows)
+            loop_write_trace_csv(tmp / "loop.csv", rows)
             assert (tmp / "trace.jsonl").read_bytes() == (tmp / "loop.jsonl").read_bytes()
             assert (tmp / "trace.csv").read_bytes() == (tmp / "loop.csv").read_bytes()
+
+
+class TestTraceRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(trace_records())
+    def test_read_gives_back_every_column(self, rows):
+        trace = Trace.stack(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_trace_jsonl(Path(tmp) / "trace.jsonl", trace)
+            back = read_trace_jsonl(Path(tmp) / "trace.jsonl")
+        for name in ("iteration", "theta", "p", "lam", "x0", "future", "z_pred",
+                     "n_star", "tau_common"):
+            got, expected = getattr(back, name), getattr(trace, name)
+            if expected is None:
+                assert got is None
+                continue
+            if name == "future":
+                assert len(got) == len(expected)
+            for a, b in zip(got, expected) if name == "future" else [(got, expected)]:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b, equal_nan=True)
+        assert back.iteration.dtype.kind == "i"
+        assert back.n_star is None or back.n_star.dtype.kind == "i"
 
 
 class TestAllocations:
