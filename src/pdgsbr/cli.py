@@ -283,19 +283,30 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
 
 # --- report ----------------------------------------------------------------------
 
-def _write_csv(path, header, rows) -> None:
-    """Write a CSV file line by line: the ``header`` names, then each row of
-    ``rows`` (an iterable of str), comma-joined and CRLF-ended like
-    csv.writer's lines. No value here needs quoting."""
+def _write_lines(path, lines, end) -> None:
+    """Write ``lines`` (a non-empty list of str) to ``path`` in one call,
+    each ended by ``end``."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(row) + "\r\n")
+        fh.write(end.join(lines) + end)
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV file with csv.writer's bytes: the ``header`` names, then each row
+    of ``rows`` (an iterable of str), comma-joined, with CRLF line ends. No
+    value here needs quoting."""
+    _write_lines(path, [",".join(header), *map(",".join, rows)], "\r\n")
+
+
+def _write_matrix(path, matrix: np.ndarray) -> None:
+    """A 2-D float array with np.savetxt(fmt="%.17g", delimiter=",")'s bytes:
+    no header, LF line ends."""
+    _write_lines(path, [",".join(["%.17g" % v for v in row]) for row in matrix.tolist()], "\n")
 
 
 def _repr_rows(table: np.ndarray):
-    """Each row of a 2-D float array as the ``repr`` of its values."""
-    return (map(repr, row.tolist()) for row in table)
+    """Each row of a 2-D float array as the ``repr`` of its values, formatted
+    column by column so that each value is converted once."""
+    return zip(*(map(repr, column) for column in table.T.tolist()))
 
 
 def _write_grid_csv(path, grid_density) -> None:
@@ -308,8 +319,8 @@ def _kde_with_bounds(samples: np.ndarray, bounds):
         lo, hi = bounds
         return kde(samples, grid=np.linspace(lo, hi, KDE_GRID_SIZE))
     # robust default range: the central 99% of samples, which kde pads by 4 bandwidths
-    core = samples[(samples >= np.quantile(samples, 0.005))
-                   & (samples <= np.quantile(samples, 0.995))]
+    lo, hi = np.quantile(samples, [0.005, 0.995])
+    core = samples[(samples >= lo) & (samples <= hi)]
     return kde(core if core.size >= 2 else samples)
 
 
@@ -325,10 +336,9 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
 
     if trace.p is not None:
         mean_p = posterior_mean_matrix(trace.p)
-        np.savetxt(os.path.join(out_dir, "posterior_mean_p.csv"), mean_p,
-                   delimiter=",", fmt="%.17g")
-        np.savetxt(os.path.join(out_dir, "posterior_mean_lambda.csv"), np.mean(trace.lam, axis=0),
-                   delimiter=",", fmt="%.17g")
+        _write_matrix(os.path.join(out_dir, "posterior_mean_p.csv"), mean_p)
+        _write_matrix(os.path.join(out_dir, "posterior_mean_lambda.csv"),
+                      np.mean(trace.lam, axis=0))
         summary["boi"] = {
             str(j + 1): boi(trace.p, j, [l for l in range(m) if l != j]) for j in range(m)
         }

@@ -240,22 +240,29 @@ class Trace:
     def stack(cls, rows) -> "Trace":
         """The trace of ``rows``, each a mapping of the field names to one
         record's values (a ``trace.jsonl`` object). ValueError if there are
-        none, if the records disagree in shape, or if a field is null in some
-        but not all of them (only p, lam, n_star and tau_common may be null)."""
+        none, if the records disagree in shape, if a field is null in some
+        but not all of them (only p, lam, n_star and tau_common may be null),
+        or if a count (iteration, n_star) is not a whole number."""
         if not rows:
             raise ValueError("empty trace")
         n = len(rows)
 
-        def column(name, values, shape, dtype=float):
+        def column(name, values, shape, count=False):
             nulls = sum(value is None for value in values)
             if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
                 return None
             if nulls:
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
-            array = np.array(values, dtype=dtype)  # ValueError if their lengths differ
+            array = np.array(values, dtype=float)  # ValueError if their lengths differ
             if array.shape != (n, *shape):
                 raise ValueError(f"{name} has shape {array.shape[1:]} where {shape} is expected")
-            return array
+            if not count:
+                return array
+            whole = np.isfinite(array) & (array == np.trunc(array))
+            if not whole.all():
+                raise ValueError(f"{name} holds {array[~whole][0]} where a whole number "
+                                 "is expected")
+            return array.astype(int)
 
         theta_shape = np.shape(rows[0]["theta"])
         if len(theta_shape) != 2:
@@ -265,14 +272,14 @@ class Trace:
         if any(len(path) != m for path in paths):
             raise ValueError(f"future does not hold m = {m} paths in every record")
         return cls(
-            column("iteration", [row["iteration"] for row in rows], (), int),
+            column("iteration", [row["iteration"] for row in rows], (), count=True),
             column("theta", [row["theta"] for row in rows], theta_shape),
             *(column(name, [row.get(name) for row in rows], (m, m)) for name in ("p", "lam")),
             column("x0", [row["x0"] for row in rows], (m,)),
             [column("future", [path[j] for path in paths], (len(paths[0][j]),))
              for j in range(m)],
             column("z_pred", [row["z_pred"] for row in rows], (m,)),
-            column("n_star", [row.get("n_star") for row in rows], (), int),
+            column("n_star", [row.get("n_star") for row in rows], (), count=True),
             column("tau_common", [row.get("tau_common") for row in rows], ()),
         )
 

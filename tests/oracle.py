@@ -6,8 +6,8 @@ transition mixture it must marginalize to, term by term, so the tests can sum
 one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
 whose random stream the vectorized chain keeps bit for bit, the
-out-of-sample kernel point by point with scalar normal draws, and the trace
-writers record by record.
+out-of-sample kernel point by point with scalar normal draws, the trace
+writers record by record, and the report's former writers and KDE range.
 """
 
 import csv
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from pdgsbr.diagnostics import kde
 from pdgsbr.distributions import draw_beta, draw_dirichlet, draw_truncated_geometric
 from pdgsbr.dynamics import eval_map
 from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
@@ -215,3 +216,26 @@ def loop_write_trace_jsonl(path, records) -> None:
     with open(path, "w") as fh:
         for record in records:
             fh.write(json.dumps(plain(record)) + "\n")
+
+
+# --- the former report writers the one-call ones must reproduce byte for byte ---
+
+def csv_write_table(path, header, table) -> None:
+    """csv.writer over the header and the ``repr`` of each row's values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in table:
+            writer.writerow([repr(v) for v in row.tolist()])
+
+
+def savetxt_matrix(path, matrix) -> None:
+    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
+
+
+def two_call_default_kde(samples):
+    """The KDE on the default range: the samples between their 0.5 % and
+    99.5 % quantiles, each quantile taken by its own call."""
+    core = samples[(samples >= np.quantile(samples, 0.005))
+                   & (samples <= np.quantile(samples, 0.995))]
+    return kde(core if core.size >= 2 else samples)

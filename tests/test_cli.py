@@ -1,16 +1,23 @@
 import dataclasses
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracle import csv_write_table, savetxt_matrix, two_call_default_kde
 from pdgsbr import cli
 from pdgsbr.dynamics import MultiSeries
 from pdgsbr.errors import ConfigError
 from pdgsbr.gibbs import GibbsConfig
 from pdgsbr.model import PriorConfig, read_trace_jsonl
+from test_model import EDGE_FLOATS
 
 
 def base_config(**overrides):
@@ -341,6 +348,8 @@ class TestReport:
         ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, theta=[[0.1, 0.2], [0.3]])), 2),
         ("report", "trace.jsonl", jsonl(dict(MIXTURE, theta=0.5)), 2),
         ("report", "trace.jsonl", "", 2),
+        ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, iteration=31.7)), 2),
+        ("report", "trace.jsonl", jsonl(dict(MIXTURE, n_star=2.9), MIXTURE), 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2', 2),
         ("run", "data.json", '{"m": 2}', 2),
@@ -353,6 +362,7 @@ class TestReport:
         ("report", "trace.jsonl", None, 4),
     ], ids=["mixture-then-parametric", "parametric-then-mixture",
             "theta-lengths-differ", "theta-a-number", "empty-trace",
+            "iteration-fractional", "n-star-fractional",
             "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
@@ -380,6 +390,32 @@ class TestReport:
                          "--data", str(sim / "data.json"),
                          "--out", str(blocker / "sub")])
         assert code == 4
+
+
+class TestReportWritersMatchTheFormerOnes:
+    """The one-call report writers give the bytes of the former ones
+    (tests/oracle.py): csv.writer over per-row reprs and np.savetxt; the
+    one-call KDE range gives the grid and density of two quantile calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 6)), elements=EDGE_FLOATS))
+    def test_same_bytes(self, table):
+        header = [f"c{k}" for k in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cli._write_csv(tmp / "new.csv", header, cli._repr_rows(table))
+            csv_write_table(tmp / "old.csv", header, table)
+            assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+            cli._write_matrix(tmp / "new.txt", table)
+            savetxt_matrix(tmp / "old.txt", table)
+            assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, st.integers(2, 300), elements=st.one_of(
+        st.sampled_from([-1.0, 0.0, 0.5]), st.floats(-1e3, 1e3))))
+    def test_same_default_kde(self, samples):
+        new, old = cli._kde_with_bounds(samples, None), two_call_default_kde(samples)
+        assert np.array_equal(new.grid, old.grid) and np.array_equal(new.density, old.density)
 
 
 class TestReproduce:

@@ -5,10 +5,14 @@ leaves these digests as they are. A change that alters the random stream on
 purpose records new digests here, and says why in CHANGES.md. Float
 formatting and the generators' algorithms can differ between numpy releases,
 so digests are kept per numpy ``major.minor``; a version without an entry is
-skipped.
+skipped. ``PYTHONPATH=src python tests/test_golden.py`` prints every case's
+digests for the running numpy in the layout of the two tables below, ready to
+paste.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,8 @@ CASES = {
     "4a-parametric-h3": ("4a", "parametric", "dirichlet_alpha", {}, 3),
 }
 
-# SHA-256 of each pinned file in the run directory, per case.
+# SHA-256 of each pinned file in the run directory, per case: the trace
+# files, and the last checkpoint of a case that checkpoints along the way.
 GOLDEN = {
     "2.4": {
         "4a-strong": {
@@ -52,6 +57,8 @@ GOLDEN = {
 
 # SHA-256 of every file `report` writes from a case's trace, per case. These
 # chains run 140 sweeps, so their 120 retained draws reach the future HPDI.
+# 4c-checkpointed reports with its config's kde_bounds, the explicit noise
+# grid that `reproduce` uses; the other cases take the default range.
 GOLDEN_REPORT = {
     "2.4": {
         "4a-strong": {
@@ -83,8 +90,31 @@ GOLDEN_REPORT = {
             "pare_table.csv": "65a5729319c2c206793e658fc8571427920cbaf3b3541a5204fec1b631a38292",
             "summary.json": "ca05cad9551f350abb2d9c7651da7412e593b26d180cb31631d8209418d45f6e",
         },
+        "4c-checkpointed": {
+            "boi.json": "b40c1866797b873128e749e1bbcca5fdc17629eb385b017e971a0e4585690dd2",
+            "ergodic_theta_1.csv": "59259c346c3687c8f3e76141155ef7cc4d5f2dbe3e1f44b95931d8bac0d4f7ab",
+            "ergodic_theta_2.csv": "14a769be062b493039f830c146cd79b01bc3149366d48650042d512691ef3617",
+            "ergodic_theta_3.csv": "3481d6e6451ab212dfb700848e6aed92e92b1486775b0bf8e3db97db195c30c1",
+            "hpdi.json": "daeaa7dc3da0d2a40b50aac017e4224ab2be7b2853118b85adfe2a1095822872",
+            "kde_future_1.csv": "9312b60210c979d27249d54bcad58ce33023f3547fa4ce14216147220bee0e5b",
+            "kde_future_2.csv": "04d62b51b23936f51f93b4d0b4605f70076a5ab78a9bd3690aa18ffd0a15da5e",
+            "kde_future_3.csv": "b78cbc21ba8a60ab8fa0b007990a653129abc7ccbd0a9d90d685bd2232e1e833",
+            "kde_noise_1.csv": "1a13d3302266179555b1de98fd622d21a797accf839d11ce3b0f2c277235398a",
+            "kde_noise_2.csv": "614434026885530e21a3aa2f2f54359da404fcf8ec84f277e25ea363e5ba5c9e",
+            "kde_noise_3.csv": "d144e400d9bd8124860caf53fe45556dddb6c81293e5e37c39a5de19023179d7",
+            "kde_x0_1.csv": "ae21e9dcdf0ac96eb0ae3fa03ad41c922d9057e7d47754a08ffa390b1dfe34d4",
+            "kde_x0_2.csv": "d8b065cb42f32b65f9d72b01109efade390dd7947bebdb7807af3918ebcf6536",
+            "kde_x0_3.csv": "a25260fd001b0ffa9c31ae821cec6022d22834496f625f1956d9285bb6866279",
+            "pare_table.csv": "e4ba27a362f8a4d62abd74ee49a60e0aa1b27f83c395ee1657d4ad2692d974bc",
+            "posterior_mean_lambda.csv": "ee0aa9e47c13933d61e6859dcbd5e00f12aa115c3132cf41f79fcdc589214540",
+            "posterior_mean_p.csv": "25539948bae5d406201ee31d50771538db7df54a5990ac3c29353c30cc5af089",
+            "summary.json": "97bafa989d7d09f461138f63c14df20346026a137f8469c1b5911364940ae541",
+        },
     },
 }
+
+# Whether each report case passes its config's kde_bounds to `report`.
+REPORT_CASES = {"4a-strong": False, "4a-parametric-h3": False, "4c-checkpointed": True}
 
 NUMPY_MINOR = ".".join(np.__version__.split(".")[:2])
 
@@ -100,6 +130,12 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def pinned_files(case) -> tuple:
+    """The run-directory files GOLDEN pins for ``case``."""
+    checkpoints = "checkpoint_interval" in CASES[case][3]
+    return ("trace.jsonl", "trace.csv") + (("checkpoint.json",) if checkpoints else ())
+
+
 def run_case(case, tmp_path, iterations=100):
     """Simulate the case's data and run its chain; returns the run directory."""
     experiment, sampler, alpha_key, overrides, horizon = CASES[case]
@@ -113,19 +149,45 @@ def run_case(case, tmp_path, iterations=100):
     return tmp_path / "run"
 
 
+def report_case(case, tmp_path):
+    """Run the case's 140-sweep chain and report it; returns the report directory."""
+    run = run_case(case, tmp_path, iterations=140)
+    bounds = cli.bundled_config(CASES[case][0])["outputs"]["kde_bounds"]
+    out = tmp_path / "report"
+    cli.cmd_report(run / "trace.jsonl", tmp_path / "data" / "data.json", out,
+                   kde_bounds=bounds if REPORT_CASES[case] else None)
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_matches_golden_digest(case, tmp_path):
     digests = digests_or_skip(GOLDEN)
     run = run_case(case, tmp_path)
-    found = {name: sha256(run / name) for name in digests[case]}
-    assert found == digests[case]
+    assert {name: sha256(run / name) for name in pinned_files(case)} == digests[case]
 
 
-@pytest.mark.parametrize("case", ["4a-strong", "4a-parametric-h3"])
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
 def test_report_matches_golden_digest(case, tmp_path):
     digests = digests_or_skip(GOLDEN_REPORT)
-    run = run_case(case, tmp_path, iterations=140)
-    out = tmp_path / "report"
-    cli.cmd_report(run / "trace.jsonl", tmp_path / "data" / "data.json", out)
-    found = {path.name: sha256(path) for path in sorted(out.iterdir())}
-    assert found == digests[case]
+    out = report_case(case, tmp_path)
+    assert {path.name: sha256(path) for path in sorted(out.iterdir())} == digests[case]
+
+
+def print_table(name, cases, digests_of) -> None:
+    """Print ``name`` as a GOLDEN-style table of the running numpy's digests."""
+    print(f'{name} = {{\n    "{NUMPY_MINOR}": {{')
+    for case in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = digests_of(case, Path(tmp))
+        print(f'        "{case}": {{')
+        for file, digest in digests.items():
+            print(f'            "{file}": "{digest}",')
+        print("        },")
+    print("    },\n}")
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN", CASES, lambda case, tmp: {
+        name: sha256(run_case(case, tmp) / name) for name in pinned_files(case)})
+    print_table("GOLDEN_REPORT", REPORT_CASES, lambda case, tmp: {
+        path.name: sha256(path) for path in sorted(report_case(case, tmp).iterdir())})

@@ -303,8 +303,8 @@ def write_trace_csv(path, trace):
 
 
 class TestTraceIO:
-    def make_trace(self, n=4):
-        return Trace.stack([
+    def make_rows(self, n=4):
+        return [
             {
                 "iteration": i,
                 "theta": [np.arange(3.0) + i, np.arange(3.0) - i],
@@ -316,7 +316,10 @@ class TestTraceIO:
                 "n_star": 3,
             }
             for i in range(n)
-        ])
+        ]
+
+    def make_trace(self, n=4):
+        return Trace.stack(self.make_rows(n))
 
     def test_csv_columns_are_stable_and_exact(self, tmp_path):
         trace = self.make_trace()
@@ -341,6 +344,23 @@ class TestTraceIO:
         (tmp_path / "empty.jsonl").write_text("\n")
         with pytest.raises(ValueError, match="empty trace"):
             read_trace_jsonl(tmp_path / "empty.jsonl")
+
+    @pytest.mark.parametrize("field, value", [
+        ("iteration", 31.7), ("n_star", 2.9), ("n_star", math.inf), ("iteration", math.nan),
+    ])
+    def test_fractional_counts_rejected(self, field, value):
+        # iteration and n_star are counts: a fraction was once truncated silently
+        rows = self.make_rows(2)
+        rows[1][field] = value
+        with pytest.raises(ValueError, match=f"{field} holds {value!r}"):
+            Trace.stack(rows)
+
+    def test_whole_float_counts_load(self):
+        rows = self.make_rows(2)
+        rows[1].update(iteration=1.0, n_star=3.0)
+        trace = Trace.stack(rows)
+        assert trace.iteration.dtype.kind == "i" and trace.n_star.dtype.kind == "i"
+        assert trace.iteration.tolist() == [0, 1] and trace.n_star.tolist() == [3, 3]
 
     def test_parametric_record_omits_mixture_blocks(self, tmp_path):
         trace = Trace.stack([{
