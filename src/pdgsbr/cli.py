@@ -242,6 +242,25 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
 SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_chain, "parametric": run_parametric_gaussian}
 
 
+def _check_resume(state, data: MultiSeries, prior: PriorConfig, path) -> None:
+    """ConfigError unless a checkpoint's state is valid and fits the data and
+    prior: m series, with n_j + T_j points, T_j future values and R + 1
+    coefficients in series j."""
+    with _config_errors(f"checkpoint {path}"):
+        state.validate()
+    horizon = prior.horizon.tolist()
+    for what, found, expected in (
+            ("series", state.m, data.m),
+            ("points per series", [a.size for a in state.alloc.delta],
+             [n + t for n, t in zip(data.lengths, horizon)]),
+            ("future values per series", [f.size for f in state.future], horizon),
+            ("coefficients per series", [t.size for t in state.theta],
+             [prior.poly_degree + 1] * data.m)):
+        if found != expected:
+            raise ConfigError(f"{path} has {found} {what} where the data and prior "
+                              f"have {expected}")
+
+
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             scale=None, resume_path=None, alpha_key="dirichlet_alpha"):
     check_config_keys(doc)
@@ -258,6 +277,7 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     if resume_path:
         with _config_errors(f"checkpoint {resume_path}"):
             resume = load_checkpoint(resume_path)[:2]  # (state, rng)
+        _check_resume(resume[0], data, prior, resume_path)
         if (resume[0].tau_common is not None) != (sampler == "parametric"):
             raise ConfigError(f"{resume_path} was written by another sampler than {sampler!r}")
         done = max(resume[0].iteration - config.burn_in, 0) // config.thinning

@@ -10,12 +10,12 @@ reproducible.
 The precisions span many orders of magnitude, so linear-space mixture
 weights underflow. The allocation block draws in log space by Gumbel-max,
 which needs no max-subtraction or normalization. The kernels work on all
-series at once, on the flat point layout of ``point_layout``.
+series at once, on the flat point layout of ``model.Allocations``: they read
+and write its (3, n) label array ``flat`` directly.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import asdict, dataclass
 from typing import Optional, get_type_hints
@@ -84,51 +84,27 @@ class GibbsConfig:
                              "or the run keeps no sweep")
         if self.slice_width <= 0 or self.max_stepout < 1:
             raise ValueError("invalid slice-sampler tuning")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0 (0 disables periodic checkpoints)")
 
 
 # --- shared helpers -----------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _layout(sizes: tuple):
-    # cached: a chain's series sizes never change, and a sweep asks 14 times
-    # (uncached, about 7 % of a 4C sweep)
-    sizes = np.array(sizes)
-    series = np.repeat(np.arange(sizes.size), sizes)
-    first = np.cumsum(sizes) - sizes
-    series.flags.writeable = first.flags.writeable = False  # shared by every caller
-    return series, first
-
-
-def point_layout(state: ChainState):
-    """The flat point layout every vectorized kernel works in: the points
-    i = 1..n_j+T_j of all series one after another in series order. Returns
-    the series label of every point and the flat index of each series' first
-    point, as read-only arrays."""
-    return _layout(tuple(delta.size for delta in state.alloc.delta))
-
-
-def _per_series(flat: np.ndarray, first: np.ndarray) -> list:
-    """Split a flat per-point array back into one array per series."""
-    bounds = [*first.tolist(), flat.size]
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _path_points(state: ChainState, data: MultiSeries, first: np.ndarray):
+def _path_points(state: ChainState, data: MultiSeries):
     """Predecessor x_{j,i-1} and value x_{ji} of every point, flat in series
     order, over the complete paths x_{j,0}, ..., x_{j,n_j+T_j}."""
     nxt = np.concatenate([x for pair in zip(data.series, state.future) for x in pair])
     prev = np.empty_like(nxt)
     prev[1:] = nxt[:-1]
-    prev[first] = state.x0
+    prev[state.alloc.first] = state.x0
     return prev, nxt
 
 
 def residuals(state: ChainState, data: MultiSeries) -> np.ndarray:
     """Squared residuals h_ji = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2 of every
     point, flat in series order: one Horner pass with per-point coefficients."""
-    series, first = point_layout(state)
-    prev, nxt = _path_points(state, data, first)
-    return (nxt - eval_map(np.asarray(state.theta).T[:, series], prev)) ** 2
+    prev, nxt = _path_points(state, data)
+    return (nxt - eval_map(np.asarray(state.theta).T[:, state.alloc.series], prev)) ** 2
 
 
 def _point_target(coefficients, tau, x_next):
@@ -151,8 +127,7 @@ def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
 
 def _pair_labels(state: ChainState) -> np.ndarray:
     """Flat index j * m + delta_ji of every point's (series, measure) pair."""
-    series, _ = point_layout(state)
-    return series * state.m + np.concatenate(state.alloc.delta)
+    return state.alloc.series * state.m + state.alloc.flat[0]
 
 
 def _atom_rows(state: ChainState) -> np.ndarray:
@@ -164,8 +139,8 @@ def _tau_per_point(state: ChainState, tau_common: Optional[float] = None) -> np.
     """Precision of every point, flat in series order: ``tau_common`` when
     given (the parametric baseline), else the allocated tau_{j, delta_ji, d_ji}."""
     if tau_common is not None:
-        return np.full(sum(delta.size for delta in state.alloc.delta), tau_common, dtype=float)
-    return state.atoms.values[_atom_rows(state), np.concatenate(state.alloc.d) - 1]
+        return np.full(state.alloc.series.size, tau_common, dtype=float)
+    return state.atoms.values[_atom_rows(state), state.alloc.flat[1] - 1]
 
 
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
@@ -179,7 +154,7 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     """
     m = state.m
     K = state.atoms.max_size()
-    cell = _pair_labels(state) * K + np.concatenate(state.alloc.d) - 1
+    cell = _pair_labels(state) * K + state.alloc.flat[1] - 1
     counts = np.bincount(cell, None, m * m * K).reshape(m, m, K)
     rsums = np.bincount(cell, residuals(state, data), m * m * K).reshape(m, m, K)
     upper = state.atoms.upper
@@ -204,7 +179,7 @@ def geometric_posterior_params(state: ChainState, prior: PriorConfig):
     rows = state.atoms.values.shape[0]
     row = _atom_rows(state)
     S = np.bincount(row, None, rows)
-    Sp = np.bincount(row, np.concatenate(state.alloc.N) - 1.0, rows)
+    Sp = np.bincount(row, state.alloc.flat[2] - 1.0, rows)
     upper = state.atoms.upper
     return prior.beta_a[upper] + 2.0 * S, prior.beta_b[upper] + Sp
 
@@ -250,11 +225,10 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """
     m = state.m
     K = state.atoms.max_size()
-    series, first = point_layout(state)
     half_h = 0.5 * residuals(state, data)
-    width = np.minimum(np.concatenate(state.alloc.N), K)  # live k of each point
+    width = np.minimum(state.alloc.flat[2], K)  # live k of each point
     cells = m * width
-    pair_base = series * m  # flat (m, m) index of (j, l = 0)
+    pair_base = state.alloc.series * m  # flat (m, m) index of (j, l = 0)
     rows = state.atoms.index.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(state.p).ravel()
@@ -275,17 +249,15 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
         best = np.repeat(np.maximum.reduceat(score, offset), count)
         pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
     delta, d = np.divmod(pick, width)
-    state.alloc.delta[:] = _per_series(delta, first)
-    state.alloc.d[:] = _per_series(d + 1, first)
+    state.alloc.flat[:2] = delta, d + 1
     return state
 
 
 def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Redraw every slice bound (capped at SLICE_BOUND_CAP) and resize the atoms."""
-    _, first = point_layout(state)
-    d = np.concatenate(state.alloc.d)
+    _, d, N = state.alloc.flat
     bound = draw_truncated_geometric(state.lam.ravel()[_pair_labels(state)], d, rng)
-    state.alloc.N[:] = _per_series(np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d), first)
+    N[:] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
     return ensure_atoms(state, prior, rng)
 
 
@@ -326,8 +298,8 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     non-positive eigenvalue) is an error, never a silent ridge.
     """
     R = prior.poly_degree
-    _, first = point_layout(state)
-    prev, nxt = _path_points(state, data, first)
+    first = state.alloc.first
+    prev, nxt = _path_points(state, data)
     powers = np.empty((2 * R + 1, prev.size))  # tau_i x_{j,i-1}^r, r = 0..2R
     powers[0] = _tau_per_point(state, tau_override)
     for r in range(1, 2 * R + 1):
@@ -356,8 +328,7 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     real roots of g(x) - x_1), hence the slice sampler instead of anything
     assuming log-concavity.
     """
-    _, first = point_layout(state)
-    taus = _tau_per_point(state, tau_override)[first].tolist()  # each series' first point
+    taus = _tau_per_point(state, tau_override)[state.alloc.first].tolist()  # first points
     for j in range(state.m):
         log_f = _point_target(state.theta[j].tolist(), taus[j], float(data.series[j][0]))
         lo, hi = prior.x0_support[j].tolist()
@@ -392,9 +363,10 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     if tau_override is not None:
         sd = [float(tau_override) ** -0.5] * total
     else:  # the future points' precisions only
-        delta = np.concatenate([a[n:] for a, n in zip(state.alloc.delta, data.lengths)])
-        d = np.concatenate([a[n:] for a, n in zip(state.alloc.d, data.lengths)])
-        rows = state.atoms.index[np.repeat(np.arange(state.m), horizon), delta]
+        series, first = state.alloc.series, state.alloc.first
+        ahead = np.arange(series.size) >= (first + data.lengths)[series]
+        delta, d = state.alloc.flat[:2, ahead]
+        rows = state.atoms.index[series[ahead], delta]
         sd = [t ** -0.5 for t in state.atoms.values[rows, d - 1].tolist()]
     z = rng.generator.standard_normal(total).tolist()
     k = 0

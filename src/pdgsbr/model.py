@@ -3,8 +3,9 @@
 Index conventions: series are 0-based internally (j = 0..m-1), measure and
 cluster labels in allocations are stored 0-based (delta in 0..m-1) except for
 the cluster index d which stays 1-based to match the slice constraint
-d <= N. Allocation arrays run over i = 0..n_j+T_j-1, i.e. observed points
-followed by the out-of-sample latent points. The shared atoms form one
+d <= N. Allocations are stored flat, series after series (see Allocations),
+each over i = 0..n_j+T_j-1: observed points, then the out-of-sample latent
+points. The shared atoms form one
 (P, K) array over the P = m(m+1)/2 unordered series pairs, rows in sorted
 pair order, with a symmetric (m, m) pair-to-row index (see AtomTable).
 """
@@ -140,11 +141,14 @@ class AtomTable:
 
 
 def _plain(value):
-    """JSON-ready form of a field value: a dataclass becomes a dict of its
-    fields in declaration order, arrays and the atom table nested lists,
-    sequences lists; anything else is returned as it is."""
+    """JSON-ready form of a field value: a dataclass (or the allocations, as
+    per-series lists) becomes a dict of its fields in declaration order,
+    arrays and the atom table nested lists, sequences lists; anything else
+    is returned as it is."""
     if isinstance(value, AtomTable):
         value = value.values
+    if isinstance(value, Allocations):
+        return {name: _plain(getattr(value, name)) for name in ("delta", "d", "N")}
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if is_dataclass(value):
@@ -154,24 +158,41 @@ def _plain(value):
     return value
 
 
-@dataclass
-class Allocations:
-    """Per-observation latent labels: measure delta, cluster d, slice bound N."""
+def _series_views(row: int, doc: str) -> property:
+    return property(lambda self: tuple(np.split(self.flat[row], self.first[1:])), doc=doc)
 
-    delta: list  # per series: int array in 0..m-1
-    d: list  # per series: int array, 1-based cluster labels
-    N: list  # per series: int array, N >= d
+
+class Allocations:
+    """Latent labels of every point, in the flat layout every kernel works in:
+    ``flat`` is a (3, n) int array with rows delta, d and N over the points of
+    all series, series after series; ``series`` is each point's series label
+    and ``first`` the flat index of each series' first point. ``delta``, ``d``
+    and ``N`` are tuples of per-series views into ``flat``, made on each
+    access, so that a copy never holds views of the original's ``flat``."""
+
+    def __init__(self, delta, d, N):
+        sizes = [len(a) for a in delta]
+        if [len(a) for a in d] != sizes or [len(a) for a in N] != sizes:
+            raise ValueError("delta, d and N must have the same size in every series")
+        self.flat = np.array([np.concatenate([np.asarray(a, dtype=int) for a in rows])
+                              for rows in (delta, d, N)])
+        self.series = np.repeat(np.arange(len(sizes)), sizes)
+        self.first = np.cumsum(sizes) - sizes
+
+    delta = _series_views(0, "per series: measure labels in 0..m-1")
+    d = _series_views(1, "per series: 1-based cluster labels")
+    N = _series_views(2, "per series: slice bounds, N >= d")
 
     def validate(self, m: int) -> None:
-        for j in range(len(self.delta)):
-            if np.any(self.d[j] > self.N[j]) or np.any(self.d[j] < 1):
-                raise ValueError(f"slice constraint d <= N violated in series {j}")
-            if np.any(self.delta[j] < 0) or np.any(self.delta[j] >= m):
-                raise ValueError(f"measure label out of range in series {j}")
+        delta, d, N = self.flat
+        for bad, what in (((d > N) | (d < 1), "slice constraint d <= N violated"),
+                          ((delta < 0) | (delta >= m), "measure label out of range")):
+            if bad.any():
+                raise ValueError(f"{what} in series {self.series[np.argmax(bad)]}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(**{f.name: [np.asarray(a, dtype=int) for a in doc[f.name]] for f in fields(cls)})
+        return cls(doc["delta"], doc["d"], doc["N"])
 
 
 @dataclass
@@ -242,20 +263,33 @@ class Trace:
         record's values (a ``trace.jsonl`` object). ValueError if there are
         none, if the records disagree in shape, if a field is null in some
         but not all of them (only p, lam, n_star and tau_common may be null),
-        or if a count (iteration, n_star) is not a whole number."""
+        if a value is not a number (a string or a boolean, say), or if a
+        count (iteration, n_star) is not a whole number."""
         if not rows:
             raise ValueError("empty trace")
         n = len(rows)
 
         def column(name, values, shape, count=False):
-            nulls = sum(value is None for value in values)
-            if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
-                return None
-            if nulls:
+            kinds = set(map(type, values))
+            if type(None) in kinds:
+                nulls = sum(value is None for value in values)
+                if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
+                    return None
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
             array = np.array(values, dtype=float)  # ValueError if their lengths differ
             if array.shape != (n, *shape):
                 raise ValueError(f"{name} has shape {array.shape[1:]} where {shape} is expected")
+            if kinds == {np.ndarray}:  # the chain driver's rows
+                kinds = {value.dtype.type for value in values}
+            else:  # every scalar of the column, one type check each
+                scalars = values
+                for _ in shape:
+                    scalars = itertools.chain.from_iterable(scalars)
+                kinds = set(map(type, scalars))
+            odd = [kind.__name__ for kind in kinds
+                   if kind is bool or not issubclass(kind, (int, float, np.number))]
+            if odd:
+                raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
             if not count:
                 return array
             whole = np.isfinite(array) & (array == np.trunc(array))
@@ -329,7 +363,7 @@ def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> Chain
     them, so dropping them leaves the chain's law unchanged. Missing atoms are
     fresh Gamma(a, b) base-measure draws, row by row with k ascending.
     """
-    n_star = max(int(np.max(N)) for N in state.alloc.N)
+    n_star = int(state.alloc.flat[2].max())
     atoms = state.atoms
     missing = n_star - atoms.max_size()
     fresh = [[draw_gamma(prior.gamma_a, prior.gamma_b, rng) for _ in range(missing)]

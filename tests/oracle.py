@@ -104,7 +104,7 @@ def loop_update_slice_N(state, prior, rng):
     for j in range(state.m):
         d = state.alloc.d[j]
         bound = draw_truncated_geometric(state.lam[j, state.alloc.delta[j]], d, rng)
-        state.alloc.N[j] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
+        state.alloc.N[j][:] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
     return ensure_atoms(state, prior, rng)
 
 

@@ -244,6 +244,39 @@ class TestRun:
                          str(done / "checkpoint.json")]) == 2
         assert "keeps no sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["other-m", "points-cut", "d-above-N"])
+    def test_resume_that_does_not_fit_exits_2(self, tmp_path, sim_dir, capsys, case):
+        cfg, sim = sim_dir
+        data = sim / "data.json"
+        doc = base_config()
+        doc["sampler"].update(iterations=40, burn_in=10)
+        if case == "other-m":  # the checkpoint of a one-series chain
+            doc["data"].update(maps=["Q1"], n=[30], x0=[1.0], horizon=[1], selection=[[1.0]],
+                               components={"1,1": {"weights": [1.0], "variances": [1e-4]}})
+            doc["prior"].update(horizon=[1], dirichlet_alpha=[[1]])
+            assert cli.main(["simulate", "--config", write_config(tmp_path, doc, "m1.yaml"),
+                             "--out", str(tmp_path / "sim1")]) == 0
+            data = tmp_path / "sim1" / "data.json"
+        first = tmp_path / "first"
+        assert cli.main(["run", "--config", write_config(tmp_path, doc, "short.yaml"),
+                         "--data", str(data), "--out", str(first)]) == 0
+        checkpoint = first / "checkpoint.json"
+        if case == "points-cut":  # series 2 has lost 5 points since the checkpoint
+            series = json.loads((sim / "data.json").read_text())
+            series["series"][1] = series["series"][1][:-5]
+            (tmp_path / "cut.json").write_text(json.dumps(series))
+        if case == "d-above-N":
+            state = json.loads(checkpoint.read_text())
+            alloc = state["state"]["alloc"]
+            alloc["d"][0][0] = alloc["N"][0][0] + 1
+            checkpoint.write_text(json.dumps(state))
+        capsys.readouterr()
+        data = tmp_path / "cut.json" if case == "points-cut" else sim / "data.json"
+        assert cli.main(["run", "--config", cfg, "--data", str(data),
+                         "--out", str(tmp_path / "again"), "--resume", str(checkpoint)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "again" / "trace.jsonl").exists()
+
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
         doc = yaml.safe_load(open(cfg))
@@ -350,6 +383,8 @@ class TestReport:
         ("report", "trace.jsonl", "", 2),
         ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, iteration=31.7)), 2),
         ("report", "trace.jsonl", jsonl(dict(MIXTURE, n_star=2.9), MIXTURE), 2),
+        ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, x0=[0.1, "0.2"])), 2),
+        ("report", "trace.jsonl", jsonl(MIXTURE, dict(MIXTURE, z_pred=[True, -0.02])), 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [0.5]]}', 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2', 2),
         ("run", "data.json", '{"m": 2}', 2),
@@ -362,7 +397,7 @@ class TestReport:
         ("report", "trace.jsonl", None, 4),
     ], ids=["mixture-then-parametric", "parametric-then-mixture",
             "theta-lengths-differ", "theta-a-number", "empty-trace",
-            "iteration-fractional", "n-star-fractional",
+            "iteration-fractional", "n-star-fractional", "x0-a-string", "z-pred-a-boolean",
             "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
@@ -481,11 +516,13 @@ class TestConfigHelpers:
         ("run", "prior", "poly_degree", 2.9, []),
         ("run", "prior", "horizon", [1.5, 1], []),
         ("run", "sampler", "iterations", 150.9, []),
+        ("run", "sampler", "checkpoint_interval", -5, []),
         ("run", "prior", "beta_a", [[0.5, 0.3], [0.7, 0.5]], []),
         ("run", None, None, None, ["--sampler", "gsbr"]),  # the data have m = 2
     ], ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
-            "poly-degree-fractional", "horizon-fractional", "iterations-fractional", "beta-a-asymmetric",
+            "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
+            "checkpoint-interval-negative", "beta-a-asymmetric",
             "gsbr-on-two-series"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):

@@ -167,14 +167,14 @@ def pin_slice_bounds(state, prior, rng, bounds):
     """Set every N_ji to ``bounds`` (one array per series), keep d <= N and
     grow the atoms to the new N*."""
     for j, N in enumerate(bounds):
-        state.alloc.N[j] = np.asarray(N, dtype=int)
-        state.alloc.d[j] = np.minimum(state.alloc.d[j], state.alloc.N[j])
+        state.alloc.N[j][:] = N
+        state.alloc.d[j][:] = np.minimum(state.alloc.d[j], state.alloc.N[j])
     ensure_atoms(state, prior, rng)
 
 
 def live_cells(state):
     """Live cells of every point, flat in series order: m min(N_ji, N*)."""
-    return state.m * np.minimum(np.concatenate(state.alloc.N), state.atoms.max_size())
+    return state.m * np.minimum(state.alloc.flat[2], state.atoms.max_size())
 
 
 def assert_alloc_follows_its_law(state, data, prior, rng, draws=N_KERNEL):
@@ -189,7 +189,7 @@ def assert_alloc_follows_its_law(state, data, prior, rng, draws=N_KERNEL):
     points = np.arange(probs.shape[0])
     for _ in range(draws):
         update_alloc_block(state, data, prior, rng)
-        delta, d = np.concatenate(state.alloc.delta), np.concatenate(state.alloc.d)
+        delta, d = state.alloc.flat[:2]
         counts[points, delta * K + d - 1] += 1
     assert counts[probs == 0].sum() == 0
     total = dof = 0.0
@@ -396,7 +396,7 @@ def ragged_nan_state():
     state.p = np.array([[0.3, 0.7], [0.6, 0.4]])
     mix = np.random.default_rng(3)
     for j in range(2):  # bounds past K = 5 score every stored atom
-        state.alloc.N[j] = mix.integers(1, 8, size=state.alloc.N[j].size)
+        state.alloc.N[j][:] = mix.integers(1, 8, size=state.alloc.N[j].size)
     return state, data, prior, rng
 
 
@@ -482,7 +482,7 @@ class TestSliceBoundKernel:
         rng = RngHandle(13)
         draws = np.empty(N_KERNEL)
         for t in range(N_KERNEL):
-            state.alloc.d[0] = np.array([3, 1])  # keep the conditioning fixed
+            state.alloc.d[0][:] = [3, 1]  # keep the conditioning fixed
             update_slice_N(state, prior, rng)
             assert np.all(state.alloc.N[0] >= state.alloc.d[0])
             draws[t] = state.alloc.N[0][0]

@@ -1,7 +1,9 @@
+import copy
 import json
 import logging
 import math
 import os
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -355,6 +357,25 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=f"{field} holds {value!r}"):
             Trace.stack(rows)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("iteration", "31", "str"), ("theta", [["0.1", "2e3", "1"], [0.0, 1.0, 2.0]], "str"),
+        ("z_pred", [True, 0.5], "bool"), ("n_star", False, "bool"), ("x0", [0.1, None], "NoneType"),
+    ])
+    def test_values_that_are_not_numbers_rejected(self, field, value, kind):
+        # a JSON string or boolean was once read as the number it spells
+        rows = self.make_rows(2)
+        rows[1][field] = value
+        with pytest.raises(ValueError, match=f"{field} holds a {kind} where a number"):
+            Trace.stack(rows)
+
+    def test_a_string_common_precision_rejected(self):
+        rows = [dict(row, p=None, lam=None, n_star=None, tau_common=2.5)
+                for row in self.make_rows(2)]
+        Trace.stack(rows)
+        rows[0]["tau_common"] = "2.5"
+        with pytest.raises(ValueError, match="tau_common holds a str"):
+            Trace.stack(rows)
+
     def test_whole_float_counts_load(self):
         rows = self.make_rows(2)
         rows[1].update(iteration=1.0, n_star=3.0)
@@ -496,3 +517,61 @@ class TestAllocations:
         )
         with pytest.raises(ValueError):
             alloc.validate(2)
+
+    @staticmethod
+    def three_series():
+        return Allocations(delta=[np.array([0, 1]), np.array([2]), np.array([1, 0, 2])],
+                           d=[np.array([1, 2]), np.array([1]), np.array([3, 1, 2])],
+                           N=[np.array([1, 2]), np.array([4]), np.array([3, 5, 2])])
+
+    def test_flat_layout(self):
+        alloc = self.three_series()
+        assert alloc.flat.shape == (3, 6)
+        assert alloc.series.tolist() == [0, 0, 1, 2, 2, 2]
+        assert alloc.first.tolist() == [0, 2, 3]
+        assert alloc.flat[2].tolist() == [1, 2, 4, 3, 5, 2]
+        with pytest.raises(ValueError, match="same size"):
+            Allocations(delta=[np.zeros(2)], d=[np.ones(2)], N=[np.ones(3)])
+
+    def test_writes_through_the_views_show_in_flat(self):
+        alloc = self.three_series()
+        alloc.N[2][:] = 7
+        alloc.d[0][1] = 5
+        assert alloc.flat[2].tolist() == [1, 2, 4, 7, 7, 7]
+        assert alloc.flat[1].tolist() == [1, 5, 1, 3, 1, 2]
+        with pytest.raises(TypeError):  # a tuple cannot be rebound, so no write goes nowhere
+            alloc.N[0] = np.array([9, 9])
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))])
+    def test_a_copy_has_its_own_views(self, duplicate):
+        alloc = self.three_series()
+        twin = duplicate(alloc)
+        twin.N[1][:] = 9
+        twin.flat[0, 0] = 2
+        assert twin.flat[2, 2] == 9 and twin.delta[0][0] == 2
+        assert alloc.flat[2, 2] == 4 and alloc.delta[0][0] == 0
+
+    @pytest.mark.parametrize("row, index, value, message", [
+        ("d", (2, 1), 6, "slice constraint d <= N violated in series 2"),
+        ("d", (1, 0), 0, "slice constraint d <= N violated in series 1"),
+        ("delta", (2, 2), 3, "measure label out of range in series 2"),
+        ("delta", (0, 1), -1, "measure label out of range in series 0"),
+    ])
+    def test_validate_names_the_series(self, row, index, value, message):
+        alloc = self.three_series()
+        alloc.validate(3)
+        j, i = index
+        getattr(alloc, row)[j][i] = value
+        with pytest.raises(ValueError, match=message):
+            alloc.validate(3)
+
+    def test_dict_round_trip(self):
+        data, prior = small_data(), small_prior()
+        state = init_chain(data, prior, RngHandle(2))
+        doc = json.loads(json.dumps(state.to_dict()))
+        assert set(doc["alloc"]) == {"delta", "d", "N"}
+        assert [len(a) for a in doc["alloc"]["N"]] == [a.size for a in state.alloc.N]
+        back = Allocations.from_dict(doc["alloc"])
+        assert np.array_equal(back.flat, state.alloc.flat) and back.flat.dtype.kind == "i"
+        assert np.array_equal(back.series, state.alloc.series)
+        assert np.array_equal(back.first, state.alloc.first)
