@@ -30,6 +30,7 @@ from .diagnostics import (
     kde,
     pare_table,
     posterior_mean_matrix,
+    quantile,
 )
 from .distributions import RngHandle
 from .dynamics import (
@@ -116,10 +117,16 @@ def _config_errors(what: str):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _parse_yaml(stream):
+    """``yaml.safe_load(stream)``, by libyaml's parser where PyYAML was built
+    with it (the same documents, a few times faster), else by its own."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = _parse_yaml(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
@@ -140,7 +147,7 @@ def bundled_config(experiment: str) -> dict:
     if name not in ("4a", "4b", "4c"):
         raise ConfigError(f"unknown experiment {experiment!r}; expected 4A, 4B or 4C")
     ref = importlib.resources.files("pdgsbr.configs").joinpath(f"{name}.yaml")
-    return yaml.safe_load(ref.read_text())
+    return _parse_yaml(ref.read_text())
 
 
 def _resolve_map(spec) -> tuple:
@@ -339,7 +346,7 @@ def _kde_with_bounds(samples: np.ndarray, bounds):
         lo, hi = bounds
         return kde(samples, grid=np.linspace(lo, hi, KDE_GRID_SIZE))
     # robust default range: the central 99% of samples, which kde pads by 4 bandwidths
-    lo, hi = np.quantile(samples, [0.005, 0.995])
+    lo, hi = quantile(samples, [0.005, 0.995])
     core = samples[(samples >= lo) & (samples <= hi)]
     return kde(core if core.size >= 2 else samples)
 

@@ -48,6 +48,24 @@ def boi(p, series_index: int, donor_indices: Sequence[int]) -> float:
     return float(mean_p[series_index, donors].sum())
 
 
+def quantile(samples, q) -> np.ndarray:
+    """``np.quantile(samples, q)`` of 1-D samples (its default "linear"
+    method), equal value for value (a zero may differ in sign), without the
+    import of ``numpy.ma`` that np.quantile's first call in a process makes.
+    Returns an array shaped like ``q``; all NaN where a sample is NaN."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = samples.size
+    v = (n - 1) * np.asarray(q, dtype=float)
+    lo = np.floor(v)
+    t = v - lo
+    lo = lo.astype(np.intp)
+    a, b = samples[lo], samples[np.minimum(lo + 1, n - 1)]
+    d = b - a
+    # numpy's _lerp: from the nearer neighbour, so a weight of 1 gives b exactly
+    values = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    return np.full(values.shape, np.nan) if np.isnan(samples[-1]) else values
+
+
 @dataclass(frozen=True)
 class Hpdi:
     lower: float

@@ -13,12 +13,13 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import RngHandle, draw_categorical
+from .distributions import RngHandle
 from .errors import DivergenceError
 
 logger = logging.getLogger(__name__)
@@ -68,22 +69,33 @@ NAMED_MAPS = {
 
 @dataclass(frozen=True)
 class NoiseMixtureSpec:
-    """Finite zero-mean Gaussian mixture: weights over per-component variances."""
+    """Finite zero-mean Gaussian mixture: weights over per-component variances.
+
+    Checked once, when built. It then keeps what each draw needs: the running
+    sums of the weights, their total and each component's standard deviation.
+    """
 
     weights: tuple
     variances: tuple
+    cumulative: tuple = field(init=False, repr=False, compare=False)
+    total: float = field(init=False, repr=False, compare=False)
+    sd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
         v = tuple(float(x) for x in self.variances)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "variances", v)
         if len(w) != len(v) or len(w) == 0:
             raise ValueError("weights and variances must be non-empty and equal length")
+        if not all(map(math.isfinite, w + v)):
+            raise ValueError(f"weights and variances must be finite, got {w} and {v}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)}")
         if any(x <= 0 for x in v) or any(x < 0 for x in w):
             raise ValueError("variances must be positive, weights non-negative")
+        for name, value in (("weights", w), ("variances", v),
+                            ("cumulative", tuple(np.cumsum(w).tolist())),
+                            ("total", float(np.sum(w))), ("sd", tuple(map(math.sqrt, v)))):
+            object.__setattr__(self, name, value)
 
 
 def compound_noise(selection: Sequence[float], components: Sequence[Optional[NoiseMixtureSpec]]) -> NoiseMixtureSpec:
@@ -106,9 +118,11 @@ def compound_noise(selection: Sequence[float], components: Sequence[Optional[Noi
 
 
 def sample_noise(spec: NoiseMixtureSpec, rng: RngHandle) -> float:
-    """One draw from the finite mixture."""
-    k = draw_categorical(np.asarray(spec.weights), rng)
-    return float(rng.generator.normal(0.0, math.sqrt(spec.variances[k])))
+    """One draw from the finite mixture: the component by one uniform, as
+    ``distributions.draw_categorical`` draws it, then its normal."""
+    k = min(bisect_right(spec.cumulative, rng.generator.random() * spec.total),
+            len(spec.sd) - 1)
+    return float(rng.generator.normal(0.0, spec.sd[k]))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .diagnostics import quantile
 from .distributions import RngHandle, draw_beta, draw_categorical, draw_dirichlet, draw_gamma
 from .dynamics import MultiSeries, eval_map
 
@@ -158,6 +159,35 @@ def _plain(value):
     return value
 
 
+def _numbers(name: str, values, shape: tuple, count: bool = False) -> np.ndarray:
+    """``values`` (nested lists, or lists of arrays) as a float array of
+    ``shape``, None there for an axis of any length; an int array for a
+    ``count``. ValueError if the shape differs, if a value is not a number
+    (a string, a boolean or null, say), or if a count holds a value that is
+    not a whole number."""
+    array = np.array(values, dtype=float)  # ValueError if the lists are ragged
+    if array.ndim != len(shape) or any(want not in (None, got)
+                                       for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{name} has shape {array.shape} where {shape} is expected")
+    if shape and set(map(type, values)) == {np.ndarray}:  # the chain driver's rows
+        kinds = {value.dtype.type for value in values}
+    else:  # every scalar, one type check each
+        scalars = [values]
+        for _ in shape:
+            scalars = itertools.chain.from_iterable(scalars)
+        kinds = set(map(type, scalars))
+    odd = [kind.__name__ for kind in kinds
+           if kind is bool or not issubclass(kind, (int, float, np.number))]
+    if odd:
+        raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
+    if not count:
+        return array
+    whole = np.isfinite(array) & (array == np.trunc(array))
+    if not whole.all():
+        raise ValueError(f"{name} holds {array[~whole][0]} where a whole number is expected")
+    return array.astype(int)
+
+
 def _series_views(row: int, doc: str) -> property:
     return property(lambda self: tuple(np.split(self.flat[row], self.first[1:])), doc=doc)
 
@@ -192,7 +222,8 @@ class Allocations:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(doc["delta"], doc["d"], doc["N"])
+        return cls(*([_numbers(name, labels, (None,), count=True) for labels in doc[name]]
+                     for name in ("delta", "d", "N")))
 
 
 @dataclass
@@ -227,16 +258,20 @@ class ChainState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChainState":
+        """The state ``to_dict`` wrote; ValueError for a value that fails
+        ``_numbers``' checks (counts: m, iteration and the labels)."""
+        m = int(_numbers("m", doc["m"], (), count=True))
+        tau = doc.get("tau_common")
         return cls(
-            atoms=AtomTable(doc["m"], doc["atoms"]),
+            atoms=AtomTable(m, _numbers("atoms", doc["atoms"], (None, None))),
             alloc=Allocations.from_dict(doc["alloc"]),
-            p=np.asarray(doc["p"], dtype=float),
-            lam=np.asarray(doc["lam"], dtype=float),
-            theta=[np.asarray(t, dtype=float) for t in doc["theta"]],
-            x0=np.asarray(doc["x0"], dtype=float),
-            future=[np.asarray(f, dtype=float) for f in doc["future"]],
-            iteration=doc["iteration"],
-            tau_common=doc.get("tau_common"),
+            p=_numbers("p", doc["p"], (m, m)),
+            lam=_numbers("lam", doc["lam"], (m, m)),
+            theta=[_numbers("theta", t, (None,)) for t in doc["theta"]],
+            x0=_numbers("x0", doc["x0"], (m,)),
+            future=[_numbers("future", f, (None,)) for f in doc["future"]],
+            iteration=int(_numbers("iteration", doc["iteration"], (), count=True)),
+            tau_common=None if tau is None else float(_numbers("tau_common", tau, ())),
         )
 
 
@@ -263,40 +298,18 @@ class Trace:
         record's values (a ``trace.jsonl`` object). ValueError if there are
         none, if the records disagree in shape, if a field is null in some
         but not all of them (only p, lam, n_star and tau_common may be null),
-        if a value is not a number (a string or a boolean, say), or if a
-        count (iteration, n_star) is not a whole number."""
+        or if a value fails ``_numbers``' checks (counts: iteration, n_star)."""
         if not rows:
             raise ValueError("empty trace")
         n = len(rows)
 
         def column(name, values, shape, count=False):
-            kinds = set(map(type, values))
-            if type(None) in kinds:
+            if type(None) in set(map(type, values)):
                 nulls = sum(value is None for value in values)
                 if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
                     return None
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
-            array = np.array(values, dtype=float)  # ValueError if their lengths differ
-            if array.shape != (n, *shape):
-                raise ValueError(f"{name} has shape {array.shape[1:]} where {shape} is expected")
-            if kinds == {np.ndarray}:  # the chain driver's rows
-                kinds = {value.dtype.type for value in values}
-            else:  # every scalar of the column, one type check each
-                scalars = values
-                for _ in shape:
-                    scalars = itertools.chain.from_iterable(scalars)
-                kinds = set(map(type, scalars))
-            odd = [kind.__name__ for kind in kinds
-                   if kind is bool or not issubclass(kind, (int, float, np.number))]
-            if odd:
-                raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
-            if not count:
-                return array
-            whole = np.isfinite(array) & (array == np.trunc(array))
-            if not whole.all():
-                raise ValueError(f"{name} holds {array[~whole][0]} where a whole number "
-                                 "is expected")
-            return array.astype(int)
+            return _numbers(name, values, (n, *shape), count)
 
         theta_shape = np.shape(rows[0]["theta"])
         if len(theta_shape) != 2:
@@ -426,7 +439,7 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     # probabilities near 1 for a long stretch of the run.
     probs = (np.arange(INIT_SLICE_BOUND) + 0.5) / INIT_SLICE_BOUND
     scales = [
-        np.quantile(sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l])), probs)
+        quantile(sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l])), probs)
         for j, l in zip(*np.triu_indices(m))
     ]
     atoms = AtomTable(m, 1.0 / np.maximum(scales, 1e-12))

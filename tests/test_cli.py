@@ -1,6 +1,12 @@
 import dataclasses
+import functools
+import importlib.resources
 import json
+import math
+import operator
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracle import csv_write_table, savetxt_matrix, two_call_default_kde
+import pdgsbr
 from pdgsbr import cli
 from pdgsbr.dynamics import MultiSeries
 from pdgsbr.errors import ConfigError
@@ -277,6 +284,31 @@ class TestRun:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "again" / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("path, value", [
+        (("alloc", "N", 0, 0), 2.7), (("alloc", "delta", 0, 0), "1"), (("alloc", "d", 0, 0), True),
+        (("p", 0, 0), "0.5"), (("iteration",), 10.5), (("x0", 0), False),
+    ])
+    def test_resume_refuses_labels_and_values_that_are_not_numbers(
+            self, tmp_path, sim_dir, capsys, path, value):
+        # each was once read as the number it spells or truncates to
+        cfg, sim = sim_dir
+        doc = base_config()
+        doc["sampler"].update(iterations=40, burn_in=10)
+        first = tmp_path / "first"
+        assert cli.main(["run", "--config", write_config(tmp_path, doc, "short.yaml"),
+                         "--data", str(sim / "data.json"), "--out", str(first)]) == 0
+        doc = json.loads((first / "checkpoint.json").read_text())
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, doc["state"])[last] = value
+        (first / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(tmp_path / "again"), "--resume",
+                         str(first / "checkpoint.json")]) == 2
+        name = [key for key in path if isinstance(key, str)][-1]
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name} holds" in err
+
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
         doc = yaml.safe_load(open(cfg))
@@ -427,6 +459,28 @@ class TestReport:
         assert code == 4
 
 
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.quantile's first call in a process imports numpy.ma, a cost that
+    # simulate, run and report need not pay; a fresh interpreter shows it
+    doc = base_config()
+    doc["sampler"].update(iterations=60, burn_in=10)
+    script = ("import json, sys\n"
+              "from pdgsbr import cli\n"
+              "doc = json.loads(sys.argv[1])\n"
+              "cli.cmd_simulate(doc, 'sim')\n"
+              "cli.cmd_run(doc, 'sim/data.json', 'run')\n"
+              "cli.cmd_report('run/trace.jsonl', 'sim/data.json', 'run')\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(pdgsbr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(doc)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+    assert (tmp_path / "run" / "kde_x0_1.csv").exists()  # the default KDE range was taken
+
+
 class TestReportWritersMatchTheFormerOnes:
     """The one-call report writers give the bytes of the former ones
     (tests/oracle.py): csv.writer over per-row reprs and np.savetxt; the
@@ -519,11 +573,18 @@ class TestConfigHelpers:
         ("run", "sampler", "checkpoint_interval", -5, []),
         ("run", "prior", "beta_a", [[0.5, 0.3], [0.7, 0.5]], []),
         ("run", None, None, None, ["--sampler", "gsbr"]),  # the data have m = 2
+        ("simulate", "data", "components", {"1,1": {"weights": [math.nan], "variances": [1e-4]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [math.inf]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [math.nan]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
     ], ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
             "checkpoint-interval-negative", "beta-a-asymmetric",
-            "gsbr-on-two-series"])
+            "gsbr-on-two-series", "component-weight-nan", "component-variance-inf",
+            "component-variance-nan"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -558,6 +619,25 @@ class TestConfigHelpers:
         # values coerced to the field types keep checkpoint.json typed
         config = cli.parse_sampler_block({"slice_width": 1, "iterations": "100", "burn_in": 0})
         assert type(config.slice_width) is float and type(config.iterations) is int
+
+    def test_unparsable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "broken.yaml"
+        cfg.write_text("data: [1, 2\nprior: {}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse config")
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", ["4a", "4b", "4c"])
+    def test_libyaml_reads_the_bundled_configs_as_pyyaml_does(self, name):
+        text = importlib.resources.files("pdgsbr.configs").joinpath(f"{name}.yaml").read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_config_loads_without_libyaml(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, base_config())
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert cli.load_config(cfg) == base_config()
+        assert cli.bundled_config("4A") == yaml.safe_load(
+            importlib.resources.files("pdgsbr.configs").joinpath("4a.yaml").read_text())
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdgsbr.diagnostics import (
     boi,
@@ -14,10 +15,27 @@ from pdgsbr.diagnostics import (
     pare,
     pare_table,
     posterior_mean_matrix,
+    quantile,
     silverman_bandwidth,
 )
 from pdgsbr.dynamics import NAMED_MAPS
 from pdgsbr.errors import InsufficientSamplesError, TruthUnavailableError
+
+
+class TestQuantile:
+    @given(arrays(float, st.integers(1, 40), elements=st.one_of(
+               st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, -2.5]),
+               st.floats(-1e6, 1e6))),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6).map(sorted))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_quantile(self, samples, q):
+        # NaN, infinities and ties included; the samples are left unsorted
+        before = samples.copy()
+        with np.errstate(invalid="ignore"):
+            got, expected = quantile(samples, q), np.quantile(samples, q)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(samples, before, equal_nan=True)
 
 
 class TestPare:

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdgsbr.distributions import RngHandle
+from pdgsbr.distributions import RngHandle, draw_categorical
 from pdgsbr.dynamics import (
     DIVERGENCE_BOUND,
     NAMED_MAPS,
@@ -117,6 +117,29 @@ class TestNoise:
             NoiseMixtureSpec((0.5, 0.4), (1.0, 1.0))
         with pytest.raises(ValueError):
             NoiseMixtureSpec((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("weights, variances", [
+        ((math.nan, 1.0), (1.0, 1.0)), ((1.0,), (math.inf,)), ((0.5, 0.5), (1.0, math.nan)),
+    ])
+    def test_non_finite_values_rejected(self, weights, variances):
+        # a NaN weight once passed the sum and sign checks, an infinite variance every check
+        with pytest.raises(ValueError, match="finite"):
+            NoiseMixtureSpec(weights, variances)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_draws_follow_the_categorical_stream(self, raw, seed):
+        # one uniform picks the component as draw_categorical picks it, then one normal
+        total = sum(raw)
+        assume(total > 0.0)
+        weights = tuple(w / total for w in raw)
+        assume(abs(sum(weights) - 1.0) <= 1e-12)
+        spec = NoiseMixtureSpec(weights, tuple(0.1 * (k + 1) for k in range(len(weights))))
+        a, b = RngHandle(seed), RngHandle(seed)
+        for _ in range(20):
+            k = draw_categorical(np.asarray(spec.weights), b)
+            expected = float(b.generator.normal(0.0, math.sqrt(spec.variances[k])))
+            assert sample_noise(spec, a) == expected
 
 
 class TestEscape:

@@ -565,6 +565,17 @@ class TestAllocations:
         with pytest.raises(ValueError, match=message):
             alloc.validate(3)
 
+    @pytest.mark.parametrize("row, value, message", [
+        ("N", 2.7, "N holds 2.7 where a whole number"), ("delta", "1", "delta holds a str"),
+        ("d", True, "d holds a bool"),
+    ])
+    def test_from_dict_refuses_fractions_and_non_numbers(self, row, value, message):
+        # each once loaded as the label it truncates to or spells
+        doc = {"delta": [[0, 1]], "d": [[1, 1]], "N": [[2, 1]]}
+        doc[row][0][0] = value
+        with pytest.raises(ValueError, match=message):
+            Allocations.from_dict(doc)
+
     def test_dict_round_trip(self):
         data, prior = small_data(), small_prior()
         state = init_chain(data, prior, RngHandle(2))
