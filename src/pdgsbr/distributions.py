@@ -46,7 +46,7 @@ def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
     through Gamma(shape+1) and scaled by U^(1/shape), which keeps the result
     strictly positive where a direct draw would underflow.
     """
-    if not (shape > 0 and rate > 0) or not (math.isfinite(shape) and math.isfinite(rate)):
+    if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
         raise ParameterDomainError(f"gamma parameters must be positive, got ({shape}, {rate})")
     gen = rng.generator
     if shape >= 1.0:
@@ -59,7 +59,7 @@ def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
             u = gen.random()
         log_value = math.log(g) + math.log(u) / shape - math.log(rate)
         value = math.exp(log_value)
-    return max(value, _GAMMA_FLOOR)
+    return value if value > _GAMMA_FLOOR else _GAMMA_FLOOR
 
 
 def draw_beta(a, b, rng: RngHandle):
@@ -67,12 +67,14 @@ def draw_beta(a, b, rng: RngHandle):
     one draw per element in order; scalar arguments give a float."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not (a.min() > 0 and b.min() > 0 and a.max() < math.inf and b.max() < math.inf):
+    if not all(0.0 < v < math.inf for v in a.ravel().tolist() + b.ravel().tolist()):
         raise ParameterDomainError(f"beta parameters must be positive, got ({a}, {b})")
     # keep strictly inside (0, 1): downstream geometric weights need both tails open
     eps = 1e-15
-    value = np.clip(rng.generator.beta(a, b), eps, 1.0 - eps)
-    return value if value.ndim else float(value)
+    value = rng.generator.beta(a, b)
+    if isinstance(value, float):
+        return min(max(value, eps), 1.0 - eps)
+    return np.clip(value, eps, 1.0 - eps, out=value)
 
 
 def draw_dirichlet(alpha: np.ndarray, rng: RngHandle) -> np.ndarray:
@@ -81,11 +83,11 @@ def draw_dirichlet(alpha: np.ndarray, rng: RngHandle) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in (1, 2) or alpha.size == 0:
         raise ParameterDomainError("alpha must be a non-empty vector or matrix")
-    if not (alpha.min() > 0 and alpha.max() < math.inf):
+    if not all(0.0 < v < math.inf for v in alpha.ravel().tolist()):
         raise ParameterDomainError(f"alpha entries must be positive, got {alpha}")
     g = rng.generator.standard_gamma(alpha)
-    g = np.maximum(g, _GAMMA_FLOOR)
-    return g / g.sum(axis=-1, keepdims=True)
+    np.maximum(g, _GAMMA_FLOOR, out=g)
+    return np.divide(g, g.sum(axis=-1, keepdims=True), out=g)
 
 
 def draw_categorical(weights: np.ndarray, rng: RngHandle, size=None):
@@ -152,8 +154,8 @@ def slice_sample_1d(
     """
     if not lo < hi:
         raise ParameterDomainError(f"empty support [{lo}, {hi}]")
-    if width <= 0:
-        raise ParameterDomainError(f"width must be positive, got {width}")
+    if not 0 < width < math.inf:
+        raise ParameterDomainError(f"width must be positive and finite, got {width}")
 
     def target(x):
         return log_f(x) if lo <= x <= hi else -math.inf

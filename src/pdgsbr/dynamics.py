@@ -40,10 +40,12 @@ def as_map(coefficients) -> tuple:
 def eval_map(coefficients, x):
     """Horner evaluation of g(theta, x) = sum_r theta_r x^r, on a scalar or
     elementwise on an array (the multiplies and adds run in the order of
-    numpy's polyval, so the two agree bit for bit)."""
-    acc = 0.0
+    numpy's polyval, so the two agree bit for bit). An array ``x`` is
+    evaluated in place, on one buffer of its shape."""
+    acc = np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
     for c in reversed(coefficients):
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 

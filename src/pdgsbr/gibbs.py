@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -82,7 +83,7 @@ class GibbsConfig:
         if not 1 <= self.thinning <= self.iterations - self.burn_in:
             raise ValueError("need 1 <= thinning <= iterations - burn_in, "
                              "or the run keeps no sweep")
-        if self.slice_width <= 0 or self.max_stepout < 1:
+        if not 0 < self.slice_width < np.inf or self.max_stepout < 1:
             raise ValueError("invalid slice-sampler tuning")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0 (0 disables periodic checkpoints)")
@@ -104,14 +105,21 @@ def residuals(state: ChainState, data: MultiSeries) -> np.ndarray:
     """Squared residuals h_ji = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2 of every
     point, flat in series order: one Horner pass with per-point coefficients."""
     prev, nxt = _path_points(state, data)
-    return (nxt - eval_map(np.asarray(state.theta).T[:, state.alloc.series], prev)) ** 2
+    h = eval_map(np.asarray(state.theta).T[:, state.alloc.series], prev)
+    return np.square(np.subtract(nxt, h, out=h), out=h)
 
 
 def _point_target(coefficients, tau, x_next):
     """Log full conditional of an initial condition v, which has no
-    predecessor: -1/2 tau (x_next - g(v))^2."""
+    predecessor: -1/2 tau (x_next - g(v))^2, g by ``eval_map``'s Horner
+    steps run inline."""
+    reverse = coefficients[::-1]
+
     def log_f(v):
-        return -0.5 * tau * (x_next - eval_map(coefficients, v)) ** 2
+        g = 0.0
+        for c in reverse:
+            g = g * v + c
+        return -0.5 * tau * (x_next - g) ** 2
     return log_f
 
 
@@ -135,11 +143,9 @@ def _atom_rows(state: ChainState) -> np.ndarray:
     return state.atoms.index.ravel()[_pair_labels(state)]
 
 
-def _tau_per_point(state: ChainState, tau_common: Optional[float] = None) -> np.ndarray:
-    """Precision of every point, flat in series order: ``tau_common`` when
-    given (the parametric baseline), else the allocated tau_{j, delta_ji, d_ji}."""
-    if tau_common is not None:
-        return np.full(state.alloc.series.size, tau_common, dtype=float)
+def _tau_per_point(state: ChainState) -> np.ndarray:
+    """Allocated precision tau_{j, delta_ji, d_ji} of every point, flat in
+    series order."""
     return state.atoms.values[_atom_rows(state), state.alloc.flat[1] - 1]
 
 
@@ -229,7 +235,7 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     width = np.minimum(state.alloc.flat[2], K)  # live k of each point
     cells = m * width
     pair_base = state.alloc.series * m  # flat (m, m) index of (j, l = 0)
-    rows = state.atoms.index.ravel()
+    rows = state.atoms.index.ravel() * K  # flat offset of each pair's atom row
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(state.p).ravel()
         half_log_tau = 0.5 * np.log(state.atoms.values)
@@ -240,11 +246,13 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
         pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
         l, k = np.divmod(pos, np.repeat(width[start:stop], count))
         pair = np.repeat(pair_base[start:stop], count) + l
-        atom = rows[pair] * K + k  # flat index into atoms.values
+        atom = rows[pair] + k  # flat index into atoms.values
         score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
                  - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
+        noise = rng.generator.random(score.size)  # log(-log U), in place
         with np.errstate(divide="ignore"):
-            score -= np.log(-np.log(rng.generator.random(score.size)))
+            np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
+        score -= noise
         np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
         best = np.repeat(np.maximum.reduceat(score, offset), count)
         pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
@@ -265,8 +273,7 @@ def update_precisions(state: ChainState, data: MultiSeries, prior: PriorConfig,
                       rng: RngHandle) -> ChainState:
     """Conjugate gamma redraw of every stored atom, in row order."""
     shape, rate = precision_posterior_params(state, data, prior)
-    draws = [draw_gamma(a, b, rng)
-             for a, b in zip(shape.ravel().tolist(), rate.ravel().tolist())]
+    draws = list(map(draw_gamma, shape.ravel().tolist(), rate.ravel().tolist(), repeat(rng)))
     state.atoms.values = np.reshape(draws, shape.shape)
     return state
 
@@ -301,7 +308,7 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     first = state.alloc.first
     prev, nxt = _path_points(state, data)
     powers = np.empty((2 * R + 1, prev.size))  # tau_i x_{j,i-1}^r, r = 0..2R
-    powers[0] = _tau_per_point(state, tau_override)
+    powers[0] = _tau_per_point(state) if tau_override is None else tau_override
     for r in range(1, 2 * R + 1):
         np.multiply(powers[r - 1], prev, out=powers[r])
     sums = np.add.reduceat(powers, first, axis=1).T  # (m, 2R + 1)
@@ -328,7 +335,8 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
     real roots of g(x) - x_1), hence the slice sampler instead of anything
     assuming log-concavity.
     """
-    taus = _tau_per_point(state, tau_override)[state.alloc.first].tolist()  # first points
+    taus = ([float(tau_override)] * state.m if tau_override is not None
+            else _tau_per_point(state)[state.alloc.first].tolist())  # first points
     for j in range(state.m):
         log_f = _point_target(state.theta[j].tolist(), taus[j], float(data.series[j][0]))
         lo, hi = prior.x0_support[j].tolist()
@@ -373,11 +381,14 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     for j, steps in enumerate(horizon):
         if not steps:
             continue
-        coefficients = state.theta[j].tolist()
+        reverse = state.theta[j].tolist()[::-1]
         lo, hi = prior.x0_support[j].tolist()
         x, path = float(data.series[j][-1]), []
         for noise, scale in zip(z[k:k + steps], sd[k:k + steps]):
-            x = eval_map(coefficients, x) + scale * noise
+            g = 0.0  # g_j(x) by eval_map's Horner steps
+            for c in reverse:
+                g = g * x + c
+            x = g + scale * noise
             if not lo <= x <= hi:
                 break
             path.append(x)

@@ -91,8 +91,11 @@ class PriorConfig:
             mat = getattr(self, name)
             if not np.allclose(mat, mat.T):
                 raise ValueError(f"{name} must be symmetric")
-        if self.gamma_a <= 0 or self.gamma_b <= 0:
-            raise ValueError("gamma hyperparameters must be positive")
+        if not (0 < self.gamma_a < np.inf and 0 < self.gamma_b < np.inf):
+            raise ValueError("gamma hyperparameters must be positive and finite")
+        lo, hi = self.x0_support.T
+        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
+            raise ValueError("x0_support rows must be finite (lo, hi) with lo < hi")
         if np.any(self.horizon < 0):
             raise ValueError("horizons must be non-negative")
 
@@ -189,16 +192,18 @@ def _numbers(name: str, values, shape: tuple, count: bool = False) -> np.ndarray
 
 
 def _series_views(row: int, doc: str) -> property:
-    return property(lambda self: tuple(np.split(self.flat[row], self.first[1:])), doc=doc)
+    return property(lambda self: tuple(self.flat[row, start:stop] for start, stop in self.bounds),
+                    doc=doc)
 
 
 class Allocations:
     """Latent labels of every point, in the flat layout every kernel works in:
     ``flat`` is a (3, n) int array with rows delta, d and N over the points of
     all series, series after series; ``series`` is each point's series label
-    and ``first`` the flat index of each series' first point. ``delta``, ``d``
-    and ``N`` are tuples of per-series views into ``flat``, made on each
-    access, so that a copy never holds views of the original's ``flat``."""
+    and ``first`` the flat index of each series' first point; ``bounds``
+    holds each series' (start, stop) in ``flat``. ``delta``, ``d`` and ``N``
+    are tuples of per-series slices of ``flat``, made on each access, so
+    that a copy never holds views of the original's ``flat``."""
 
     def __init__(self, delta, d, N):
         sizes = [len(a) for a in delta]
@@ -208,6 +213,7 @@ class Allocations:
                               for rows in (delta, d, N)])
         self.series = np.repeat(np.arange(len(sizes)), sizes)
         self.first = np.cumsum(sizes) - sizes
+        self.bounds = list(zip(self.first.tolist(), np.cumsum(sizes).tolist()))
 
     delta = _series_views(0, "per series: measure labels in 0..m-1")
     d = _series_views(1, "per series: 1-based cluster labels")
@@ -379,9 +385,12 @@ def ensure_atoms(state: ChainState, prior: PriorConfig, rng: RngHandle) -> Chain
     n_star = int(state.alloc.flat[2].max())
     atoms = state.atoms
     missing = n_star - atoms.max_size()
+    if missing <= 0:
+        atoms.values = atoms.values[:, :n_star]
+        return state
     fresh = [[draw_gamma(prior.gamma_a, prior.gamma_b, rng) for _ in range(missing)]
              for _ in range(atoms.values.shape[0])]
-    atoms.values = np.hstack((atoms.values[:, :n_star], fresh))
+    atoms.values = np.hstack((atoms.values, fresh))
     return state
 
 

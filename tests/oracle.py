@@ -7,7 +7,9 @@ one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
 whose random stream the vectorized chain keeps bit for bit, the
 out-of-sample kernel point by point with scalar normal draws, the trace
-writers record by record, and the report's former writers and KDE range.
+writers record by record, the report's former writers and KDE range, and
+the gamma, beta and Dirichlet draw helpers as they were before their checks
+took one pass.
 """
 
 import csv
@@ -19,6 +21,7 @@ import numpy as np
 from pdgsbr.diagnostics import kde
 from pdgsbr.distributions import draw_beta, draw_dirichlet, draw_truncated_geometric
 from pdgsbr.dynamics import eval_map
+from pdgsbr.errors import ParameterDomainError
 from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
 from pdgsbr.model import ensure_atoms
 
@@ -239,3 +242,37 @@ def two_call_default_kde(samples):
     core = samples[(samples >= np.quantile(samples, 0.005))
                    & (samples <= np.quantile(samples, 0.995))]
     return kde(core if core.size >= 2 else samples)
+
+
+# --- the draw helpers as written before their checks took one pass -----------
+
+def former_draw_gamma(shape, rate, rng):
+    if not (shape > 0 and rate > 0) or not (math.isfinite(shape) and math.isfinite(rate)):
+        raise ParameterDomainError(f"gamma parameters must be positive, got ({shape}, {rate})")
+    gen = rng.generator
+    if shape >= 1.0:
+        value = gen.standard_gamma(shape) / rate
+    else:
+        g = gen.standard_gamma(shape + 1.0)
+        u = gen.random()
+        while u <= 0.0:
+            u = gen.random()
+        value = math.exp(math.log(g) + math.log(u) / shape - math.log(rate))
+    return max(value, 1e-300)
+
+
+def former_draw_beta(a, b, rng):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (a.min() > 0 and b.min() > 0 and a.max() < math.inf and b.max() < math.inf):
+        raise ParameterDomainError(f"beta parameters must be positive, got ({a}, {b})")
+    value = np.clip(rng.generator.beta(a, b), 1e-15, 1.0 - 1e-15)
+    return value if value.ndim else float(value)
+
+
+def former_draw_dirichlet(alpha, rng):
+    alpha = np.asarray(alpha, dtype=float)
+    if not (alpha.min() > 0 and alpha.max() < math.inf):
+        raise ParameterDomainError(f"alpha entries must be positive, got {alpha}")
+    g = np.maximum(rng.generator.standard_gamma(alpha), 1e-300)
+    return g / g.sum(axis=-1, keepdims=True)

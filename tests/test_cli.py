@@ -62,6 +62,15 @@ MIXTURE = {"iteration": 31, "theta": [[0.1, 0.2], [0.3, 0.4]], "p": [[0.6, 0.4],
 PARAMETRIC = dict(MIXTURE, p=None, lam=None, n_star=None, tau_common=2.5)
 
 
+# each non-finite prior value once exited 1 with a traceback, or ran on an
+# infinite support, where a config error (exit 2) is due
+NON_FINITE_PRIOR = [(f"{case}-{name}", key, value)
+                    for name, x in (("nan", math.nan), ("inf", math.inf), ("neg-inf", -math.inf))
+                    for case, key, value in (("gamma-a", "gamma_a", x), ("gamma-b", "gamma_b", x),
+                                             ("x0-lo", "x0_support", [[x, 5.0], [-5.0, 5.0]]),
+                                             ("x0-hi", "x0_support", [[-5.0, 5.0], [-5.0, x]]))]
+
+
 def jsonl(*records):
     return "".join(json.dumps(record) + "\n" for record in records)
 
@@ -579,12 +588,15 @@ class TestConfigHelpers:
                                             "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [math.nan]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
-    ], ids=["component-key-typo", "component-weights-sum", "selection-without-component",
+        ("run", "prior", "x0_support", [[1.0, -1.0], [-5.0, 5.0]], []),
+    ] + [("run", "prior", key, value, []) for _, key, value in NON_FINITE_PRIOR],
+       ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
             "checkpoint-interval-negative", "beta-a-asymmetric",
             "gsbr-on-two-series", "component-weight-nan", "component-variance-inf",
-            "component-variance-nan"])
+            "component-variance-nan", "x0-support-empty"]
+       + [case for case, _, _ in NON_FINITE_PRIOR])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -598,6 +610,24 @@ class TestConfigHelpers:
         capsys.readouterr()
         assert cli.main(argv + extra) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_slice_width_exits_2_without_hanging(self, tmp_path, sim_dir, width):
+        # a NaN width once passed `slice_width <= 0` and the run never ended;
+        # in a subprocess so that a hang fails the test instead of the suite
+        _, sim = sim_dir
+        doc = base_config()
+        doc["sampler"]["slice_width"] = width
+        cfg = write_config(tmp_path, doc, "bad.yaml")
+        src = os.path.dirname(os.path.dirname(pdgsbr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+            src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from pdgsbr import cli; sys.exit(cli.main())",
+             "run", "--config", cfg, "--data", str(sim / "data.json"),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stderr.startswith("config error:"), done.stderr
 
     def test_null_block_reads_as_empty(self, tmp_path, monkeypatch):
         doc = base_config(outputs=None)

@@ -16,6 +16,8 @@ from pdgsbr.distributions import (
 )
 from pdgsbr.errors import DegenerateWeightsError, InvalidStateError, ParameterDomainError
 
+from oracle import former_draw_beta, former_draw_dirichlet, former_draw_gamma
+
 N_DRAWS = 100_000
 
 
@@ -282,6 +284,12 @@ class TestSliceSampler:
         with pytest.raises(ParameterDomainError):
             slice_sample_1d(lambda x: 0.0, 0.0, 1.0, 0.5, 0.0, 16, rng)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, np.float64(math.nan)])
+    def test_non_finite_width_is_refused(self, rng, width):
+        # a NaN or infinite width once made the shrinkage loop run forever
+        with pytest.raises(ParameterDomainError, match="finite"):
+            slice_sample_1d(lambda x: 0.0, 0.0, 1.0, 0.5, width, 16, rng)
+
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
     def test_empty_support(self, rng, lo, hi):
         with pytest.raises(ParameterDomainError):
@@ -327,3 +335,55 @@ class TestDeterminism:
         assert [a.generator.random() for _ in range(5)] == [
             b.generator.random() for _ in range(5)
         ]
+
+
+class TestDrawHelpersKeepTheirStream:
+    """Each helper gives the draws of its former form (tests/oracle.py) and
+    leaves the generator in the same state; it refuses the same parameters,
+    Python floats and numpy scalars alike, before drawing anything."""
+
+    @pytest.mark.parametrize("helper, former, args", [
+        (draw_gamma, former_draw_gamma, [(s, r) for s in (1e-3, 0.5, 1.0, 2.5, 300.0)
+                                         for r in (1e-3, 1.0, 50.0)]),
+        (draw_gamma, former_draw_gamma, [(np.float64(0.7), np.float64(3.0)), (2, 1)]),
+        (draw_beta, former_draw_beta, [(0.5, 0.5), (np.float64(28.5), 32.5), (1e-3, 1e3),
+                                       (np.array([0.5, 2.0, 1e-3]), np.array([0.5, 7.0, 1e3])),
+                                       (np.full((2, 3), 0.5), 2.0)]),
+        (draw_dirichlet, former_draw_dirichlet, [([10.0, 1.0],), ([1e-3, 1e-3, 5.0],),
+                                                 (np.array([[1.0, 2.0], [3.0, 1e-3]]),)]),
+    ], ids=["gamma", "gamma-numpy-and-int", "beta", "dirichlet"])
+    def test_draws_and_generator_state_equal_the_former_form(self, helper, former, args):
+        new, old = RngHandle(2024), RngHandle(2024)
+        for _ in range(50):
+            for arg in args:
+                got, want = helper(*arg, new), former(*arg, old)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert new.get_state() == old.get_state()
+
+    BAD = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD + [np.float64(v) for v in BAD],
+                             ids=[*map(str, BAD), *(f"np-{v}" for v in BAD)])
+    def test_the_same_parameters_are_refused(self, bad):
+        rng = RngHandle(3)
+        before = rng.get_state()
+        for helper, former, args in [
+            (draw_gamma, former_draw_gamma, (bad, 1.0)),
+            (draw_gamma, former_draw_gamma, (1.0, bad)),
+            (draw_beta, former_draw_beta, (bad, 1.0)),
+            (draw_beta, former_draw_beta, (1.0, bad)),
+            (draw_beta, former_draw_beta, (np.array([0.5, bad, 2.0]), np.ones(3))),
+            (draw_dirichlet, former_draw_dirichlet, ([1.0, bad],)),
+            (draw_dirichlet, former_draw_dirichlet, ([[1.0, 2.0], [bad, 1.0]],)),
+        ]:
+            messages = []
+            for f in (helper, former):
+                with pytest.raises(ParameterDomainError) as refused:
+                    f(*args, rng)
+                messages.append(str(refused.value))
+            assert messages[0] == messages[1]
+        for lam in (bad, np.array([0.5, bad])):
+            with pytest.raises(ParameterDomainError):
+                draw_truncated_geometric(lam, 1, rng)
+        assert rng.get_state() == before  # nothing was drawn

@@ -46,6 +46,21 @@ class TestEvalMap:
             xs = rng.normal(scale=3.0, size=40)
             assert np.array_equal(eval_map(coeffs, xs), polyval(xs, coeffs))
 
+    def test_array_pass_has_the_bits_of_the_scalar_recursion(self):
+        # the in-place pass over one buffer equals acc = acc * x + c from
+        # acc = 0.0, on zero, negative and non-finite x and per-point
+        # coefficient rows (as the chain's residuals pass them), down to the
+        # sign of a zero and the NaNs
+        xs = np.array([0.0, -0.0, -2.5, 3.0, -1e-300, 1e300, np.inf, -np.inf, np.nan])
+        rows = np.random.default_rng(1).normal(size=(4, xs.size))
+        rows[:, :2] = 0.0
+        for coeffs in ([0.0, 0.0], [1.5, -0.0, 0.0, -2.0], NAMED_MAPS["C1"], rows):
+            acc = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in reversed(coeffs):
+                    acc = acc * xs + c
+                assert eval_map(coeffs, xs).tobytes() == acc.tobytes()
+
     def test_named_maps_are_quintic(self):
         for poly in NAMED_MAPS.values():
             assert len(poly) == 6

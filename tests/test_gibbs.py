@@ -270,6 +270,15 @@ class TestKernelsKeepTheLoopStream:
     per-series loop (tests/oracle.py) bit for bit and leaves the generators
     in equal states."""
 
+    def test_residuals_equal_the_per_series_eval_map(self):
+        # zero and negative predecessors included: x0 of series 2, and points
+        # of series 1 pinned to 0.0, -0.0 and a negative value
+        state, data, _, _ = fourc_state()
+        data.series[0][:3] = 0.0, -0.0, -1.5
+        state.x0[1] = -0.0
+        expected = np.concatenate([residuals(state, data, j) for j in range(state.m)])
+        assert np.array_equal(gibbs.residuals(state, data), expected)
+
     def test_precision_params_equal_the_loop(self):
         state, data, prior, _ = fourc_state()
         shape, rate = precision_posterior_params(state, data, prior)
@@ -611,6 +620,14 @@ class TestInitialConditionKernel:
         for _ in range(500):
             update_x0(state, data, prior, rng, GibbsConfig(iterations=1))
             assert -0.1 <= state.x0[0] <= 0.1
+
+    def test_target_equals_the_eval_map_expression(self):
+        # bit for bit, as the out-of-sample kernel's forward steps are checked
+        # against tests/oracle.py's eval_map loop
+        for coeffs in (NAMED_MAPS["Q1"], NAMED_MAPS["C1"], (0.3, -1.2, 0.0, 2.0)):
+            log_f = gibbs._point_target(list(coeffs), 37.5, -0.41)
+            for v in (0.0, -0.0, -1.3, 0.55, 4.9, -5.0):
+                assert log_f(v) == -0.5 * 37.5 * (-0.41 - eval_map(coeffs, v)) ** 2
 
     def test_multimodal_target_visits_both_roots(self):
         # quadratic g: two real roots of g(x) = x_1 give two posterior modes;
@@ -961,3 +978,6 @@ class TestDrivers:
         assert GibbsConfig(iterations=20, burn_in=10, thinning=10).thinning == 10
         with pytest.raises(ValueError):
             GibbsConfig(iterations=10, slice_width=-1.0)
+        for width in (math.nan, math.inf):  # a NaN width once hung the slice sampler
+            with pytest.raises(ValueError):
+                GibbsConfig(iterations=10, slice_width=width)

@@ -535,6 +535,9 @@ class TestAllocations:
 
     def test_writes_through_the_views_show_in_flat(self):
         alloc = self.three_series()
+        assert alloc.bounds == [(0, 2), (2, 3), (3, 6)]
+        assert all(view.base is alloc.flat for row in (alloc.delta, alloc.d, alloc.N)
+                   for view in row)
         alloc.N[2][:] = 7
         alloc.d[0][1] = 5
         assert alloc.flat[2].tolist() == [1, 2, 4, 7, 7, 7]
@@ -550,6 +553,7 @@ class TestAllocations:
         twin.flat[0, 0] = 2
         assert twin.flat[2, 2] == 9 and twin.delta[0][0] == 2
         assert alloc.flat[2, 2] == 4 and alloc.delta[0][0] == 0
+        assert all(view.base is twin.flat for view in twin.N)
 
     @pytest.mark.parametrize("row, index, value, message", [
         ("d", (2, 1), 6, "slice constraint d <= N violated in series 2"),
