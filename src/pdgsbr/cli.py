@@ -32,7 +32,7 @@ from .diagnostics import (
     posterior_mean_matrix,
     quantile,
 )
-from .distributions import RngHandle
+from .distributions import COUNT, PROBABILITY, REAL, WHOLE, RngHandle, in_domain, whole_from
 from .dynamics import (
     MultiSeries,
     NAMED_MAPS,
@@ -45,7 +45,6 @@ from .errors import ConfigError, DivergenceError, InsufficientSamplesError, Sing
 from .gibbs import GibbsConfig, run_chain, run_parametric_gaussian
 from .model import (
     PriorConfig,
-    as_int,
     load_checkpoint,
     read_trace_jsonl,
     write_trace_jsonl,
@@ -163,29 +162,25 @@ def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
-    ns = [as_int(v) for v in block["n"]]
-    if any(n < 2 for n in ns):
-        raise ConfigError(f"every series needs n >= 2 observations, got n = {ns}")
-    x0s = [float(v) for v in block["x0"]]
-    horizons = [as_int(v) for v in block.get("horizon", [1] * m)]
-    selection = [list(map(float, row)) for row in block["selection"]]
-    if not (len(ns) == len(x0s) == len(horizons) == len(selection) == m):
+    ns = in_domain("n", block["n"], whole_from(2))
+    x0s = in_domain("x0", block["x0"], REAL)
+    horizons = in_domain("horizon", block.get("horizon", [1] * m), COUNT)
+    selection = in_domain("selection", block["selection"], PROBABILITY)
+    if not (np.shape(ns) == np.shape(x0s) == np.shape(horizons) == (m,)
+            and np.shape(selection) == (m, m)):
         raise ConfigError("data block dimensions disagree (maps/n/x0/horizon/selection)")
     components = {}
     for key, spec in block["components"].items():
         j, l = sorted(int(t) for t in str(key).split(","))
         components[(j, l)] = NoiseMixtureSpec(tuple(spec["weights"]), tuple(spec["variances"]))
     noises = []
-    for j in range(m):
-        row = selection[j]
-        if len(row) != m:
-            raise ConfigError(f"selection row {j + 1} has wrong length")
+    for j, row in enumerate(selection.tolist()):
         if abs(sum(row) - 1.0) > 1e-9:
             raise ConfigError(f"selection row {j + 1} does not sum to 1")
         comps = [components.get(tuple(sorted((j + 1, l + 1)))) for l in range(m)]
         noises.append(compound_noise(row, comps))
-    specs = list(zip(maps, noises, ns, x0s))
-    return specs, horizons, selection, as_int(block["seed"])
+    specs = list(zip(maps, noises, ns.tolist(), x0s.tolist()))
+    return specs, horizons.tolist(), selection.tolist(), in_domain("seed", block["seed"], WHOLE)
 
 
 @_config_errors("prior block")
@@ -425,6 +420,14 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
 def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
     """simulate -> run (weak prior) -> run (strong prior) -> report, then compare."""
     doc = doc if doc is not None else bundled_config(experiment)
+    m = len(parse_data_block(_block(doc, "data"))[0])
+    with _config_errors("reproduce block"):
+        rep = _block(doc, "reproduce")
+        short = in_domain("short_series", rep.get("short_series", 2), whole_from(1)) - 1
+        donors = [int(d) - 1 for d in in_domain("donors", rep.get("donors", [1]), whole_from(1))]
+        if max([short, *donors]) >= m or short in donors:
+            raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
+                              "block, the donors without the short series")
     os.makedirs(out_dir, exist_ok=True)
     data_dir = os.path.join(out_dir, "data")
     data = cmd_simulate(doc, data_dir)
@@ -444,9 +447,6 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
             kde_bounds=_block(doc, "outputs").get("kde_bounds"),
         )
 
-    rep = _block(doc, "reproduce")
-    short = int(rep.get("short_series", 2)) - 1
-    donors = [int(v) - 1 for v in rep.get("donors", [1])]
     comparison = {"experiment": experiment, "scale": scale,
                   "short_series": short + 1, "donors": [d + 1 for d in donors]}
     lines = [f"experiment {experiment} ({scale} scale)",

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .distributions import POSITIVE, UNIT, in_domain
 from .errors import InsufficientSamplesError, TruthUnavailableError
 
 
@@ -83,8 +84,7 @@ def hpdi(samples: Sequence[float], mass: float = 0.95) -> Hpdi:
     n = samples.size
     if n < 100:
         raise InsufficientSamplesError(f"need >= 100 samples, got {n}")
-    if not 0.0 < mass < 1.0:
-        raise ValueError(f"mass must lie in (0, 1), got {mass}")
+    mass = in_domain("mass", mass, UNIT)
     window = min(int(math.ceil(mass * n)), n)
     widths = samples[window - 1:] - samples[: n - window + 1]
     best = int(np.argmin(widths))
@@ -124,8 +124,7 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     if samples.size < 2:
         raise InsufficientSamplesError(f"need >= 2 samples, got {samples.size}")
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(samples)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    h = in_domain("bandwidth", h, POSITIVE)
     if grid is None:
         lo, hi = samples.min() - 4.0 * h, samples.max() + 4.0 * h
         grid = np.linspace(lo, hi, KDE_GRID_SIZE)

@@ -1,4 +1,4 @@
-"""Seeded random-variate primitives and a univariate slice sampler.
+"""Seeded random-variate primitives, a slice sampler and numeric-input domains.
 
 Every draw goes through an explicit :class:`RngHandle`; there is no module or
 global generator state. One handle belongs to exactly one chain.
@@ -7,7 +7,8 @@ global generator state. One handle belongs to exactly one chain.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import MISSING, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,50 @@ from .errors import DegenerateWeightsError, InvalidStateError, ParameterDomainEr
 # Positive floor applied to gamma variates so that extreme shapes (e.g. the
 # 1e-3 reference-prior setting) can never underflow to exactly zero.
 _GAMMA_FLOOR = 1e-300
+
+
+class Domain(NamedTuple):
+    """Where a numeric input may lie: ``holds`` marks the values of a float
+    array inside; a ``whole`` domain holds whole numbers only, read as ints."""
+
+    text: str
+    holds: Callable
+    whole: bool = False
+
+
+def whole_from(low: int) -> Domain:
+    """The whole numbers from ``low`` up, each within an int64."""
+    return Domain(f"a whole number >= {low}", lambda x: (low <= x) & (x < 2.0 ** 63), True)
+
+
+REAL = Domain("a finite number", np.isfinite)
+POSITIVE = Domain("a finite number > 0", lambda x: (0 < x) & (x < math.inf))
+PROBABILITY = Domain("a finite number in [0, 1]", lambda x: (0 <= x) & (x <= 1))
+UNIT = Domain("a finite number in (0, 1)", lambda x: (0 < x) & (x < 1))
+WHOLE = Domain("a whole number", np.isfinite, True)
+COUNT = whole_from(0)
+
+
+def declared(domain: Domain, default=MISSING):
+    """A dataclass field whose values must lie in ``domain``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def in_domain(name: str, values, domain: Domain):
+    """``values``, a number or an array of them, checked against ``domain``: a
+    float or float array, or for a whole-number domain an int (exact, however
+    large) or int array. ValueError naming ``name`` and the first value
+    outside the domain; a string is read as the number it spells."""
+    array = np.asarray(values)
+    real = array.astype(float)
+    inside = domain.holds(real)
+    if domain.whole:
+        inside &= real == np.trunc(real)
+    if not inside.all():
+        raise ValueError(f"{name} holds {array[~inside][0]} where {domain.text} is expected")
+    if array.ndim == 0:
+        return int(array) if domain.whole else float(real)
+    return real.astype(int) if domain.whole else real
 
 
 class RngHandle:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import RngHandle
+from .distributions import POSITIVE, PROBABILITY, REAL, RngHandle, in_domain, whole_from
 from .errors import DivergenceError
 
 logger = logging.getLogger(__name__)
@@ -30,8 +30,8 @@ DIVERGENCE_BOUND = 1e12
 
 
 def as_map(coefficients) -> tuple:
-    """A map from outside the program as float coefficients theta_0..theta_R."""
-    coefficients = tuple(float(c) for c in coefficients)
+    """A map from outside the program as finite float coefficients theta_0..theta_R."""
+    coefficients = tuple(map(float, in_domain("map coefficients", coefficients, REAL)))
     if not coefficients:
         raise ValueError("a polynomial map needs at least a constant term")
     return coefficients
@@ -84,16 +84,12 @@ class NoiseMixtureSpec:
     sd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        v = tuple(float(x) for x in self.variances)
+        w = tuple(map(float, in_domain("weights", self.weights, PROBABILITY)))
+        v = tuple(map(float, in_domain("variances", self.variances, POSITIVE)))
         if len(w) != len(v) or len(w) == 0:
             raise ValueError("weights and variances must be non-empty and equal length")
-        if not all(map(math.isfinite, w + v)):
-            raise ValueError(f"weights and variances must be finite, got {w} and {v}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)}")
-        if any(x <= 0 for x in v) or any(x < 0 for x in w):
-            raise ValueError("variances must be positive, weights non-negative")
         for name, value in (("weights", w), ("variances", v),
                             ("cumulative", tuple(np.cumsum(w).tolist())),
                             ("total", float(np.sum(w))), ("sd", tuple(map(math.sqrt, v)))):
@@ -139,12 +135,10 @@ class MultiSeries:
     selection_true: Optional[list] = None  # generating selection rows, if synthetic
 
     def __post_init__(self):
-        self.series = [np.asarray(s, dtype=float) for s in self.series]
+        self.series = [in_domain(f"series {j}", s, REAL) for j, s in enumerate(self.series)]
         for j, s in enumerate(self.series):
-            if s.size < 2:
+            if np.size(s) < 2:
                 raise ValueError(f"series {j} has fewer than 2 observations")
-            if not np.all(np.isfinite(s)):
-                raise ValueError(f"series {j} contains non-finite values")
 
     @property
     def m(self) -> int:
@@ -232,8 +226,7 @@ def simulate_series(
     reproducible from the data seed alone. Raises DivergenceError (with the
     finite prefix attached) when a value leaves the guard region.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = in_domain("n", n, whole_from(1))
     values = np.empty(n + horizon)
     x = float(x0)
     for i in range(n + horizon):

@@ -17,19 +17,25 @@ and write its (3, n) label array ``flat`` directly.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from .distributions import (
+    COUNT,
+    POSITIVE,
+    WHOLE,
     RngHandle,
+    declared,
     draw_beta,
     draw_dirichlet,
     draw_gamma,
     draw_truncated_geometric,
+    in_domain,
     slice_sample_1d,
+    whole_from,
 )
 from .dynamics import MultiSeries, eval_map
 from .errors import SingularDesignError
@@ -37,7 +43,6 @@ from .model import (
     ChainState,
     PriorConfig,
     Trace,
-    as_int,
     ensure_atoms,
     init_chain,
     save_checkpoint,
@@ -65,28 +70,24 @@ ALLOC_CELL_BUDGET = 2 ** 14
 
 @dataclass
 class GibbsConfig:
-    """Run-length and tuning knobs of one chain."""
+    """Run-length and tuning knobs of one chain, each in its declared domain."""
 
-    iterations: int
-    burn_in: int = 0
-    thinning: int = 1
-    seed: int = 0
-    slice_width: float = 0.25
-    max_stepout: int = 16
-    checkpoint_interval: int = 0  # 0 disables periodic checkpoints
+    iterations: int = declared(COUNT)
+    burn_in: int = declared(COUNT, 0)
+    thinning: int = declared(whole_from(1), 1)
+    seed: int = declared(WHOLE, 0)
+    slice_width: float = declared(POSITIVE, 0.25)
+    max_stepout: int = declared(whole_from(1), 16)
+    checkpoint_interval: int = declared(COUNT, 0)  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        for name, kind in get_type_hints(GibbsConfig).items():  # "100" -> 100, 1 -> 1.0
-            setattr(self, name, (as_int if kind is int else kind)(getattr(self, name)))
-        if not (self.iterations > self.burn_in >= 0):
+        for f in fields(self):
+            setattr(self, f.name, in_domain(f.name, getattr(self, f.name), f.metadata["domain"]))
+        if not self.iterations > self.burn_in:
             raise ValueError("need iterations > burn_in >= 0")
-        if not 1 <= self.thinning <= self.iterations - self.burn_in:
+        if not self.thinning <= self.iterations - self.burn_in:
             raise ValueError("need 1 <= thinning <= iterations - burn_in, "
                              "or the run keeps no sweep")
-        if not 0 < self.slice_width < np.inf or self.max_stepout < 1:
-            raise ValueError("invalid slice-sampler tuning")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0 (0 disables periodic checkpoints)")
 
 
 # --- shared helpers -----------------------------------------------------------

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import quantile
-from .distributions import RngHandle, draw_beta, draw_categorical, draw_dirichlet, draw_gamma
+from .distributions import (COUNT, POSITIVE, PROBABILITY, REAL, UNIT, WHOLE, RngHandle, declared,
+                            draw_beta, draw_categorical, draw_dirichlet, draw_gamma, in_domain)
 from .dynamics import MultiSeries, eval_map
 
 logger = logging.getLogger(__name__)
@@ -36,68 +37,38 @@ logger = logging.getLogger(__name__)
 INIT_SLICE_BOUND = 10
 
 
-def as_int(value) -> int:
-    """``int(value)`` for a whole number (``"100"`` and ``100.0`` pass); a
-    fraction raises ValueError instead of being truncated."""
-    number = int(value)
-    if not isinstance(value, str) and number != value:
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return number
-
-
 @dataclass
 class PriorConfig:
-    """Every fixed hyperparameter of the hierarchical model.
+    """Every fixed hyperparameter of the hierarchical model, each in its domain.
 
     Flat priors are used for the control parameters (improper) and for the
     unobserved states x_{j0} and x_{j,n_j+1..n_j+T_j}, which are uniform on
     x0_support[j], series j's state support.
     """
 
-    m: int
-    dirichlet_alpha: np.ndarray  # m x m, rows are the Dirichlet parameters of p_j
-    beta_a: np.ndarray = 0.5  # m x m symmetric; a scalar fills every entry
-    beta_b: np.ndarray = 0.5
-    gamma_a: float = 1e-3
-    gamma_b: float = 1e-3
-    poly_degree: int = 5
-    horizon: Optional[np.ndarray] = None  # T_j per series, default 1
-    x0_support: Optional[np.ndarray] = None  # state support (lo, hi) per series, default [-5, 5]
+    m: int = declared(COUNT)
+    dirichlet_alpha: np.ndarray = declared(POSITIVE)  # m x m, row j the Dirichlet parameters of p_j
+    beta_a: np.ndarray = declared(POSITIVE, 0.5)  # m x m symmetric; a scalar fills every entry
+    beta_b: np.ndarray = declared(POSITIVE, 0.5)
+    gamma_a: float = declared(POSITIVE, 1e-3)
+    gamma_b: float = declared(POSITIVE, 1e-3)
+    poly_degree: int = declared(COUNT, 5)
+    horizon: np.ndarray = declared(COUNT, 1)  # T_j per series
+    x0_support: np.ndarray = declared(REAL, (-5.0, 5.0))  # state support (lo, hi) per series
 
     def __post_init__(self):
-        m = self.m
-        self.gamma_a = float(self.gamma_a)
-        self.gamma_b = float(self.gamma_b)
-        self.poly_degree = as_int(self.poly_degree)
-        self.dirichlet_alpha = np.broadcast_to(
-            np.asarray(self.dirichlet_alpha, dtype=float), (m, m)
-        ).copy()
-        self.beta_a = np.broadcast_to(np.asarray(self.beta_a, dtype=float), (m, m)).copy()
-        self.beta_b = np.broadcast_to(np.asarray(self.beta_b, dtype=float), (m, m)).copy()
-        if self.horizon is None:
-            self.horizon = np.ones(m, dtype=int)
-        horizon = [as_int(t) for t in np.ravel(np.asarray(self.horizon, dtype=object))]
-        self.horizon = np.broadcast_to(np.asarray(horizon, dtype=int), (m,)).copy()
-        if self.x0_support is None:
-            self.x0_support = np.tile([-5.0, 5.0], (m, 1))
-        self.x0_support = np.broadcast_to(
-            np.asarray(self.x0_support, dtype=float), (m, 2)
-        ).copy()
-        for name, mat in (("dirichlet_alpha", self.dirichlet_alpha),
-                          ("beta_a", self.beta_a), ("beta_b", self.beta_b)):
-            if np.any(mat <= 0) or not np.all(np.isfinite(mat)):
-                raise ValueError(f"{name} entries must be positive and finite")
+        m = self.m = in_domain("m", self.m, COUNT)
+        shapes = {"dirichlet_alpha": (m, m), "beta_a": (m, m), "beta_b": (m, m),
+                  "horizon": (m,), "x0_support": (m, 2)}
+        for f in fields(self)[1:]:
+            value = np.broadcast_to(getattr(self, f.name), shapes.get(f.name, ()))
+            setattr(self, f.name, in_domain(f.name, value, f.metadata["domain"]))
         for name in ("beta_a", "beta_b"):
             mat = getattr(self, name)
             if not np.allclose(mat, mat.T):
                 raise ValueError(f"{name} must be symmetric")
-        if not (0 < self.gamma_a < np.inf and 0 < self.gamma_b < np.inf):
-            raise ValueError("gamma hyperparameters must be positive and finite")
-        lo, hi = self.x0_support.T
-        if not np.all((-np.inf < lo) & (lo < hi) & (hi < np.inf)):
-            raise ValueError("x0_support rows must be finite (lo, hi) with lo < hi")
-        if np.any(self.horizon < 0):
-            raise ValueError("horizons must be non-negative")
+        if not np.all(np.less(*self.x0_support.T)):
+            raise ValueError("x0_support rows must be (lo, hi) with lo < hi")
 
 
 class AtomTable:
@@ -118,12 +89,10 @@ class AtomTable:
         rows = np.arange(self.upper[0].size)
         self.index = np.empty((m, m), dtype=int)
         self.index[self.upper] = self.index[self.upper[::-1]] = rows
-        values = np.empty((rows.size, 0)) if values is None else np.array(values, dtype=float)
+        values = np.empty((rows.size, 0)) if values is None else np.asarray(values)
         if values.ndim != 2 or values.shape[0] != rows.size:
             raise ValueError(f"atoms must have shape ({rows.size}, K), got {values.shape}")
-        if not np.all(values > 0):
-            raise ValueError("precisions must be strictly positive")
-        self.values = values
+        self.values = in_domain("atoms", values, POSITIVE)
 
     def size(self, j: int, l: int) -> int:
         return int(np.count_nonzero(~np.isnan(self.values[self.index[j, l]])))
@@ -136,8 +105,7 @@ class AtomTable:
 
     def append(self, j: int, l: int, value: float) -> None:
         """Add one atom to pair {j, l}, for building a state by hand."""
-        if not value > 0:
-            raise ValueError("precisions must be strictly positive")
+        value = in_domain("atoms", value, POSITIVE)
         k = self.size(j, l)
         if k == self.max_size():
             self.values = np.hstack((self.values, np.full((self.values.shape[0], 1), np.nan)))
@@ -162,12 +130,12 @@ def _plain(value):
     return value
 
 
-def _numbers(name: str, values, shape: tuple, count: bool = False) -> np.ndarray:
+def _numbers(name: str, values, shape: tuple, domain=None):
     """``values`` (nested lists, or lists of arrays) as a float array of
-    ``shape``, None there for an axis of any length; an int array for a
-    ``count``. ValueError if the shape differs, if a value is not a number
-    (a string, a boolean or null, say), or if a count holds a value that is
-    not a whole number."""
+    ``shape``, None there for an axis of any length, checked by ``in_domain``
+    where a ``domain`` is given. ValueError if the shape differs, if a value
+    is not a number (a string, a boolean or null, say), or if it lies outside
+    the domain."""
     array = np.array(values, dtype=float)  # ValueError if the lists are ragged
     if array.ndim != len(shape) or any(want not in (None, got)
                                        for got, want in zip(array.shape, shape)):
@@ -183,12 +151,7 @@ def _numbers(name: str, values, shape: tuple, count: bool = False) -> np.ndarray
            if kind is bool or not issubclass(kind, (int, float, np.number))]
     if odd:
         raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
-    if not count:
-        return array
-    whole = np.isfinite(array) & (array == np.trunc(array))
-    if not whole.all():
-        raise ValueError(f"{name} holds {array[~whole][0]} where a whole number is expected")
-    return array.astype(int)
+    return array if domain is None else in_domain(name, array, domain)
 
 
 def _series_views(row: int, doc: str) -> property:
@@ -228,7 +191,7 @@ class Allocations:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(*([_numbers(name, labels, (None,), count=True) for labels in doc[name]]
+        return cls(*([_numbers(name, labels, (None,), COUNT) for labels in doc[name]]
                      for name in ("delta", "d", "N")))
 
 
@@ -253,8 +216,6 @@ class ChainState:
     def validate(self) -> None:
         if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("selection-probability rows must sum to 1")
-        if np.any(self.lam <= 0) or np.any(self.lam >= 1):
-            raise ValueError("geometric probabilities must lie in (0, 1)")
         if not np.allclose(self.lam, self.lam.T):
             raise ValueError("lambda matrix must be symmetric")
         self.alloc.validate(self.m)
@@ -265,19 +226,19 @@ class ChainState:
     @classmethod
     def from_dict(cls, doc: dict) -> "ChainState":
         """The state ``to_dict`` wrote; ValueError for a value that fails
-        ``_numbers``' checks (counts: m, iteration and the labels)."""
-        m = int(_numbers("m", doc["m"], (), count=True))
+        ``_numbers``' checks or lies outside its field's domain."""
+        m = _numbers("m", doc["m"], (), COUNT)
         tau = doc.get("tau_common")
         return cls(
             atoms=AtomTable(m, _numbers("atoms", doc["atoms"], (None, None))),
             alloc=Allocations.from_dict(doc["alloc"]),
-            p=_numbers("p", doc["p"], (m, m)),
-            lam=_numbers("lam", doc["lam"], (m, m)),
-            theta=[_numbers("theta", t, (None,)) for t in doc["theta"]],
-            x0=_numbers("x0", doc["x0"], (m,)),
-            future=[_numbers("future", f, (None,)) for f in doc["future"]],
-            iteration=int(_numbers("iteration", doc["iteration"], (), count=True)),
-            tau_common=None if tau is None else float(_numbers("tau_common", tau, ())),
+            p=_numbers("p", doc["p"], (m, m), PROBABILITY),
+            lam=_numbers("lam", doc["lam"], (m, m), UNIT),
+            theta=[_numbers("theta", t, (None,), REAL) for t in doc["theta"]],
+            x0=_numbers("x0", doc["x0"], (m,), REAL),
+            future=[_numbers("future", f, (None,), REAL) for f in doc["future"]],
+            iteration=_numbers("iteration", doc["iteration"], (), COUNT),
+            tau_common=None if tau is None else _numbers("tau_common", tau, (), POSITIVE),
         )
 
 
@@ -309,13 +270,13 @@ class Trace:
             raise ValueError("empty trace")
         n = len(rows)
 
-        def column(name, values, shape, count=False):
+        def column(name, values, shape, domain=None):
             if type(None) in set(map(type, values)):
                 nulls = sum(value is None for value in values)
                 if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
                     return None
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
-            return _numbers(name, values, (n, *shape), count)
+            return _numbers(name, values, (n, *shape), domain)
 
         theta_shape = np.shape(rows[0]["theta"])
         if len(theta_shape) != 2:
@@ -325,14 +286,14 @@ class Trace:
         if any(len(path) != m for path in paths):
             raise ValueError(f"future does not hold m = {m} paths in every record")
         return cls(
-            column("iteration", [row["iteration"] for row in rows], (), count=True),
+            column("iteration", [row["iteration"] for row in rows], (), WHOLE),
             column("theta", [row["theta"] for row in rows], theta_shape),
             *(column(name, [row.get(name) for row in rows], (m, m)) for name in ("p", "lam")),
             column("x0", [row["x0"] for row in rows], (m,)),
             [column("future", [path[j] for path in paths], (len(paths[0][j]),))
              for j in range(m)],
             column("z_pred", [row["z_pred"] for row in rows], (m,)),
-            column("n_star", [row.get("n_star") for row in rows], (), count=True),
+            column("n_star", [row.get("n_star") for row in rows], (), WHOLE),
             column("tau_common", [row.get("tau_common") for row in rows], ()),
         )
 

@@ -296,6 +296,11 @@ class TestRun:
     @pytest.mark.parametrize("path, value", [
         (("alloc", "N", 0, 0), 2.7), (("alloc", "delta", 0, 0), "1"), (("alloc", "d", 0, 0), True),
         (("p", 0, 0), "0.5"), (("iteration",), 10.5), (("x0", 0), False),
+        # each once ran to the end, or failed with a traceback or a misleading message
+        (("x0", 0), math.nan), (("x0", 1), -math.inf), (("theta", 0, 0), math.nan),
+        (("theta", 1, 2), math.inf), (("future", 0, 0), math.inf), (("future", 1, 0), math.nan),
+        (("atoms", 0, 0), math.inf), (("p", 0, 0), math.nan), (("lam", 0, 1), math.nan),
+        (("iteration",), -5),
     ])
     def test_resume_refuses_labels_and_values_that_are_not_numbers(
             self, tmp_path, sim_dir, capsys, path, value):
@@ -532,6 +537,22 @@ class TestReproduce:
         assert 0.0 <= comparison["boi_weak"] <= 1.0
         assert 0.0 <= comparison["boi_strong"] <= 1.0
 
+    @pytest.mark.parametrize("block", [
+        {"short_series": 0}, {"short_series": 3}, {"short_series": 1.5}, {"donors": [0]},
+        {"donors": [2]}, {"donors": [1, 3]}, {"short_series": 1, "donors": [1]},
+    ])
+    def test_series_numbers_are_checked_before_anything_runs(self, tmp_path, monkeypatch, block):
+        # on m = 2, short_series 0 once reported series 2 (index -1 wraps), donors [0]
+        # summed series 2, and short_series 3 raised IndexError after both chains had run
+        def runs(*args, **kwargs):
+            raise AssertionError("simulated or ran a chain")
+        monkeypatch.setattr(cli, "cmd_simulate", runs)
+        monkeypatch.setattr(cli, "cmd_run", runs)
+        out = tmp_path / "rep"
+        with pytest.raises(ConfigError, match="short_series|donors"):
+            cli.cmd_reproduce("4A", None, out, doc=base_config(reproduce=block))
+        assert not out.exists()
+
     def test_manifest_replay_is_byte_identical(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
         manifest = json.loads((sim / "manifest.json").read_text())
@@ -589,14 +610,25 @@ class TestConfigHelpers:
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [math.nan]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
         ("run", "prior", "x0_support", [[1.0, -1.0], [-5.0, 5.0]], []),
-    ] + [("run", "prior", key, value, []) for _, key, value in NON_FINITE_PRIOR],
+    ] + [("run", "prior", key, value, []) for _, key, value in NON_FINITE_PRIOR] + [
+        # each once exited 3 (divergence, int overflow), 0 (data cut short) or 1 (traceback)
+        ("simulate", "data", "x0", [math.nan, 1.0], []),
+        ("simulate", "data", "x0", [1.0, math.inf], []),
+        ("simulate", "data", "horizon", [-1, 1], []),
+        ("simulate", "data", "maps", [[math.nan, 1.0], "C1"], []),
+        ("run", "prior", "poly_degree", -1, []),
+        ("run", "prior", "poly_degree", -3, []),
+        ("run", "sampler", "iterations", math.inf, []),
+    ],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
             "checkpoint-interval-negative", "beta-a-asymmetric",
             "gsbr-on-two-series", "component-weight-nan", "component-variance-inf",
             "component-variance-nan", "x0-support-empty"]
-       + [case for case, _, _ in NON_FINITE_PRIOR])
+       + [case for case, _, _ in NON_FINITE_PRIOR]
+       + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
+          "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -689,3 +721,34 @@ class TestConfigHelpers:
         doc = base_config()
         with pytest.raises(ConfigError):
             cli.parse_prior_block(doc["prior"], 3)
+
+
+# a finite value outside each config field's declared domain; None where every
+# finite value is inside
+OUTSIDE = {
+    "m": -1, "dirichlet_alpha": 0.0, "beta_a": -0.5, "beta_b": 0.0, "gamma_a": 0.0,
+    "gamma_b": -1e-3, "poly_degree": -1, "horizon": 1.5, "x0_support": None,
+    "iterations": -1, "burn_in": 2.5, "thinning": 0, "seed": 0.5, "slice_width": 0.0,
+    "max_stepout": 0, "checkpoint_interval": -1,
+}
+CONFIGS = {PriorConfig: {"m": 2, "dirichlet_alpha": 1.0}, GibbsConfig: {"iterations": 10}}
+
+
+class TestDeclaredDomains:
+    def test_every_config_field_declares_a_domain(self):
+        for config in CONFIGS:
+            names = [f.name for f in dataclasses.fields(config) if "domain" not in f.metadata]
+            assert names == [], f"{config.__name__} fields without a domain: {names}"
+
+    @pytest.mark.parametrize("config, name, value", [
+        (config, f.name, value) for config in CONFIGS for f in dataclasses.fields(config)
+        for value in (math.nan, math.inf, -math.inf, OUTSIDE[f.name]) if value is not None
+    ])
+    def test_values_outside_the_domain_are_refused(self, config, name, value):
+        with pytest.raises(ValueError, match=f"{name} holds"):
+            config(**CONFIGS[config] | {name: value})
+
+    def test_whole_numbers_stay_exact(self):
+        for seed in (2 ** 63 + 1, 2 ** 70 + 1, -2 ** 63 - 1, "9223372036854775809"):
+            config = GibbsConfig(iterations=10, seed=seed)
+            assert type(config.seed) is int and config.seed == int(seed)
