@@ -32,7 +32,8 @@ from .diagnostics import (
     posterior_mean_matrix,
     quantile,
 )
-from .distributions import COUNT, PROBABILITY, REAL, WHOLE, RngHandle, in_domain, whole_from
+from .distributions import (COUNT, POSITIVE, PROBABILITY, REAL, WHOLE, RngHandle, in_domain,
+                            whole_from)
 from .dynamics import (
     MultiSeries,
     NAMED_MAPS,
@@ -47,6 +48,7 @@ from .model import (
     PriorConfig,
     load_checkpoint,
     read_trace_jsonl,
+    write_text,
     write_trace_jsonl,
 )
 
@@ -187,9 +189,9 @@ def parse_data_block(block: dict):
 def parse_prior_block(block: dict, m: int, alpha_key: str = "dirichlet_alpha") -> PriorConfig:
     """The selection rows come from ``alpha_key``; every other PriorConfig field
     the block leaves out keeps its default."""
-    alpha = np.asarray(block[alpha_key], dtype=float)
-    if alpha.shape != (m, m):
-        raise ConfigError(f"{alpha_key} must be an {m}x{m} matrix, got shape {alpha.shape}")
+    alpha = in_domain(alpha_key, block[alpha_key], POSITIVE)
+    if np.shape(alpha) != (m, m):
+        raise ConfigError(f"{alpha_key} must be an {m}x{m} matrix, got shape {np.shape(alpha)}")
     given = {key: value for key, value in block.items() if key in PRIOR_FIELDS}
     return PriorConfig(**given | {"m": m, "dirichlet_alpha": alpha})
 
@@ -206,6 +208,22 @@ def parse_sampler_block(block: dict, seed_override=None, scale=None) -> GibbsCon
     return GibbsConfig(**block)
 
 
+@_config_errors("outputs block")
+def parse_outputs_block(block: dict) -> tuple:
+    """(directory, kde_bounds): the output directory, ``out`` where the block
+    leaves it out, and the noise KDE's grid range as two floats lo < hi, or
+    None for the default range."""
+    directory, bounds = block.get("directory", "out"), block.get("kde_bounds")
+    if not isinstance(directory, str):
+        raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
+    if bounds is not None:
+        bounds = in_domain("kde_bounds", bounds, REAL)
+        if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
+            raise ConfigError(f"kde_bounds must be [lo, hi] with lo < hi, got {bounds}")
+        bounds = bounds.tolist()
+    return directory, bounds
+
+
 def config_hash(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -219,8 +237,7 @@ def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
         "version": __version__,
     }
     manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, default=str)
+    write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1, default=str))
 
 
 # --- simulate --------------------------------------------------------------------
@@ -232,8 +249,10 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
         seed = int(seed_override)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
     os.makedirs(out_dir, exist_ok=True)
-    data.save_json(os.path.join(out_dir, "data.json"))
-    data.save_csv(out_dir)
+    write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict(), indent=1))
+    for j, series in enumerate(data.series, start=1):
+        _write_csv(os.path.join(out_dir, f"series_{j}.csv"), ["index", "value"],
+                   ((str(i), repr(x)) for i, x in enumerate(series.tolist(), start=1)))
     write_manifest(out_dir, "simulate", doc, {"data_seed": seed})
     return data
 
@@ -305,24 +324,18 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
 
 # --- report ----------------------------------------------------------------------
 
-def _write_lines(path, lines, end) -> None:
-    """Write ``lines`` (a non-empty list of str) to ``path`` in one call,
-    each ended by ``end``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(end.join(lines) + end)
-
-
 def _write_csv(path, header, rows) -> None:
     """A CSV file with csv.writer's bytes: the ``header`` names, then each row
     of ``rows`` (an iterable of str), comma-joined, with CRLF line ends. No
     value here needs quoting."""
-    _write_lines(path, [",".join(header), *map(",".join, rows)], "\r\n")
+    write_text(path, "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n", newline="")
 
 
 def _write_matrix(path, matrix: np.ndarray) -> None:
     """A 2-D float array with np.savetxt(fmt="%.17g", delimiter=",")'s bytes:
     no header, LF line ends."""
-    _write_lines(path, [",".join(["%.17g" % v for v in row]) for row in matrix.tolist()], "\n")
+    write_text(path, "\n".join([",".join(["%.17g" % v for v in row]) for row in matrix.tolist()])
+               + "\n", newline="")
 
 
 def _repr_rows(table: np.ndarray):
@@ -404,22 +417,21 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
         }
 
     if trace.p is not None:
-        with open(os.path.join(out_dir, "boi.json"), "w") as fh:
-            json.dump({"boi": summary["boi"],
-                       "posterior_mean_p": summary["posterior_mean_p"]}, fh, indent=1)
+        write_text(os.path.join(out_dir, "boi.json"), json.dumps(
+            {"boi": summary["boi"], "posterior_mean_p": summary["posterior_mean_p"]}, indent=1))
     if "hpdi_future" in summary:
-        with open(os.path.join(out_dir, "hpdi.json"), "w") as fh:
-            json.dump(summary["hpdi_future"], fh, indent=1)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1)
+        write_text(os.path.join(out_dir, "hpdi.json"), json.dumps(summary["hpdi_future"], indent=1))
+    write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=1))
     return summary
 
 
 # --- reproduce ---------------------------------------------------------------------
 
 def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
-    """simulate -> run (weak prior) -> run (strong prior) -> report, then compare."""
+    """Check every block, then simulate -> run (weak prior) -> run (strong
+    prior) -> report, then compare."""
     doc = doc if doc is not None else bundled_config(experiment)
+    check_config_keys(doc)
     m = len(parse_data_block(_block(doc, "data"))[0])
     with _config_errors("reproduce block"):
         rep = _block(doc, "reproduce")
@@ -428,12 +440,15 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
         if max([short, *donors]) >= m or short in donors:
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
                               "block, the donors without the short series")
+    _, kde_bounds = parse_outputs_block(_block(doc, "outputs"))
+    for alpha_key in ("dirichlet_alpha_weak", "dirichlet_alpha_strong"):
+        parse_prior_block(_block(doc, "prior"), m, alpha_key)
+    base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
     os.makedirs(out_dir, exist_ok=True)
     data_dir = os.path.join(out_dir, "data")
     data = cmd_simulate(doc, data_dir)
     data_path = os.path.join(data_dir, "data.json")
 
-    base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
     results = {}
     for label, alpha_key, seed in (
         ("weak", "dirichlet_alpha_weak", base_seed),
@@ -442,10 +457,8 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
         run_dir = os.path.join(out_dir, label)
         cmd_run(doc, data_path, run_dir, sampler="pdgsbr", seed_override=seed,
                 scale=scale, alpha_key=alpha_key)
-        results[label] = cmd_report(
-            os.path.join(run_dir, "trace.jsonl"), data_path, run_dir,
-            kde_bounds=_block(doc, "outputs").get("kde_bounds"),
-        )
+        results[label] = cmd_report(os.path.join(run_dir, "trace.jsonl"), data_path, run_dir,
+                                    kde_bounds=kde_bounds)
 
     comparison = {"experiment": experiment, "scale": scale,
                   "short_series": short + 1, "donors": [d + 1 for d in donors]}
@@ -470,8 +483,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
                      f"{comparison['hpdi_width_weak']:>12.5f}"
                      f"{comparison['hpdi_width_strong']:>12.5f}")
     print("\n".join(lines))
-    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-        json.dump(comparison, fh, indent=1)
+    write_text(os.path.join(out_dir, "comparison.json"), json.dumps(comparison, indent=1))
     write_manifest(out_dir, "reproduce", doc, {"scale": scale})
     return comparison
 
@@ -518,7 +530,9 @@ def main(argv=None) -> int:
     try:
         if args.verb in ("simulate", "run"):
             doc = load_config(args.config)
-            out = args.out or _block(doc, "outputs").get("directory", "out")
+            check_config_keys(doc)
+            directory, _ = parse_outputs_block(_block(doc, "outputs"))
+            out = args.out or directory
         if args.verb == "simulate":
             cmd_simulate(doc, out, seed_override=args.seed, allow_escape=args.allow_escape)
         elif args.verb == "run":

@@ -6,6 +6,7 @@ global generator state. One handle belongs to exactly one chain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, field
 from typing import Callable, NamedTuple
@@ -61,6 +62,30 @@ def in_domain(name: str, values, domain: Domain):
     if array.ndim == 0:
         return int(array) if domain.whole else float(real)
     return real.astype(int) if domain.whole else real
+
+
+def json_numbers(name: str, values, shape: tuple, domain=None):
+    """``values`` (nested lists as JSON holds them, or lists of arrays) as a
+    float array of ``shape``, None there for an axis of any length, checked
+    by ``in_domain`` where a ``domain`` is given. ValueError if the shape
+    differs, if a value is not a number (a string, a boolean or null, say),
+    or if it lies outside the domain."""
+    array = np.array(values, dtype=float)  # ValueError if the lists are ragged
+    if array.ndim != len(shape) or any(want not in (None, got)
+                                       for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{name} has shape {array.shape} where {shape} is expected")
+    if shape and set(map(type, values)) == {np.ndarray}:  # the chain driver's rows
+        kinds = {value.dtype.type for value in values}
+    else:  # every scalar, one type check each
+        scalars = [values]
+        for _ in shape:
+            scalars = itertools.chain.from_iterable(scalars)
+        kinds = set(map(type, scalars))
+    odd = [kind.__name__ for kind in kinds
+           if kind is bool or not issubclass(kind, (int, float, np.number))]
+    if odd:
+        raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
+    return array if domain is None else in_domain(name, array, domain)
 
 
 class RngHandle:

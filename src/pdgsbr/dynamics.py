@@ -8,18 +8,17 @@ object compounded into each series' noise).
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import POSITIVE, PROBABILITY, REAL, RngHandle, in_domain, whole_from
+from .distributions import (POSITIVE, PROBABILITY, REAL, RngHandle, in_domain, json_numbers,
+                            whole_from)
 from .errors import DivergenceError
 
 logger = logging.getLogger(__name__)
@@ -174,41 +173,25 @@ class MultiSeries:
             raise ValueError("a data file and its truth must be JSON objects")
         kwargs = {}
         if truth is not None:
+            x0, futures, selection = (truth.get(key) for key in ("x0", "futures", "selection"))
             kwargs = {
-                "x0_true": truth.get("x0"),
-                "maps_true": [as_map(c) for c in truth["maps"]],
-                "noise_true": [
-                    NoiseMixtureSpec(tuple(n["weights"]), tuple(n["variances"]))
-                    for n in truth["noise"]
-                ],
-                "futures_true": [np.asarray(f, dtype=float) for f in truth["futures"]]
-                if truth.get("futures") is not None
-                else None,
-                "selection_true": truth.get("selection"),
+                "x0_true": None if x0 is None else json_numbers("x0", x0, (None,), REAL).tolist(),
+                "maps_true": [as_map(json_numbers("maps", c, (None,))) for c in truth["maps"]],
+                "noise_true": [NoiseMixtureSpec(*(json_numbers(key, n[key], (None,))
+                                                  for key in ("weights", "variances")))
+                               for n in truth["noise"]],
+                "futures_true": None if futures is None else
+                [json_numbers("futures", f, (None,), REAL) for f in futures],
+                "selection_true": None if selection is None else
+                json_numbers("selection", selection, (None, None), PROBABILITY).tolist(),
             }
-        return cls(series=[np.asarray(s, dtype=float) for s in doc["series"]], **kwargs)
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+        return cls(series=[json_numbers(f"series {j}", s, (None,))
+                           for j, s in enumerate(doc["series"])], **kwargs)
 
     @classmethod
     def load_json(cls, path) -> "MultiSeries":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-    def save_csv(self, directory) -> list:
-        """One CSV per series with columns (index, value). Returns the paths."""
-        paths = []
-        for j, s in enumerate(self.series):
-            path = os.path.join(directory, f"series_{j + 1}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index", "value"])
-                for i, x in enumerate(s, start=1):
-                    writer.writerow([i, repr(float(x))])
-            paths.append(path)
-        return paths
 
 
 def simulate_series(

@@ -17,6 +17,7 @@ import json
 import logging
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from .diagnostics import quantile
 from .distributions import (COUNT, POSITIVE, PROBABILITY, REAL, UNIT, WHOLE, RngHandle, declared,
-                            draw_beta, draw_categorical, draw_dirichlet, draw_gamma, in_domain)
+                            draw_beta, draw_categorical, draw_dirichlet, draw_gamma, in_domain,
+                            json_numbers)
 from .dynamics import MultiSeries, eval_map
 
 logger = logging.getLogger(__name__)
@@ -130,30 +132,6 @@ def _plain(value):
     return value
 
 
-def _numbers(name: str, values, shape: tuple, domain=None):
-    """``values`` (nested lists, or lists of arrays) as a float array of
-    ``shape``, None there for an axis of any length, checked by ``in_domain``
-    where a ``domain`` is given. ValueError if the shape differs, if a value
-    is not a number (a string, a boolean or null, say), or if it lies outside
-    the domain."""
-    array = np.array(values, dtype=float)  # ValueError if the lists are ragged
-    if array.ndim != len(shape) or any(want not in (None, got)
-                                       for got, want in zip(array.shape, shape)):
-        raise ValueError(f"{name} has shape {array.shape} where {shape} is expected")
-    if shape and set(map(type, values)) == {np.ndarray}:  # the chain driver's rows
-        kinds = {value.dtype.type for value in values}
-    else:  # every scalar, one type check each
-        scalars = [values]
-        for _ in shape:
-            scalars = itertools.chain.from_iterable(scalars)
-        kinds = set(map(type, scalars))
-    odd = [kind.__name__ for kind in kinds
-           if kind is bool or not issubclass(kind, (int, float, np.number))]
-    if odd:
-        raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
-    return array if domain is None else in_domain(name, array, domain)
-
-
 def _series_views(row: int, doc: str) -> property:
     return property(lambda self: tuple(self.flat[row, start:stop] for start, stop in self.bounds),
                     doc=doc)
@@ -191,7 +169,7 @@ class Allocations:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(*([_numbers(name, labels, (None,), COUNT) for labels in doc[name]]
+        return cls(*([json_numbers(name, labels, (None,), COUNT) for labels in doc[name]]
                      for name in ("delta", "d", "N")))
 
 
@@ -226,19 +204,19 @@ class ChainState:
     @classmethod
     def from_dict(cls, doc: dict) -> "ChainState":
         """The state ``to_dict`` wrote; ValueError for a value that fails
-        ``_numbers``' checks or lies outside its field's domain."""
-        m = _numbers("m", doc["m"], (), COUNT)
+        ``json_numbers``' checks or lies outside its field's domain."""
+        m = json_numbers("m", doc["m"], (), COUNT)
         tau = doc.get("tau_common")
         return cls(
-            atoms=AtomTable(m, _numbers("atoms", doc["atoms"], (None, None))),
+            atoms=AtomTable(m, json_numbers("atoms", doc["atoms"], (None, None))),
             alloc=Allocations.from_dict(doc["alloc"]),
-            p=_numbers("p", doc["p"], (m, m), PROBABILITY),
-            lam=_numbers("lam", doc["lam"], (m, m), UNIT),
-            theta=[_numbers("theta", t, (None,), REAL) for t in doc["theta"]],
-            x0=_numbers("x0", doc["x0"], (m,), REAL),
-            future=[_numbers("future", f, (None,), REAL) for f in doc["future"]],
-            iteration=_numbers("iteration", doc["iteration"], (), COUNT),
-            tau_common=None if tau is None else _numbers("tau_common", tau, (), POSITIVE),
+            p=json_numbers("p", doc["p"], (m, m), PROBABILITY),
+            lam=json_numbers("lam", doc["lam"], (m, m), UNIT),
+            theta=[json_numbers("theta", t, (None,), REAL) for t in doc["theta"]],
+            x0=json_numbers("x0", doc["x0"], (m,), REAL),
+            future=[json_numbers("future", f, (None,), REAL) for f in doc["future"]],
+            iteration=json_numbers("iteration", doc["iteration"], (), COUNT),
+            tau_common=None if tau is None else json_numbers("tau_common", tau, (), POSITIVE),
         )
 
 
@@ -265,7 +243,7 @@ class Trace:
         record's values (a ``trace.jsonl`` object). ValueError if there are
         none, if the records disagree in shape, if a field is null in some
         but not all of them (only p, lam, n_star and tau_common may be null),
-        or if a value fails ``_numbers``' checks (counts: iteration, n_star)."""
+        or if a value fails ``json_numbers``' checks (counts: iteration, n_star)."""
         if not rows:
             raise ValueError("empty trace")
         n = len(rows)
@@ -276,7 +254,7 @@ class Trace:
                 if nulls == n and name in ("p", "lam", "n_star", "tau_common"):
                     return None
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
-            return _numbers(name, values, (n, *shape), domain)
+            return json_numbers(name, values, (n, *shape), domain)
 
         theta_shape = np.shape(rows[0]["theta"])
         if len(theta_shape) != 2:
@@ -443,19 +421,43 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     return state
 
 
-# --- checkpoint and trace I/O -----------------------------------------------
+# --- file output: the one writer, checkpoints and traces -------------------
+
+@contextmanager
+def atomic_write(path, newline=None):
+    """The package's one file writer: a text handle on ``<path>.tmp``,
+    renamed over ``path`` when the block ends and removed if it raises, so
+    an interrupted write leaves the previous file whole. A path that exists
+    but is not a regular file, such as ``os.devnull``, is written in place,
+    since a rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:  # a kill or Ctrl-C too; re-raised
+        os.remove(tmp)
+        raise
+
+
+def write_text(path, text: str, newline=None) -> None:
+    """Write ``text`` to ``path`` whole, through ``atomic_write``."""
+    with atomic_write(path, newline) as fh:
+        fh.write(text)
+
 
 def save_checkpoint(path, state: ChainState, rng: RngHandle, extra: Optional[dict] = None) -> None:
-    """Write the checkpoint, compact JSON, to a sibling temp file, then rename
-    it over ``path``, so a run killed mid-write leaves the previous checkpoint
-    whole."""
+    """Write the checkpoint, compact JSON, whole: a run killed mid-write
+    keeps the previous checkpoint."""
     doc = {"state": state.to_dict(), "rng": rng.get_state()}
     if extra:
         doc.update(extra)
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(doc))
-    os.replace(tmp, path)
+    write_text(path, json.dumps(doc))
 
 
 def load_checkpoint(path):
@@ -501,19 +503,23 @@ def _trace_lines(trace: Trace):
         yield template % tuple(texts), csv_line
 
 
-def write_trace_jsonl(path, trace: Trace, csv_path=os.devnull) -> None:
+def write_trace_jsonl(path, trace: Trace, csv_path=None) -> None:
     """One JSON object per record, keyed by the Trace fields in order, as
     ``json.dumps`` writes it. With ``csv_path``, trace.csv too: a header of
     the column names, then one line per record, each value as its ``repr``
     (an exact round trip), every line ended by csv's CRLF. Both files are
-    written record by record from one rendering."""
+    written record by record from one rendering, each whole (``atomic_write``)."""
     lines = _trace_lines(trace)
     header = next(lines)
-    with open(path, "w") as jsonl, open(csv_path, "w", newline="") as csv:
-        csv.write(header)
-        for json_line, csv_line in lines:
-            jsonl.write(json_line)
-            csv.write(csv_line)
+    with atomic_write(path) as jsonl:
+        if csv_path is None:
+            jsonl.writelines(json_line for json_line, _ in lines)
+            return
+        with atomic_write(csv_path, newline="") as csv:
+            csv.write(header)
+            for json_line, csv_line in lines:
+                jsonl.write(json_line)
+                csv.write(csv_line)
 
 
 def read_trace_jsonl(path) -> Trace:

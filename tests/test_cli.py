@@ -19,11 +19,11 @@ from hypothesis.extra.numpy import arrays
 
 from oracle import csv_write_table, savetxt_matrix, two_call_default_kde
 import pdgsbr
-from pdgsbr import cli
+from pdgsbr import cli, model
 from pdgsbr.dynamics import MultiSeries
 from pdgsbr.errors import ConfigError
 from pdgsbr.gibbs import GibbsConfig
-from pdgsbr.model import PriorConfig, read_trace_jsonl
+from pdgsbr.model import PriorConfig, Trace, read_trace_jsonl
 from test_model import EDGE_FLOATS
 
 
@@ -69,6 +69,10 @@ NON_FINITE_PRIOR = [(f"{case}-{name}", key, value)
                     for case, key, value in (("gamma-a", "gamma_a", x), ("gamma-b", "gamma_b", x),
                                              ("x0-lo", "x0_support", [[x, 5.0], [-5.0, 5.0]]),
                                              ("x0-hi", "x0_support", [[-5.0, 5.0], [-5.0, x]]))]
+
+
+# a valid pair of reproduce selection priors for two series
+ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
 
 
 def jsonl(*records):
@@ -441,12 +445,19 @@ class TestReport:
         ("report", "trace.jsonl", '{"iteration": 31}', 2),
         ("run", "data.json", None, 4),
         ("report", "trace.jsonl", None, 4),
+        # each once read as a number (0.1, 1.0) or kept as it was, with exit 0
+        ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], ["0.1", 0.2, 0.3]]}', 2),
+        ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [true, 0.2, 0.3]]}', 2),
+        ("report", "data.json", json.dumps({"m": 2, "series": [[0.1, 0.2, 0.3]] * 2, "truth": {
+            "x0": ["a", None], "maps": [[1.0, 0.0, -1.65]] * 2,
+            "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2}}), 2),
     ], ids=["mixture-then-parametric", "parametric-then-mixture",
             "theta-lengths-differ", "theta-a-number", "empty-trace",
             "iteration-fractional", "n-star-fractional", "x0-a-string", "z-pred-a-boolean",
             "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
-            "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace"])
+            "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace",
+            "series-a-string", "series-a-boolean", "truth-x0-a-string"])
     def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,
                                           content, code):
         cfg, sim, run = run_dir
@@ -495,6 +506,68 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     assert (tmp_path / "run" / "kde_x0_1.csv").exists()  # the default KDE range was taken
 
 
+class Killed(BaseException):
+    """A kill or Ctrl-C, partway through a write."""
+
+
+def killed_writing(name, writes):
+    """An ``open`` for ``model``: the handle on ``name``'s temp file takes
+    ``writes`` writes, then writes half of the next text and raises Killed."""
+    def killed_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if os.path.basename(file) == f"{name}.tmp":
+            done = []
+
+            def write(text):
+                if len(done) == writes:
+                    type(fh).write(fh, text[: len(text) // 2])
+                    raise Killed
+                done.append(text)
+                return type(fh).write(fh, text)
+
+            fh.write = write
+        return fh
+    return killed_open
+
+
+class TestInterruptedWrites:
+    # 50 records of a hand-made trace, spread enough for every KDE grid
+    TRACE = Trace.stack([dict(MIXTURE, iteration=31 + i, x0=[0.1 + 0.01 * i, 0.2],
+                              future=[[0.5 - 0.01 * i], [0.6]], z_pred=[0.001 * i, -0.02])
+                         for i in range(50)])
+
+    @pytest.mark.parametrize("command, name, writes", [
+        ("trace", "trace.jsonl", 20),  # killed after 20 of the 50 records
+        ("trace", "trace.csv", 21),  # the header and 20 records
+        ("report", "kde_noise_1.csv", 0),
+        ("report", "summary.json", 0),
+        ("simulate", "data.json", 0),
+    ])
+    def test_the_previous_file_stays_whole(self, tmp_path, sim_dir, monkeypatch, command,
+                                           name, writes):
+        # the part-file of a killed trace write once read back as a valid shorter chain
+        _, sim = sim_dir
+        trace, out = tmp_path / "trace.jsonl", tmp_path / "out"
+        model.write_trace_jsonl(trace, self.TRACE)
+        out.mkdir()
+        write = {"trace": lambda: model.write_trace_jsonl(out / "trace.jsonl", self.TRACE,
+                                                        csv_path=out / "trace.csv"),
+                 "report": lambda: cli.cmd_report(trace, sim / "data.json", out),
+                 "simulate": lambda: cli.cmd_simulate(base_config(), out)}[command]
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "open", killed_writing(name, writes), raising=False)
+            with pytest.raises(Killed):
+                write()
+        assert not (out / name).exists() and not list(out.glob("*.tmp"))
+        write()
+        before = (out / name).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "open", killed_writing(name, writes), raising=False)
+            with pytest.raises(Killed):
+                write()
+        assert (out / name).read_bytes() == before and not list(out.glob("*.tmp"))
+
+
 class TestReportWritersMatchTheFormerOnes:
     """The one-call report writers give the bytes of the former ones
     (tests/oracle.py): csv.writer over per-row reprs and np.savetxt; the
@@ -540,6 +613,16 @@ class TestReproduce:
     @pytest.mark.parametrize("block", [
         {"short_series": 0}, {"short_series": 3}, {"short_series": 1.5}, {"donors": [0]},
         {"donors": [2]}, {"donors": [1, 3]}, {"short_series": 1, "donors": [1]},
+        # whole blocks: each once let the data be simulated, and a bad strong prior let the
+        # whole weak chain and its report run, before the run was refused
+        pytest.param({"outputs": {"kde_bounds": [math.nan, 1.0]}}, id="kde-bounds-nan"),
+        pytest.param({"outputs": {"kde_bounds": [1.0, -1.0]}}, id="kde-bounds-reversed"),
+        pytest.param({"prior": dict(ALPHAS, dirichlet_alpha_strong=[[1, 1], [1, math.nan]])},
+                     id="alpha-strong-nan"),
+        pytest.param({"prior": dict(ALPHAS, dirichlet_alpha_weak=[[1, 1], [-1, 1]])},
+                     id="alpha-weak-negative"),
+        pytest.param({"prior": ALPHAS, "sampler": {"iterations": 10, "burn_in": 20}},
+                     id="sampler-keeps-no-sweep"),
     ])
     def test_series_numbers_are_checked_before_anything_runs(self, tmp_path, monkeypatch, block):
         # on m = 2, short_series 0 once reported series 2 (index -1 wraps), donors [0]
@@ -549,8 +632,11 @@ class TestReproduce:
         monkeypatch.setattr(cli, "cmd_simulate", runs)
         monkeypatch.setattr(cli, "cmd_run", runs)
         out = tmp_path / "rep"
-        with pytest.raises(ConfigError, match="short_series|donors"):
-            cli.cmd_reproduce("4A", None, out, doc=base_config(reproduce=block))
+        whole_blocks = set(block) <= cli.CONFIG_KEYS["top level"]
+        doc = base_config(**block) if whole_blocks else base_config(reproduce=block)
+        with pytest.raises(ConfigError, match="short_series|donors|kde_bounds|"
+                                              "dirichlet_alpha_weak|dirichlet_alpha_strong|sampler"):
+            cli.cmd_reproduce("4A", None, out, doc=doc)
         assert not out.exists()
 
     def test_manifest_replay_is_byte_identical(self, tmp_path, sim_dir):
@@ -619,6 +705,8 @@ class TestConfigHelpers:
         ("run", "prior", "poly_degree", -1, []),
         ("run", "prior", "poly_degree", -3, []),
         ("run", "sampler", "iterations", math.inf, []),
+        # once exited 1 with a TypeError traceback from os.makedirs, or 0 with --out
+        ("simulate", "outputs", "directory", 5, []),
     ],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
@@ -628,7 +716,8 @@ class TestConfigHelpers:
             "component-variance-nan", "x0-support-empty"]
        + [case for case, _, _ in NON_FINITE_PRIOR]
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
-          "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf"])
+          "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
+          "outputs-directory-int"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir

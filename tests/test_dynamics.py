@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pdgsbr import cli
 from pdgsbr.distributions import RngHandle, draw_categorical
 from pdgsbr.dynamics import (
     DIVERGENCE_BOUND,
@@ -199,27 +200,23 @@ class TestSimulation:
         assert not np.array_equal(a.series[0], b.series[0])
 
     def test_json_roundtrip_is_exact(self, tmp_path):
-        data = self.make_multi()
-        path = tmp_path / "data.json"
-        data.save_json(path)
-        back = MultiSeries.load_json(path)
+        data = cli.cmd_simulate(cli.bundled_config("4A"), tmp_path)  # writes data.json
+        back = MultiSeries.load_json(tmp_path / "data.json")
         for sa, sb in zip(data.series, back.series):
             assert np.array_equal(sa, sb)  # bit-exact via repr-style JSON floats
         assert back.maps_true[0] == data.maps_true[0]
         assert back.noise_true[1].variances == data.noise_true[1].variances
         assert np.array_equal(back.futures_true[1], data.futures_true[1])
 
-    def test_json_without_truth(self, tmp_path):
+    def test_json_without_truth(self):
         data = MultiSeries(series=[np.arange(5.0), np.arange(3.0) + 1])
-        path = tmp_path / "plain.json"
-        data.save_json(path)
-        back = MultiSeries.load_json(path)
+        back = MultiSeries.from_json_dict(json.loads(json.dumps(data.to_json_dict())))
         assert back.maps_true is None
         assert np.array_equal(back.series[0], np.arange(5.0))
 
     def test_csv_roundtrip_to_full_precision(self, tmp_path):
-        data = self.make_multi()
-        paths = data.save_csv(tmp_path)
+        data = cli.cmd_simulate(cli.bundled_config("4A"), tmp_path)  # writes series_j.csv
+        paths = sorted(map(str, tmp_path.glob("series_*.csv")))
         assert [p.endswith(f"series_{j+1}.csv") for j, p in enumerate(paths)] == [True, True]
         loaded = np.loadtxt(paths[0], delimiter=",", skiprows=1, usecols=1)
         assert np.array_equal(loaded, data.series[0])

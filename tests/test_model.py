@@ -1,9 +1,11 @@
+import ast
 import copy
 import json
 import logging
 import math
 import os
 import pickle
+import stat
 import tempfile
 from pathlib import Path
 
@@ -300,6 +302,56 @@ class TestCheckpoint:
         assert path.read_bytes() == before
 
 
+class TestOneWriter:
+    def test_every_file_goes_through_the_one_writer(self):
+        # a new output written any other way could leave a part-file that reads as valid
+        package = Path(model.__file__).parent
+        writers = {("json", "dump"), ("csv", "writer"), ("csv", "DictWriter"), ("np", "savetxt")}
+        found = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            writer = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "atomic_write":
+                    assert path.name == "model.py"
+                    writer = {id(inner) for inner in ast.walk(node)}
+            for node in ast.walk(tree):
+                if id(node) in writer:
+                    continue
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                        node.value.id, node.attr) in writers:
+                    found.append(f"{where} {node.value.id}.{node.attr}")
+                if isinstance(node, ast.ImportFrom) and any(
+                        (node.module, alias.name) in writers for alias in node.names):
+                    found.append(f"{where} from {node.module} import")
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
+                    found.append(f"{where} .{name}()")  # pathlib's writers
+                if name == "open":
+                    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                    if any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+                           for mode in modes):
+                        found.append(f"{where} open() to write")
+        assert found == []
+
+    def test_a_path_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        # as os.devnull is: renaming a temp file over it would replace the device
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            model.write_text(fifo, "through the pipe\n")
+            assert os.read(reader, 100) == b"through the pipe\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+
 def write_trace_csv(path, trace):
     write_trace_jsonl(os.devnull, trace, csv_path=path)
 
@@ -394,6 +446,11 @@ class TestTraceIO:
         assert "tau" in header and not any(k.startswith(("p_", "lam_", "n_star")) for k in header)
         back = read_trace_jsonl(tmp_path / "t.jsonl")[0]
         assert back.p is None and back.n_star is None and back.tau_common == 2.5
+
+    def test_without_csv_path_one_file_is_written(self, tmp_path):
+        write_trace_jsonl(tmp_path / "trace.jsonl", self.make_trace())
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
+        assert len(read_trace_jsonl(tmp_path / "trace.jsonl")) == 4
 
     def test_records_are_views_of_the_columns(self):
         trace = self.make_trace()
