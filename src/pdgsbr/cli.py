@@ -208,20 +208,26 @@ def parse_sampler_block(block: dict, seed_override=None, scale=None) -> GibbsCon
     return GibbsConfig(**block)
 
 
+@_config_errors("kde_bounds")
+def check_kde_bounds(bounds):
+    """The noise KDE's grid range as two floats lo < hi, or None for the
+    default range; ConfigError for anything else."""
+    if bounds is None:
+        return None
+    bounds = in_domain("kde_bounds", bounds, REAL)
+    if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
+        raise ConfigError(f"kde_bounds must be [lo, hi] with lo < hi, got {bounds}")
+    return bounds.tolist()
+
+
 @_config_errors("outputs block")
 def parse_outputs_block(block: dict) -> tuple:
     """(directory, kde_bounds): the output directory, ``out`` where the block
-    leaves it out, and the noise KDE's grid range as two floats lo < hi, or
-    None for the default range."""
-    directory, bounds = block.get("directory", "out"), block.get("kde_bounds")
+    leaves it out, and the bounds by ``check_kde_bounds``."""
+    directory = block.get("directory", "out")
     if not isinstance(directory, str):
         raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
-    if bounds is not None:
-        bounds = in_domain("kde_bounds", bounds, REAL)
-        if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
-            raise ConfigError(f"kde_bounds must be [lo, hi] with lo < hi, got {bounds}")
-        bounds = bounds.tolist()
-    return directory, bounds
+    return directory, check_kde_bounds(block.get("kde_bounds"))
 
 
 def config_hash(doc: dict) -> str:
@@ -360,6 +366,7 @@ def _kde_with_bounds(samples: np.ndarray, bounds):
 
 
 def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
+    kde_bounds = check_kde_bounds(kde_bounds)
     with _config_errors(f"trace {trace_path}"):
         trace = read_trace_jsonl(trace_path)
     data = _load_data(data_path)

@@ -11,7 +11,10 @@ The precisions span many orders of magnitude, so linear-space mixture
 weights underflow. The allocation block draws in log space by Gumbel-max,
 which needs no max-subtraction or normalization. The kernels work on all
 series at once, on the flat point layout of ``model.Allocations``: they read
-and write its (3, n) label array ``flat`` directly.
+and write its (3, n) label array ``flat`` directly. A kernel that reads a
+flat per-point array (path points, residuals, pair labels, allocated
+precisions) takes it as an optional argument and builds it when None;
+``sweep`` builds each once and hands it on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 
@@ -102,10 +104,10 @@ def _path_points(state: ChainState, data: MultiSeries):
     return prev, nxt
 
 
-def residuals(state: ChainState, data: MultiSeries) -> np.ndarray:
+def residuals(state: ChainState, data: MultiSeries, points=None) -> np.ndarray:
     """Squared residuals h_ji = (x_{ji} - g_j(theta_j, x_{j,i-1}))^2 of every
     point, flat in series order: one Horner pass with per-point coefficients."""
-    prev, nxt = _path_points(state, data)
+    prev, nxt = _path_points(state, data) if points is None else points
     h = eval_map(np.asarray(state.theta).T[:, state.alloc.series], prev)
     return np.square(np.subtract(nxt, h, out=h), out=h)
 
@@ -139,20 +141,21 @@ def _pair_labels(state: ChainState) -> np.ndarray:
     return state.alloc.series * state.m + state.alloc.flat[0]
 
 
-def _atom_rows(state: ChainState) -> np.ndarray:
+def _atom_rows(state: ChainState, pair=None) -> np.ndarray:
     """Atom row of every point's pair {j, delta_ji}."""
-    return state.atoms.index.ravel()[_pair_labels(state)]
+    return state.atoms.index.ravel()[_pair_labels(state) if pair is None else pair]
 
 
-def _tau_per_point(state: ChainState) -> np.ndarray:
+def _tau_per_point(state: ChainState, pair=None) -> np.ndarray:
     """Allocated precision tau_{j, delta_ji, d_ji} of every point, flat in
     series order."""
-    return state.atoms.values[_atom_rows(state), state.alloc.flat[1] - 1]
+    return state.atoms.values[_atom_rows(state, pair), state.alloc.flat[1] - 1]
 
 
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
 
-def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
+def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig,
+                               h=None, pair=None):
     """Gamma (shape, rate) of every atom's full conditional, as two (P, K)
     arrays laid out like ``state.atoms.values``.
 
@@ -161,21 +164,23 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     """
     m = state.m
     K = state.atoms.max_size()
-    cell = _pair_labels(state) * K + state.alloc.flat[1] - 1
+    cell = (_pair_labels(state) if pair is None else pair) * K + state.alloc.flat[1] - 1
     counts = np.bincount(cell, None, m * m * K).reshape(m, m, K)
-    rsums = np.bincount(cell, residuals(state, data), m * m * K).reshape(m, m, K)
+    rsums = np.bincount(cell, residuals(state, data) if h is None else h,
+                        m * m * K).reshape(m, m, K)
     upper = state.atoms.upper
     return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
             prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
 
 
-def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarray:
+def selection_posterior_alpha(state: ChainState, prior: PriorConfig, pair=None) -> np.ndarray:
     """Dirichlet parameters alpha_{jl} + #{i : delta_ji = l} for every row."""
     m = state.m
-    return prior.dirichlet_alpha + np.bincount(_pair_labels(state), None, m * m).reshape(m, m)
+    labels = _pair_labels(state) if pair is None else pair
+    return prior.dirichlet_alpha + np.bincount(labels, None, m * m).reshape(m, m)
 
 
-def geometric_posterior_params(state: ChainState, prior: PriorConfig):
+def geometric_posterior_params(state: ChainState, prior: PriorConfig, pair=None):
     """Beta (a, b) of every lambda_{jl} full conditional, as two length-P
     arrays over the pairs j <= l in atom-row order.
 
@@ -184,16 +189,17 @@ def geometric_posterior_params(state: ChainState, prior: PriorConfig):
     to its atom row. The sums are of whole numbers, so exact in any order.
     """
     rows = state.atoms.values.shape[0]
-    row = _atom_rows(state)
+    row = _atom_rows(state, pair)
     S = np.bincount(row, None, rows)
     Sp = np.bincount(row, state.alloc.flat[2] - 1.0, rows)
     upper = state.atoms.upper
     return prior.beta_a[upper] + 2.0 * S, prior.beta_b[upper] + Sp
 
 
-def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConfig):
+def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConfig,
+                          points=None):
     """Gamma (shape, rate) of the common-precision full conditional."""
-    h = residuals(state, data)
+    h = residuals(state, data, points)
     return prior.gamma_a + 0.5 * h.size, prior.gamma_b + 0.5 * float(h.sum())
 
 
@@ -202,19 +208,23 @@ def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConf
 def _alloc_chunks(cells: np.ndarray):
     """Cut consecutive points, given the live cells of each, into (start,
     stop) runs of at most ALLOC_CELL_BUDGET cells in all; a point over the
-    budget forms a run of its own."""
+    budget forms a run of its own. Yields each run's (start, stop) and the
+    first cell of each of its points within the run."""
     ends = np.cumsum(cells)
-    start = 0
+    start = done = 0
     while start < cells.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = int(np.searchsorted(ends, done + ALLOC_CELL_BUDGET, side="right"))
-        stop = max(stop, start + 1)
-        yield start, stop
+        if ends[-1] - done <= ALLOC_CELL_BUDGET:  # the rest fits
+            stop = cells.size
+        else:
+            stop = int(np.searchsorted(ends, done + ALLOC_CELL_BUDGET, side="right"))
+            stop = max(stop, start + 1)
+        yield start, stop, ends[start:stop] - cells[start:stop] - done
+        done = int(ends[stop - 1])
         start = stop
 
 
 def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                       rng: RngHandle) -> ChainState:
+                       rng: RngHandle, h=None) -> ChainState:
     """Jointly redraw (d_ji, delta_ji) from p_{jl} N(x_ji | g_j, 1/tau_{jlk}).
 
     The support of point (j, i) is its m min(N_ji, N*) live cells l = 1..m,
@@ -232,69 +242,71 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """
     m = state.m
     K = state.atoms.max_size()
-    half_h = 0.5 * residuals(state, data)
+    half_h = 0.5 * (residuals(state, data) if h is None else h)
     width = np.minimum(state.alloc.flat[2], K)  # live k of each point
     cells = m * width
     pair_base = state.alloc.series * m  # flat (m, m) index of (j, l = 0)
     rows = state.atoms.index.ravel() * K  # flat offset of each pair's atom row
+    pick = np.empty(width.size, dtype=int)  # each point's cell l * width + k
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(state.p).ravel()
         half_log_tau = 0.5 * np.log(state.atoms.values)
-    pick = np.empty(width.size, dtype=int)  # each point's cell l * width + k
-    for start, stop in _alloc_chunks(cells):
-        count = cells[start:stop]
-        offset = np.cumsum(count) - count  # each point's first cell in the chunk
-        pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
-        l, k = np.divmod(pos, np.repeat(width[start:stop], count))
-        pair = np.repeat(pair_base[start:stop], count) + l
-        atom = rows[pair] + k  # flat index into atoms.values
-        score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
-                 - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
-        noise = rng.generator.random(score.size)  # log(-log U), in place
-        with np.errstate(divide="ignore"):
+        for start, stop, offset in _alloc_chunks(cells):
+            count = cells[start:stop]
+            pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
+            l, k = np.divmod(pos, np.repeat(width[start:stop], count))
+            pair = np.repeat(pair_base[start:stop], count) + l
+            atom = rows[pair] + k  # flat index into atoms.values
+            score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
+                     - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
+            noise = rng.generator.random(score.size)  # log(-log U), in place
             np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
-        score -= noise
-        np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
-        best = np.repeat(np.maximum.reduceat(score, offset), count)
-        pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
+            score -= noise
+            np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
+            best = np.repeat(np.maximum.reduceat(score, offset), count)
+            pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
     delta, d = np.divmod(pick, width)
     state.alloc.flat[:2] = delta, d + 1
     return state
 
 
-def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
+def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle,
+                   pair=None) -> ChainState:
     """Redraw every slice bound (capped at SLICE_BOUND_CAP) and resize the atoms."""
     _, d, N = state.alloc.flat
-    bound = draw_truncated_geometric(state.lam.ravel()[_pair_labels(state)], d, rng)
+    labels = _pair_labels(state) if pair is None else pair
+    bound = draw_truncated_geometric(state.lam.ravel()[labels], d, rng)
     N[:] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
     return ensure_atoms(state, prior, rng)
 
 
 def update_precisions(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                      rng: RngHandle) -> ChainState:
+                      rng: RngHandle, h=None, pair=None) -> ChainState:
     """Conjugate gamma redraw of every stored atom, in row order."""
-    shape, rate = precision_posterior_params(state, data, prior)
+    shape, rate = precision_posterior_params(state, data, prior, h, pair)
     draws = list(map(draw_gamma, shape.ravel().tolist(), rate.ravel().tolist(), repeat(rng)))
     state.atoms.values = np.reshape(draws, shape.shape)
     return state
 
 
-def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
+def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle,
+                           pair=None) -> ChainState:
     """Conjugate Dirichlet redraw of every selection row."""
-    state.p[:] = draw_dirichlet(selection_posterior_alpha(state, prior), rng)
+    state.p[:] = draw_dirichlet(selection_posterior_alpha(state, prior, pair), rng)
     return state
 
 
-def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
+def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle,
+                           pair=None) -> ChainState:
     """Conjugate beta redraw of every geometric probability (mirrored)."""
-    a, b = geometric_posterior_params(state, prior)
+    a, b = geometric_posterior_params(state, prior, pair)
     j, l = state.atoms.upper
     state.lam[j, l] = state.lam[l, j] = draw_beta(a, b, rng)
     return state
 
 
 def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                 rng: RngHandle, tau_override: Optional[float] = None) -> ChainState:
+                 rng: RngHandle, tau_override=None, points=None) -> ChainState:
     """Exact multivariate-normal redraw of every coefficient vector.
 
     Under the flat prior the full conditional of theta_j is Gaussian with
@@ -304,10 +316,12 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     series, and theta_j = Q (Lambda^-1 Q' b_j + Lambda^-1/2 z) with z
     standard normal. An eigenvalue ratio above THETA_COND_LIMIT (or a
     non-positive eigenvalue) is an error, never a silent ridge.
+    ``tau_override`` is the points' precision: one common float, or an
+    array of one per point.
     """
     R = prior.poly_degree
     first = state.alloc.first
-    prev, nxt = _path_points(state, data)
+    prev, nxt = _path_points(state, data) if points is None else points
     powers = np.empty((2 * R + 1, prev.size))  # tau_i x_{j,i-1}^r, r = 0..2R
     powers[0] = _tau_per_point(state) if tau_override is None else tau_override
     for r in range(1, 2 * R + 1):
@@ -328,16 +342,16 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 
 def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
-              rng: RngHandle, config: GibbsConfig,
-              tau_override: Optional[float] = None) -> ChainState:
+              rng: RngHandle, config: GibbsConfig, tau_override=None) -> ChainState:
     """One slice transition per initial condition.
 
     The exponent is a polynomial in x0 and can be multimodal (modes near the
     real roots of g(x) - x_1), hence the slice sampler instead of anything
-    assuming log-concavity.
+    assuming log-concavity. ``tau_override`` is as in ``update_theta``.
     """
-    taus = ([float(tau_override)] * state.m if tau_override is not None
-            else _tau_per_point(state)[state.alloc.first].tolist())  # first points
+    tau = _tau_per_point(state) if tau_override is None else tau_override
+    taus = (tau[state.alloc.first].tolist() if isinstance(tau, np.ndarray)  # first points
+            else [float(tau)] * state.m)
     for j in range(state.m):
         log_f = _point_target(state.theta[j].tolist(), taus[j], float(data.series[j][0]))
         lo, hi = prior.x0_support[j].tolist()
@@ -348,8 +362,7 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
 
 def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                  rng: RngHandle, config: GibbsConfig,
-                  tau_override: Optional[float] = None) -> ChainState:
+                  rng: RngHandle, config: GibbsConfig, tau_override=None) -> ChainState:
     """Redraw each series' out-of-sample path x_{j,n_j+1..n_j+T_j} as one block.
 
     Nothing after the path is observed, so given the rest of the chain its
@@ -363,20 +376,19 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     One standard_normal(sum T_j) call serves all series, series by series
     with k ascending; each step is g_j(x) + tau_k^-1/2 z in Python floats,
     which gives the draws of scalar ``Generator.normal`` calls bit for bit.
-    ``config`` is unused; callers pass it as they do to ``update_x0``.
+    ``tau_override`` is as in ``update_theta``. ``config`` is unused; callers
+    pass it as they do to ``update_x0``.
     """
     horizon = [f.size for f in state.future]
     total = sum(horizon)
     if not total:
         return state
-    if tau_override is not None:
-        sd = [float(tau_override) ** -0.5] * total
-    else:  # the future points' precisions only
-        series, first = state.alloc.series, state.alloc.first
-        ahead = np.arange(series.size) >= (first + data.lengths)[series]
-        delta, d = state.alloc.flat[:2, ahead]
-        rows = state.atoms.index[series[ahead], delta]
-        sd = [t ** -0.5 for t in state.atoms.values[rows, d - 1].tolist()]
+    tau = _tau_per_point(state) if tau_override is None else tau_override
+    if isinstance(tau, np.ndarray):  # each series' last T_j points are its future ones
+        ahead = [tau[stop - steps:stop] for (_, stop), steps in zip(state.alloc.bounds, horizon)]
+        sd = [t ** -0.5 for t in np.concatenate(ahead).tolist()]
+    else:
+        sd = [float(tau) ** -0.5] * total
     z = rng.generator.standard_normal(total).tolist()
     k = 0
     for j, steps in enumerate(horizon):
@@ -421,15 +433,27 @@ def sample_noise_predictive(state: ChainState, prior: PriorConfig, rng: RngHandl
 
 def sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
           config: GibbsConfig, rng: RngHandle):
-    """One full Gibbs scan. Returns the state and the noise-predictive draws."""
-    update_alloc_block(state, data, prior, rng)
-    update_slice_N(state, prior, rng)
-    update_precisions(state, data, prior, rng)
-    update_selection_probs(state, prior, rng)
-    update_geometric_probs(state, prior, rng)
-    update_theta(state, data, prior, rng)
-    update_x0(state, data, prior, rng, config)
-    update_future(state, data, prior, rng, config)
+    """One full Gibbs scan. Returns the state and the noise-predictive draws.
+
+    Each flat per-point array is built once, where its inputs last change,
+    and handed to the kernels that read it: the path points and residuals at
+    the start (theta, x0 and the paths hold until ``update_theta``), the pair
+    labels after the allocation block (the only kernel that writes delta),
+    the allocated precisions after ``update_precisions`` (the last kernel
+    before theta that writes atoms or labels).
+    """
+    points = _path_points(state, data)
+    h = residuals(state, data, points)
+    update_alloc_block(state, data, prior, rng, h)
+    pair = _pair_labels(state)
+    update_slice_N(state, prior, rng, pair)
+    update_precisions(state, data, prior, rng, h, pair)
+    update_selection_probs(state, prior, rng, pair)
+    update_geometric_probs(state, prior, rng, pair)
+    tau = _tau_per_point(state, pair)
+    update_theta(state, data, prior, rng, tau, points)
+    update_x0(state, data, prior, rng, config, tau)
+    update_future(state, data, prior, rng, config, tau)
     z = sample_noise_predictive(state, prior, rng)
     state.iteration += 1
     return state, z
@@ -438,10 +462,11 @@ def sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
 def parametric_sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
                      config: GibbsConfig, rng: RngHandle):
     """One scan of the common-precision Gaussian baseline."""
-    shape, rate = parametric_tau_params(state, data, prior)
+    points = _path_points(state, data)
+    shape, rate = parametric_tau_params(state, data, prior, points)
     state.tau_common = draw_gamma(shape, rate, rng)
     tau = state.tau_common
-    update_theta(state, data, prior, rng, tau_override=tau)
+    update_theta(state, data, prior, rng, tau_override=tau, points=points)
     update_x0(state, data, prior, rng, config, tau_override=tau)
     update_future(state, data, prior, rng, config, tau_override=tau)
     z = rng.generator.normal(0.0, tau ** -0.5, size=state.m)

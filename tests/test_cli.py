@@ -186,7 +186,7 @@ class TestRun:
 
     def test_resume_continues_bit_exactly(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
-        doc = yaml.safe_load(open(cfg))
+        doc = yaml.safe_load(Path(cfg).read_text())
         # one uninterrupted 150-sweep chain as the reference
         full_dir = tmp_path / "full"
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
@@ -329,7 +329,7 @@ class TestRun:
 
     def test_unknown_sampler_rejected(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
-        doc = yaml.safe_load(open(cfg))
+        doc = yaml.safe_load(Path(cfg).read_text())
         with pytest.raises(ConfigError):
             cli.cmd_run(doc, sim / "data.json", tmp_path / "x", sampler="bogus")
 
@@ -344,6 +344,17 @@ def run_dir(tmp_path, sim_dir):
 
 
 class TestReport:
+    @pytest.mark.parametrize("bounds", [[math.nan, 1.0], [1.0, -1.0], [0.0]],
+                             ids=["nan", "reversed", "one-value"])
+    def test_bad_kde_bounds_refused_before_anything_is_written(self, tmp_path, run_dir, bounds):
+        # as a library call, report once wrote nan grids for [nan, 1], a descending
+        # grid for [1, -1], and raised a bare ValueError for [0] after writing files
+        _, sim, run = run_dir
+        out = tmp_path / "rep"
+        with pytest.raises(ConfigError, match="kde_bounds"):
+            cli.cmd_report(run / "trace.jsonl", sim / "data.json", out, kde_bounds=bounds)
+        assert not out.exists()
+
     def test_emits_all_diagnostics(self, tmp_path, run_dir):
         _, sim, run = run_dir
         out = tmp_path / "rep"

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2, chisquare
 
 from pdgsbr import cli, gibbs
-from pdgsbr.distributions import RngHandle
+from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import (
     NAMED_MAPS,
     MultiSeries,
@@ -872,6 +872,80 @@ class TestNoisePredictive:
         wide = (np.abs(draws) > 1e-3).mean(axis=0)
         assert abs(wide[0] - 0.8) < 4.0 * math.sqrt(0.16 / N_KERNEL)
         assert abs(wide[1] - 0.5) < 4.0 * math.sqrt(0.25 / N_KERNEL)
+
+
+def kernel_by_kernel_sweep(state, data, prior, config, rng):
+    """``sweep`` as its kernels called one by one in scan order, each
+    building its own per-point arrays."""
+    update_alloc_block(state, data, prior, rng)
+    update_slice_N(state, prior, rng)
+    update_precisions(state, data, prior, rng)
+    update_selection_probs(state, prior, rng)
+    update_geometric_probs(state, prior, rng)
+    update_theta(state, data, prior, rng)
+    update_x0(state, data, prior, rng, config)
+    update_future(state, data, prior, rng, config)
+    z = sample_noise_predictive(state, prior, rng)
+    state.iteration += 1
+    return state, z
+
+
+def kernel_by_kernel_parametric_sweep(state, data, prior, config, rng):
+    """``parametric_sweep`` likewise."""
+    shape, rate = parametric_tau_params(state, data, prior)
+    state.tau_common = tau = draw_gamma(shape, rate, rng)
+    update_theta(state, data, prior, rng, tau_override=tau)
+    update_x0(state, data, prior, rng, config, tau_override=tau)
+    update_future(state, data, prior, rng, config, tau_override=tau)
+    z = rng.generator.normal(0.0, tau ** -0.5, size=state.m)
+    state.iteration += 1
+    return state, z
+
+
+class TestSweepSharesItsArrays:
+    """A sweep builds each per-point array (path points, residuals, pair
+    labels, allocated precisions) once and hands it on; it must give what
+    its kernels give called one by one, bit for bit."""
+
+    def assert_same_chain(self, step, replay, state, data, prior, rng, sweeps=24):
+        """Run ``step`` and ``replay`` from equal states and generators;
+        returns the number of sweeps that grew the atom table."""
+        alone, alone_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
+        config = GibbsConfig(iterations=sweeps)
+        grew = 0
+        for _ in range(sweeps):
+            n_star = state.atoms.max_size()
+            _, z = step(state, data, prior, config, rng)
+            _, z_alone = replay(alone, data, prior, config, alone_rng)
+            assert np.array_equal(z, z_alone)
+            assert state.to_dict() == alone.to_dict()
+            assert rng.get_state() == alone_rng.get_state()
+            grew += state.atoms.max_size() > n_star
+        return grew
+
+    def test_mixture_sweep_on_a_4c_state(self):
+        state, data, prior, rng = fourc_state(seed=8)
+        assert self.assert_same_chain(sweep, kernel_by_kernel_sweep,
+                                      state, data, prior, rng) >= 1
+
+    def test_mixture_sweep_with_a_chunked_allocation_block(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "ALLOC_CELL_BUDGET", 256)
+        state, data, prior, rng = fourc_state(seed=9)
+        assert len(list(_alloc_chunks(live_cells(state)))) >= 3
+        assert self.assert_same_chain(sweep, kernel_by_kernel_sweep,
+                                      state, data, prior, rng) >= 1
+
+    def test_parametric_sweep_on_a_horizon_20_4a_state(self):
+        doc = cli.bundled_config("4A")
+        doc["data"]["horizon"] = doc["prior"]["horizon"] = [20, 20]
+        specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
+        data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+        prior = cli.parse_prior_block(doc["prior"], data.m)
+        rng = RngHandle(12)
+        state = init_chain(data, prior, rng)
+        state.tau_common = 1.0
+        self.assert_same_chain(gibbs.parametric_sweep, kernel_by_kernel_parametric_sweep,
+                               state, data, prior, rng)
 
 
 class TestDrivers:
