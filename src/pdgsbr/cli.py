@@ -174,6 +174,8 @@ def parse_data_block(block: dict):
     components = {}
     for key, spec in block["components"].items():
         j, l = sorted(int(t) for t in str(key).split(","))
+        if not 1 <= j <= l <= m:
+            raise ConfigError(f"data.components key {key!r} names a series outside 1..{m}")
         components[(j, l)] = NoiseMixtureSpec(tuple(spec["weights"]), tuple(spec["variances"]))
     noises = []
     for j, row in enumerate(selection.tolist()):
@@ -269,25 +271,6 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
 SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_chain, "parametric": run_parametric_gaussian}
 
 
-def _check_resume(state, data: MultiSeries, prior: PriorConfig, path) -> None:
-    """ConfigError unless a checkpoint's state is valid and fits the data and
-    prior: m series, with n_j + T_j points, T_j future values and R + 1
-    coefficients in series j."""
-    with _config_errors(f"checkpoint {path}"):
-        state.validate()
-    horizon = prior.horizon.tolist()
-    for what, found, expected in (
-            ("series", state.m, data.m),
-            ("points per series", [a.size for a in state.alloc.delta],
-             [n + t for n, t in zip(data.lengths, horizon)]),
-            ("future values per series", [f.size for f in state.future], horizon),
-            ("coefficients per series", [t.size for t in state.theta],
-             [prior.poly_degree + 1] * data.m)):
-        if found != expected:
-            raise ConfigError(f"{path} has {found} {what} where the data and prior "
-                              f"have {expected}")
-
-
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
             scale=None, resume_path=None, alpha_key="dirichlet_alpha"):
     check_config_keys(doc)
@@ -300,17 +283,8 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
         raise ConfigError(f"the gsbr sampler needs exactly one series; the data have m={data.m}")
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-    resume = None
-    if resume_path:
-        with _config_errors(f"checkpoint {resume_path}"):
-            resume = load_checkpoint(resume_path)[:2]  # (state, rng)
-        _check_resume(resume[0], data, prior, resume_path)
-        if (resume[0].tau_common is not None) != (sampler == "parametric"):
-            raise ConfigError(f"{resume_path} was written by another sampler than {sampler!r}")
-        done = max(resume[0].iteration - config.burn_in, 0) // config.thinning
-        if done >= (config.iterations - config.burn_in) // config.thinning:
-            raise ConfigError(f"{resume_path} is at sweep {resume[0].iteration}: the rest "
-                              f"of a {config.iterations}-sweep run keeps no sweep")
+    with _config_errors(f"checkpoint {resume_path}"):  # (state, rng) to resume from
+        resume = load_checkpoint(resume_path, data, prior)[:2] if resume_path else None
     trace = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )
@@ -401,16 +375,16 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
                    [f"theta_{k}" for k in range(running.shape[1])], _repr_rows(running))
 
         has_future = trace.future[j].shape[1] > 0
-        try:
-            _write_grid_csv(os.path.join(out_dir, f"kde_noise_{j + 1}.csv"),
-                            _kde_with_bounds(trace.z_pred[:, j], kde_bounds))
-            _write_grid_csv(os.path.join(out_dir, f"kde_x0_{j + 1}.csv"),
-                            _kde_with_bounds(trace.x0[:, j], None))
-            if has_future:
-                _write_grid_csv(os.path.join(out_dir, f"kde_future_{j + 1}.csv"),
-                                _kde_with_bounds(trace.future[j][:, 0], None))
-        except InsufficientSamplesError as exc:
-            logger.warning("series %d: no KDE grids: %s", j + 1, exc)
+        grids = [("noise", trace.z_pred[:, j], kde_bounds), ("x0", trace.x0[:, j], None)]
+        if has_future:
+            grids.append(("future", trace.future[j][:, 0], None))
+        for name, samples, bounds in grids:
+            try:
+                grid = _kde_with_bounds(samples, bounds)
+            except InsufficientSamplesError as exc:
+                logger.warning("series %d: no %s KDE grid: %s", j + 1, name, exc)
+                continue
+            _write_grid_csv(os.path.join(out_dir, f"kde_{name}_{j + 1}.csv"), grid)
         if not has_future:
             continue
         try:
@@ -444,9 +418,9 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
         rep = _block(doc, "reproduce")
         short = in_domain("short_series", rep.get("short_series", 2), whole_from(1)) - 1
         donors = [int(d) - 1 for d in in_domain("donors", rep.get("donors", [1]), whole_from(1))]
-        if max([short, *donors]) >= m or short in donors:
+        if max([short, *donors]) >= m or short in donors or len(set(donors)) < len(donors):
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
-                              "block, the donors without the short series")
+                              "block, the donors distinct and without the short series")
     _, kde_bounds = parse_outputs_block(_block(doc, "outputs"))
     for alpha_key in ("dirichlet_alpha_weak", "dirichlet_alpha_strong"):
         parse_prior_block(_block(doc, "prior"), m, alpha_key)

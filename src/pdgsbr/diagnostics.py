@@ -82,8 +82,8 @@ def hpdi(samples: Sequence[float], mass: float = 0.95) -> Hpdi:
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
-    if n < 100:
-        raise InsufficientSamplesError(f"need >= 100 samples, got {n}")
+    if n < 100 or not np.isfinite(samples).all():
+        raise InsufficientSamplesError(f"need >= 100 samples, all finite; got {n}")
     mass = in_domain("mass", mass, UNIT)
     window = min(int(math.ceil(mass * n)), n)
     widths = samples[window - 1:] - samples[: n - window + 1]
@@ -121,8 +121,8 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     four bandwidths on each side, so the trapezoid integral is close to 1.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise InsufficientSamplesError(f"need >= 2 samples, got {samples.size}")
+    if samples.size < 2 or not np.isfinite(samples).all():
+        raise InsufficientSamplesError(f"need >= 2 samples, all finite; got {samples.size}")
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(samples)
     h = in_domain("bandwidth", h, POSITIVE)
     if grid is None:

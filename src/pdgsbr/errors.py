@@ -17,25 +17,26 @@ class DivergenceError(RuntimeError):
     """A simulated trajectory left the finite-value guard region.
 
     Carries the series index (when known) and the time index at which the
-    trajectory first became unusable, together with the finite prefix.
+    trajectory first became unusable, both 0-based (the message counts from
+    1), together with the finite prefix.
     """
 
     def __init__(self, index, series=None, prefix=None):
         self.index = index
         self.series = series
         self.prefix = prefix
-        where = f"series {series}, " if series is not None else ""
-        super().__init__(f"trajectory diverged ({where}step {index})")
+        where = f"series {series + 1}, " if series is not None else ""
+        super().__init__(f"trajectory diverged ({where}step {index + 1})")
 
 
 class SingularDesignError(RuntimeError):
     """The precision matrix of a control-parameter draw is numerically singular."""
 
     def __init__(self, series, cond=None):
-        self.series = series
+        self.series = series  # 0-based; the message counts from 1
         self.cond = cond
         super().__init__(
-            f"singular design for series {series}"
+            f"singular design for series {series + 1}"
             + (f" (condition estimate {cond:.3g})" if cond is not None else "")
         )
 
@@ -45,7 +46,7 @@ class TruthUnavailableError(ValueError):
 
 
 class InsufficientSamplesError(ValueError):
-    """Too few posterior samples for the requested summary."""
+    """Too few posterior samples for the requested summary, or a non-finite one."""
 
 
 class ConfigError(ValueError):

@@ -40,7 +40,7 @@ from .distributions import (
     whole_from,
 )
 from .dynamics import MultiSeries, eval_map
-from .errors import SingularDesignError
+from .errors import ConfigError, SingularDesignError
 from .model import (
     ChainState,
     PriorConfig,
@@ -474,8 +474,27 @@ def parametric_sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
     return state, z
 
 
-def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
-           rng: RngHandle, step, checkpoint_path=None):
+def _run(parametric: bool, data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
+         checkpoint_path=None, resume=None):
+    """Run one chain of the mixture sampler, or of the parametric baseline,
+    from a fresh start or from ``resume``, a checkpoint's (state, rng) pair
+    (bit-exact: the generator state is saved with it); returns the Trace of
+    the kept sweeps. ConfigError, before any sweep, for a state of the other
+    sampler (only the baseline sets ``tau_common``) or one that keeps no sweep."""
+    if resume is None:
+        rng = RngHandle(config.seed)
+        state = init_chain(data, prior, rng)
+        state.tau_common = 1.0 if parametric else None
+    else:
+        state, rng = resume
+        if (state.tau_common is not None) != parametric:
+            raise ConfigError("the state to resume was written by the "
+                              + ("mixture sampler" if parametric else "parametric baseline"))
+    kept = max(state.iteration - config.burn_in, 0) // config.thinning
+    if kept >= (config.iterations - config.burn_in) // config.thinning:
+        raise ConfigError(f"the state to resume is at sweep {state.iteration}: the rest "
+                          f"of a {config.iterations}-sweep run keeps no sweep")
+    step = parametric_sweep if parametric else sweep  # per call: the benchmark rebinds them
     rows = []
     while state.iteration < config.iterations:
         current = state.iteration + 1
@@ -486,13 +505,12 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
             logger.error("chain halted at sweep %d: %s", current, exc)
             raise
         if current > config.burn_in and (current - config.burn_in) % config.thinning == 0:
-            mixture = state.tau_common is None  # only the baseline sets it
             rows.append({
                 "iteration": state.iteration, "theta": np.array(state.theta),
-                "p": state.p.copy() if mixture else None,
-                "lam": state.lam.copy() if mixture else None,
+                "p": None if parametric else state.p.copy(),
+                "lam": None if parametric else state.lam.copy(),
                 "x0": state.x0.copy(), "future": [f.copy() for f in state.future],
-                "z_pred": z, "n_star": state.atoms.max_size() if mixture else None,
+                "z_pred": z, "n_star": None if parametric else state.atoms.max_size(),
                 "tau_common": state.tau_common,
             })
         if checkpoint_path and (current == config.iterations or (
@@ -505,28 +523,12 @@ def _drive(state: ChainState, data: MultiSeries, prior: PriorConfig, config: Gib
 
 def run_chain(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
               checkpoint_path=None, resume=None):
-    """Run the pairwise-dependent sampler; returns the Trace of the retained
-    sweeps. With m = 1 it is the single-series GSBR sampler.
-
-    ``resume`` is an optional (state, rng) pair from a checkpoint; the replay
-    is bit-exact because the generator state is serialized alongside.
-    """
-    if resume is not None:
-        state, rng = resume
-    else:
-        rng = RngHandle(config.seed)
-        state = init_chain(data, prior, rng)
-    return _drive(state, data, prior, config, rng, sweep, checkpoint_path)
+    """Run the pairwise-dependent sampler (see ``_run``). With m = 1 it is
+    the single-series GSBR sampler."""
+    return _run(False, data, prior, config, checkpoint_path, resume)
 
 
 def run_parametric_gaussian(data: MultiSeries, prior: PriorConfig, config: GibbsConfig,
                             checkpoint_path=None, resume=None):
-    """Common-precision Gaussian baseline over (tau, theta, x0, futures);
-    returns the Trace of the retained sweeps."""
-    if resume is not None:
-        state, rng = resume
-    else:
-        rng = RngHandle(config.seed)
-        state = init_chain(data, prior, rng)
-        state.tau_common = 1.0
-    return _drive(state, data, prior, config, rng, parametric_sweep, checkpoint_path)
+    """Run the common-precision Gaussian baseline (see ``_run``)."""
+    return _run(True, data, prior, config, checkpoint_path, resume)

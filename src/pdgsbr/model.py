@@ -132,6 +132,13 @@ def _plain(value):
     return value
 
 
+def _per_series(name: str, values, sizes, domain) -> list:
+    """One array per series, series j's read by ``json_numbers`` at length sizes[j]."""
+    if len(values) != len(sizes):
+        raise ValueError(f"{name} holds {len(values)} series where {len(sizes)} are expected")
+    return [json_numbers(name, v, (size,), domain) for v, size in zip(values, sizes)]
+
+
 def _series_views(row: int, doc: str) -> property:
     return property(lambda self: tuple(self.flat[row, start:stop] for start, stop in self.bounds),
                     doc=doc)
@@ -168,9 +175,8 @@ class Allocations:
                 raise ValueError(f"{what} in series {self.series[np.argmax(bad)]}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Allocations":
-        return cls(*([json_numbers(name, labels, (None,), COUNT) for labels in doc[name]]
-                     for name in ("delta", "d", "N")))
+    def from_dict(cls, doc: dict, sizes) -> "Allocations":
+        return cls(*(_per_series(name, doc[name], sizes, COUNT) for name in ("delta", "d", "N")))
 
 
 @dataclass
@@ -181,7 +187,7 @@ class ChainState:
     alloc: Allocations
     p: np.ndarray  # m x m stochastic matrix
     lam: np.ndarray  # m x m symmetric, entries in (0, 1)
-    theta: list  # per series: coefficient array of length R+1
+    theta: np.ndarray  # (m, R+1): row j the coefficients of series j
     x0: np.ndarray  # per series initial condition
     future: list  # per series: array of T_j out-of-sample values
     iteration: int = 0
@@ -192,6 +198,8 @@ class ChainState:
         return self.p.shape[0]
 
     def validate(self) -> None:
+        if self.atoms.max_size() < 1:
+            raise ValueError("the atom table is empty")
         if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("selection-probability rows must sum to 1")
         if not np.allclose(self.lam, self.lam.T):
@@ -202,22 +210,25 @@ class ChainState:
         return {"m": self.m, **_plain(self)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ChainState":
-        """The state ``to_dict`` wrote; ValueError for a value that fails
-        ``json_numbers``' checks or lies outside its field's domain."""
-        m = json_numbers("m", doc["m"], (), COUNT)
+    def from_dict(cls, doc: dict, data: MultiSeries, prior: PriorConfig) -> "ChainState":
+        """The state ``to_dict`` wrote, each field read at the shape that ``data``
+        and ``prior`` fix, then validated; ValueError for another shape, a value
+        that fails ``json_numbers``' checks or its domain, or a ``validate`` failure."""
+        m, horizon = data.m, prior.horizon.tolist()
         tau = doc.get("tau_common")
-        return cls(
+        state = cls(
             atoms=AtomTable(m, json_numbers("atoms", doc["atoms"], (None, None))),
-            alloc=Allocations.from_dict(doc["alloc"]),
+            alloc=Allocations.from_dict(doc["alloc"], np.add(data.lengths, horizon).tolist()),
             p=json_numbers("p", doc["p"], (m, m), PROBABILITY),
             lam=json_numbers("lam", doc["lam"], (m, m), UNIT),
-            theta=[json_numbers("theta", t, (None,), REAL) for t in doc["theta"]],
+            theta=json_numbers("theta", doc["theta"], (m, prior.poly_degree + 1), REAL),
             x0=json_numbers("x0", doc["x0"], (m,), REAL),
-            future=[json_numbers("future", f, (None,), REAL) for f in doc["future"]],
+            future=_per_series("future", doc["future"], horizon, REAL),
             iteration=json_numbers("iteration", doc["iteration"], (), COUNT),
             tau_common=None if tau is None else json_numbers("tau_common", tau, (), POSITIVE),
         )
+        state.validate()
+        return state
 
 
 @dataclass
@@ -369,16 +380,15 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     lam = np.empty((m, m))
     lam[upper] = lam[upper[::-1]] = draw_beta(prior.beta_a[upper], prior.beta_b[upper], rng)
 
-    theta, sq_resid = [], []
+    theta, sq_resid = np.zeros((m, R + 1)), []
     for j in range(m):
         x = data.series[j]
         design = np.vander(x[:-1], R + 1, increasing=True)
         coeffs, _, rank, _ = np.linalg.lstsq(design, x[1:], rcond=None)
         if rank < R + 1 or not np.all(np.isfinite(coeffs)):
             logger.warning("series %d: singular least-squares start; theta starts at 0", j + 1)
-            theta.append(np.zeros(R + 1))
         else:
-            theta.append(coeffs)
+            theta[j] = coeffs
         sq_resid.append((x[1:] - design @ theta[j]) ** 2)
 
     # Initial atoms matched to the least-squares residual scales. Base-measure
@@ -460,10 +470,11 @@ def save_checkpoint(path, state: ChainState, rng: RngHandle, extra: Optional[dic
     write_text(path, json.dumps(doc))
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, data: MultiSeries, prior: PriorConfig):
+    """(state, rng, doc) of a checkpoint, its state read by ``ChainState.from_dict``."""
     with open(path) as fh:
         doc = json.load(fh)
-    return ChainState.from_dict(doc["state"]), RngHandle.from_state(doc["rng"]), doc
+    return ChainState.from_dict(doc["state"], data, prior), RngHandle.from_state(doc["rng"]), doc
 
 
 # json.dumps's spelling of the non-finite floats whose repr is the key

@@ -238,6 +238,7 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
                          "--out", str(tmp_path / "mixed"), "--resume",
                          str(par / "checkpoint.json")]) == 2
+        assert not (tmp_path / "mixed" / "trace.jsonl").exists()
 
     def test_run_that_keeps_no_sweep_exits_2(self, tmp_path, sim_dir, capsys):
         # 20 sweeps, 10 of burn-in, every 50th kept: nothing would be retained
@@ -263,8 +264,9 @@ class TestRun:
                          "--out", str(tmp_path / "again"), "--resume",
                          str(done / "checkpoint.json")]) == 2
         assert "keeps no sweep" in capsys.readouterr().err
+        assert not (tmp_path / "again" / "trace.jsonl").exists()
 
-    @pytest.mark.parametrize("case", ["other-m", "points-cut", "d-above-N"])
+    @pytest.mark.parametrize("case", ["other-m", "points-cut", "d-above-N", "empty-atoms"])
     def test_resume_that_does_not_fit_exits_2(self, tmp_path, sim_dir, capsys, case):
         cfg, sim = sim_dir
         data = sim / "data.json"
@@ -289,6 +291,10 @@ class TestRun:
             state = json.loads(checkpoint.read_text())
             alloc = state["state"]["alloc"]
             alloc["d"][0][0] = alloc["N"][0][0] + 1
+            checkpoint.write_text(json.dumps(state))
+        if case == "empty-atoms":  # once an IndexError in the first allocation block
+            state = json.loads(checkpoint.read_text())
+            state["state"]["atoms"] = [[], [], []]
             checkpoint.write_text(json.dumps(state))
         capsys.readouterr()
         data = tmp_path / "cut.json" if case == "points-cut" else sim / "data.json"
@@ -426,7 +432,23 @@ class TestReport:
                          "--data", str(sim / "data.json"), "--out", str(out)]) == 0
         assert not list(out.glob("kde_*.csv"))
         assert (out / "summary.json").exists() and (out / "ergodic_theta_2.csv").exists()
-        assert "no KDE grids" in caplog.text
+        assert "no noise KDE grid" in caplog.text
+
+    def test_non_finite_samples_skip_their_grid(self, tmp_path, sim_dir, caplog):
+        # one NaN z_pred once ended report with a traceback ("bandwidth holds nan")
+        _, sim = sim_dir
+        records = [dict(MIXTURE, iteration=31 + i, x0=[0.1 + 0.01 * i, 0.2 - 0.01 * i],
+                        z_pred=[0.01 * i, -0.02 * i]) for i in range(5)]
+        records[2]["z_pred"] = [math.nan, 0.0]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(jsonl(*records))
+        out = tmp_path / "rep"
+        assert cli.main(["report", "--trace", str(trace), "--data", str(sim / "data.json"),
+                         "--out", str(out)]) == 0
+        assert "series 1: no noise KDE grid: need >= 2 samples, all finite; got 5" in caplog.text
+        assert sorted(path.name for path in out.glob("kde_*.csv")) == [
+            "kde_future_1.csv", "kde_future_2.csv", "kde_noise_2.csv", "kde_x0_1.csv",
+            "kde_x0_2.csv"]
 
     def test_hand_made_trace_is_reported(self, tmp_path, sim_dir):
         # each malformed trace below differs from this one in one record or field
@@ -624,6 +646,7 @@ class TestReproduce:
     @pytest.mark.parametrize("block", [
         {"short_series": 0}, {"short_series": 3}, {"short_series": 1.5}, {"donors": [0]},
         {"donors": [2]}, {"donors": [1, 3]}, {"short_series": 1, "donors": [1]},
+        {"donors": [1, 1]},  # once counted series 1 twice: a BoI above 1
         # whole blocks: each once let the data be simulated, and a bad strong prior let the
         # whole weak chain and its report run, before the run was refused
         pytest.param({"outputs": {"kde_bounds": [math.nan, 1.0]}}, id="kde-bounds-nan"),
@@ -718,6 +741,13 @@ class TestConfigHelpers:
         ("run", "sampler", "iterations", math.inf, []),
         # once exited 1 with a TypeError traceback from os.makedirs, or 0 with --out
         ("simulate", "outputs", "directory", 5, []),
+        # each once ignored without a word: a component of a series the data do not have
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]},
+                                            "1,5": {"weights": [1.0], "variances": [1e-4]}}, []),
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]},
+                                            "0,1": {"weights": [1.0], "variances": [1e-4]}}, []),
     ],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
@@ -728,7 +758,7 @@ class TestConfigHelpers:
        + [case for case, _, _ in NON_FINITE_PRIOR]
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
           "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
-          "outputs-directory-int"])
+          "outputs-directory-int", "component-key-series-5", "component-key-series-0"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir

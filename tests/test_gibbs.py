@@ -16,7 +16,7 @@ from pdgsbr.dynamics import (
     eval_map,
     simulate_multi,
 )
-from pdgsbr.errors import SingularDesignError
+from pdgsbr.errors import ConfigError, SingularDesignError
 from pdgsbr.gibbs import (
     SLICE_BOUND_CAP,
     GibbsConfig,
@@ -988,7 +988,7 @@ class TestDrivers:
         part_cfg = GibbsConfig(iterations=30, burn_in=0, thinning=1, seed=5)
         ck = tmp_path / "checkpoint.json"
         first = run_chain(data, prior, part_cfg, checkpoint_path=ck)
-        state, rng, _ = load_checkpoint(ck)
+        state, rng, _ = load_checkpoint(ck, data, prior)
         second = run_chain(data, prior, full_cfg, resume=(state, rng))
 
         combined = list(first) + list(second)
@@ -1012,7 +1012,7 @@ class TestDrivers:
         full_cfg = GibbsConfig(iterations=60, burn_in=0, thinning=1, seed=5,
                                checkpoint_interval=10)
         for name in ("compact", "indented"):
-            state, rng, _ = load_checkpoint(tmp_path / f"{name}.json")
+            state, rng, _ = load_checkpoint(tmp_path / f"{name}.json", data, prior)
             records = run_chain(data, prior, full_cfg, resume=(state, rng),
                                 checkpoint_path=tmp_path / f"{name}_end.json")
             write_trace_jsonl(tmp_path / f"{name}.jsonl", records,
@@ -1020,6 +1020,24 @@ class TestDrivers:
         for suffix in ("_end.json", ".jsonl", ".csv"):
             assert (tmp_path / f"indented{suffix}").read_bytes() == \
                 (tmp_path / f"compact{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("writer, reader", [(run_parametric_gaussian, run_chain),
+                                                (run_chain, run_parametric_gaussian)])
+    def test_resume_from_the_other_sampler_is_refused_before_any_sweep(
+            self, tmp_path, monkeypatch, writer, reader):
+        data, prior, _ = self.small_run()
+        writer(data, prior, GibbsConfig(iterations=20, seed=5), checkpoint_path=tmp_path / "ck")
+        state, rng, _ = load_checkpoint(tmp_path / "ck", data, prior)
+
+        def swept(*args):
+            raise AssertionError("a sweep ran")
+        monkeypatch.setattr(gibbs, "sweep", swept)
+        monkeypatch.setattr(gibbs, "parametric_sweep", swept)
+        with pytest.raises(ConfigError, match="written by the"):
+            reader(data, prior, GibbsConfig(iterations=40, seed=5), resume=(state, rng))
+        # the library call keeps the run's own check too: nothing left to keep
+        with pytest.raises(ConfigError, match="keeps no sweep"):
+            writer(data, prior, GibbsConfig(iterations=20, seed=5), resume=(state, rng))
 
     def test_halt_records_sweep_index(self):
         # constant series: the control-parameter draw must fail on sweep 1

@@ -245,11 +245,11 @@ class TestCheckpoint:
         data, prior = small_data(), small_prior()
         rng = RngHandle(6)
         state = init_chain(data, prior, rng)
-        state.alloc.N[0][0] = 3
+        state.alloc.N[0][0] = 13  # above the starting bound: the atom rows grow
         ensure_atoms(state, prior, rng)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, state, rng, extra={"config_hash": "abc"})
-        back, rng_back, doc = load_checkpoint(path)
+        back, rng_back, doc = load_checkpoint(path, data, prior)
         assert doc["config_hash"] == "abc"
         assert back.iteration == state.iteration
         assert np.array_equal(back.p, state.p)
@@ -273,7 +273,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["state"]["init_fallback"] = [False, True]
         path.write_text(json.dumps(doc))
-        back, _, _ = load_checkpoint(path)
+        back, _, _ = load_checkpoint(path, data, prior)
         assert back.to_dict() == state.to_dict()
         assert "init_fallback" not in back.to_dict()
 
@@ -635,7 +635,7 @@ class TestAllocations:
         doc = {"delta": [[0, 1]], "d": [[1, 1]], "N": [[2, 1]]}
         doc[row][0][0] = value
         with pytest.raises(ValueError, match=message):
-            Allocations.from_dict(doc)
+            Allocations.from_dict(doc, [2])
 
     def test_dict_round_trip(self):
         data, prior = small_data(), small_prior()
@@ -643,7 +643,7 @@ class TestAllocations:
         doc = json.loads(json.dumps(state.to_dict()))
         assert set(doc["alloc"]) == {"delta", "d", "N"}
         assert [len(a) for a in doc["alloc"]["N"]] == [a.size for a in state.alloc.N]
-        back = Allocations.from_dict(doc["alloc"])
+        back = Allocations.from_dict(doc["alloc"], [a.size for a in state.alloc.N])
         assert np.array_equal(back.flat, state.alloc.flat) and back.flat.dtype.kind == "i"
         assert np.array_equal(back.series, state.alloc.series)
         assert np.array_equal(back.first, state.alloc.first)
