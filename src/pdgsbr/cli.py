@@ -227,8 +227,8 @@ def parse_outputs_block(block: dict) -> tuple:
     """(directory, kde_bounds): the output directory, ``out`` where the block
     leaves it out, and the bounds by ``check_kde_bounds``."""
     directory = block.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError(f"outputs.directory must be a string, got {directory!r}")
+    if not isinstance(directory, str) or not directory:
+        raise ConfigError(f"outputs.directory must be a non-empty string, got {directory!r}")
     return directory, check_kde_bounds(block.get("kde_bounds"))
 
 
@@ -256,7 +256,6 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
     if seed_override is not None:
         seed = int(seed_override)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
-    os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict(), indent=1))
     for j, series in enumerate(data.series, start=1):
         _write_csv(os.path.join(out_dir, f"series_{j}.csv"), ["index", "value"],
@@ -281,7 +280,6 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
         raise ConfigError(f"unknown sampler {sampler!r}")
     if sampler == "gsbr" and data.m != 1:
         raise ConfigError(f"the gsbr sampler needs exactly one series; the data have m={data.m}")
-    os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     with _config_errors(f"checkpoint {resume_path}"):  # (state, rng) to resume from
         resume = load_checkpoint(resume_path, data, prior)[:2] if resume_path else None
@@ -347,7 +345,6 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
     m = trace.theta.shape[1]
     if data.m != m:
         raise ConfigError(f"trace has m={m} series but data has m={data.m}")
-    os.makedirs(out_dir, exist_ok=True)
     summary = {}
 
     if trace.p is not None:
@@ -370,7 +367,7 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
         summary["mean_pare"] = {str(j + 1): float(table["row_mean"][j]) for j in range(m)}
 
     for j in range(m):
-        running = np.column_stack([ergodic_average(column) for column in trace.theta[:, j].T])
+        running = ergodic_average(trace.theta[:, j])
         _write_csv(os.path.join(out_dir, f"ergodic_theta_{j + 1}.csv"),
                    [f"theta_{k}" for k in range(running.shape[1])], _repr_rows(running))
 
@@ -425,7 +422,6 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
     for alpha_key in ("dirichlet_alpha_weak", "dirichlet_alpha_strong"):
         parse_prior_block(_block(doc, "prior"), m, alpha_key)
     base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
-    os.makedirs(out_dir, exist_ok=True)
     data_dir = os.path.join(out_dir, "data")
     data = cmd_simulate(doc, data_dir)
     data_path = os.path.join(data_dir, "data.json")

@@ -23,12 +23,12 @@ def pare(estimate: float, truth: float) -> float:
     return 100.0 * abs(estimate - truth) / abs(truth)
 
 
-def ergodic_average(samples: Sequence[float]) -> np.ndarray:
-    """Running means (1/k) sum_{i<=k} samples_i."""
+def ergodic_average(samples) -> np.ndarray:
+    """Running means (1/k) sum_{i<=k} samples_i down axis 0: per column of a block."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empty sample sequence")
-    return np.cumsum(samples) / np.arange(1, samples.size + 1)
+    return (np.cumsum(samples, axis=0).T / np.arange(1, len(samples) + 1)).T
 
 
 def posterior_mean_matrix(p) -> np.ndarray:

@@ -134,8 +134,8 @@ class MultiSeries:
     selection_true: Optional[list] = None  # generating selection rows, if synthetic
 
     def __post_init__(self):
-        self.series = [in_domain(f"series {j}", s, REAL) for j, s in enumerate(self.series)]
-        for j, s in enumerate(self.series):
+        self.series = [in_domain(f"series {j}", s, REAL) for j, s in enumerate(self.series, 1)]
+        for j, s in enumerate(self.series, 1):
             if np.size(s) < 2:
                 raise ValueError(f"series {j} has fewer than 2 observations")
 
@@ -186,7 +186,7 @@ class MultiSeries:
                 json_numbers("selection", selection, (None, None), PROBABILITY).tolist(),
             }
         return cls(series=[json_numbers(f"series {j}", s, (None,))
-                           for j, s in enumerate(doc["series"])], **kwargs)
+                           for j, s in enumerate(doc["series"], 1)], **kwargs)
 
     @classmethod
     def load_json(cls, path) -> "MultiSeries":

@@ -172,7 +172,7 @@ class Allocations:
         for bad, what in (((d > N) | (d < 1), "slice constraint d <= N violated"),
                           ((delta < 0) | (delta >= m), "measure label out of range")):
             if bad.any():
-                raise ValueError(f"{what} in series {self.series[np.argmax(bad)]}")
+                raise ValueError(f"{what} in series {self.series[np.argmax(bad)] + 1}")
 
     @classmethod
     def from_dict(cls, doc: dict, sizes) -> "Allocations":
@@ -435,15 +435,18 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
 
 @contextmanager
 def atomic_write(path, newline=None):
-    """The package's one file writer: a text handle on ``<path>.tmp``,
-    renamed over ``path`` when the block ends and removed if it raises, so
-    an interrupted write leaves the previous file whole. A path that exists
-    but is not a regular file, such as ``os.devnull``, is written in place,
-    since a rename would replace it."""
+    """The package's one file writer: a text handle on ``<path>.tmp``, its
+    directory made if missing, renamed over ``path`` when the block ends and
+    removed if it raises, so an interrupted write leaves the previous file
+    whole. A path that exists but is not a regular file, such as
+    ``os.devnull``, is written in place, since a rename would replace it."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline=newline) as fh:
             yield fh
         return
+    parent = os.path.dirname(os.fspath(path))
+    if parent and not os.path.isdir(parent):
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     fh = open(tmp, "w", newline=newline)
     try:

@@ -231,6 +231,7 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
                          "--out", str(tmp_path / "again"), "--resume",
                          str(out / "checkpoint.json")]) == 2
+        assert not (tmp_path / "again").exists()
         # a parametric checkpoint carries a common precision the mixture chain never updates
         par = tmp_path / "par"
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
@@ -238,7 +239,7 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
                          "--out", str(tmp_path / "mixed"), "--resume",
                          str(par / "checkpoint.json")]) == 2
-        assert not (tmp_path / "mixed" / "trace.jsonl").exists()
+        assert not (tmp_path / "mixed").exists()
 
     def test_run_that_keeps_no_sweep_exits_2(self, tmp_path, sim_dir, capsys):
         # 20 sweeps, 10 of burn-in, every 50th kept: nothing would be retained
@@ -264,7 +265,7 @@ class TestRun:
                          "--out", str(tmp_path / "again"), "--resume",
                          str(done / "checkpoint.json")]) == 2
         assert "keeps no sweep" in capsys.readouterr().err
-        assert not (tmp_path / "again" / "trace.jsonl").exists()
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("case", ["other-m", "points-cut", "d-above-N", "empty-atoms"])
     def test_resume_that_does_not_fit_exits_2(self, tmp_path, sim_dir, capsys, case):
@@ -301,7 +302,7 @@ class TestRun:
         assert cli.main(["run", "--config", cfg, "--data", str(data),
                          "--out", str(tmp_path / "again"), "--resume", str(checkpoint)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
-        assert not (tmp_path / "again" / "trace.jsonl").exists()
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("path, value", [
         (("alloc", "N", 0, 0), 2.7), (("alloc", "delta", 0, 0), "1"), (("alloc", "d", 0, 0), True),
@@ -741,6 +742,8 @@ class TestConfigHelpers:
         ("run", "sampler", "iterations", math.inf, []),
         # once exited 1 with a TypeError traceback from os.makedirs, or 0 with --out
         ("simulate", "outputs", "directory", 5, []),
+        # once exited 4 as an I/O error; the writer would now write into the working directory
+        ("simulate", "outputs", "directory", "", []),
         # each once ignored without a word: a component of a series the data do not have
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]},
@@ -758,7 +761,8 @@ class TestConfigHelpers:
        + [case for case, _, _ in NON_FINITE_PRIOR]
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
           "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
-          "outputs-directory-int", "component-key-series-5", "component-key-series-0"])
+          "outputs-directory-int", "outputs-directory-empty", "component-key-series-5",
+          "component-key-series-0"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir

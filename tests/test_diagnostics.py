@@ -70,6 +70,12 @@ class TestErgodicAverage:
     def test_running_mean_oracle(self):
         out = ergodic_average([1.0, 2.0, 3.0, 6.0])
         assert np.allclose(out, [1.0, 1.5, 2.0, 3.0])
+        # a (records, k) block: each column's running means, bit for bit the 1-D ones
+        block = np.random.default_rng(3).normal(size=(200, 3)) * np.array([1e-8, 1.0, 1e8])
+        running = ergodic_average(block)
+        assert running.shape == (200, 3)
+        for k in range(3):
+            assert running[:, k].tobytes() == ergodic_average(block[:, k]).tobytes()
 
     def test_final_value_is_plain_mean(self):
         rng = np.random.default_rng(0)

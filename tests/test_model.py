@@ -304,9 +304,11 @@ class TestCheckpoint:
 
 class TestOneWriter:
     def test_every_file_goes_through_the_one_writer(self):
-        # a new output written any other way could leave a part-file that reads as valid
+        # a new output written any other way could leave a part-file that reads as valid,
+        # and a directory made any other way could be left empty by a refused command
         package = Path(model.__file__).parent
-        writers = {("json", "dump"), ("csv", "writer"), ("csv", "DictWriter"), ("np", "savetxt")}
+        writers = {("json", "dump"), ("csv", "writer"), ("csv", "DictWriter"), ("np", "savetxt"),
+                   ("os", "makedirs"), ("os", "mkdir")}
         found = []
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -350,6 +352,18 @@ class TestOneWriter:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["fifo"]
+
+    def test_a_missing_directory_is_made_with_the_first_file(self, tmp_path):
+        # the verbs make no directory of their own, so a refused command leaves none
+        model.write_text(tmp_path / "a" / "b" / "first.txt", "one\n")
+        model.write_text(tmp_path / "a" / "b" / "second.txt", "two\n")
+        assert sorted(os.listdir(tmp_path / "a" / "b")) == ["first.txt", "second.txt"]
+        assert (tmp_path / "a" / "b" / "first.txt").read_text() == "one\n"
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a plain file, not a directory")
+        with pytest.raises(OSError):
+            model.write_text(blocker / "sub" / "file.txt", "never\n")
+        assert blocker.read_text() == "a plain file, not a directory"
 
 
 def write_trace_csv(path, trace):
@@ -613,10 +627,10 @@ class TestAllocations:
         assert all(view.base is twin.flat for view in twin.N)
 
     @pytest.mark.parametrize("row, index, value, message", [
-        ("d", (2, 1), 6, "slice constraint d <= N violated in series 2"),
-        ("d", (1, 0), 0, "slice constraint d <= N violated in series 1"),
-        ("delta", (2, 2), 3, "measure label out of range in series 2"),
-        ("delta", (0, 1), -1, "measure label out of range in series 0"),
+        ("d", (2, 1), 6, "slice constraint d <= N violated in series 3"),
+        ("d", (1, 0), 0, "slice constraint d <= N violated in series 2"),
+        ("delta", (2, 2), 3, "measure label out of range in series 3"),
+        ("delta", (0, 1), -1, "measure label out of range in series 1"),
     ])
     def test_validate_names_the_series(self, row, index, value, message):
         alloc = self.three_series()
