@@ -138,6 +138,14 @@ class MultiSeries:
         for j, s in enumerate(self.series, 1):
             if np.size(s) < 2:
                 raise ValueError(f"series {j} has fewer than 2 observations")
+        if (self.maps_true is None) != (self.noise_true is None):
+            raise ValueError("a truth needs both its maps and its noise")
+        for name, value in (("x0", self.x0_true), ("maps", self.maps_true),
+                            ("noise", self.noise_true), ("futures", self.futures_true)):
+            if value is not None and len(value) != self.m:
+                raise ValueError(f"truth {name} holds {len(value)} series, not {self.m}")
+        if self.selection_true is not None and np.shape(self.selection_true) != (self.m, self.m):
+            raise ValueError(f"truth selection is not {self.m} x {self.m}")
 
     @property
     def m(self) -> int:
@@ -150,19 +158,15 @@ class MultiSeries:
     def to_json_dict(self) -> dict:
         doc = {"m": self.m, "series": [s.tolist() for s in self.series]}
         if self.maps_true is not None:
+            x0, futures, selection = self.x0_true, self.futures_true, self.selection_true
             doc["truth"] = {
-                "x0": list(self.x0_true) if self.x0_true is not None else None,
+                "x0": None if x0 is None else list(x0),
                 "maps": [list(p) for p in self.maps_true],
-                "noise": [
-                    {"weights": list(n.weights), "variances": list(n.variances)}
-                    for n in self.noise_true
-                ],
-                "futures": [list(map(float, f)) for f in self.futures_true]
-                if self.futures_true is not None
-                else None,
-                "selection": [list(map(float, r)) for r in self.selection_true]
-                if self.selection_true is not None
-                else None,
+                "noise": [{"weights": list(n.weights), "variances": list(n.variances)}
+                          for n in self.noise_true],
+                "futures": None if futures is None else [list(map(float, f)) for f in futures],
+                "selection": None if selection is None else
+                [list(map(float, r)) for r in selection],
             }
         return doc
 

@@ -11,10 +11,10 @@ The precisions span many orders of magnitude, so linear-space mixture
 weights underflow. The allocation block draws in log space by Gumbel-max,
 which needs no max-subtraction or normalization. The kernels work on all
 series at once, on the flat point layout of ``model.Allocations``: they read
-and write its (3, n) label array ``flat`` directly. A kernel that reads a
-flat per-point array (path points, residuals, pair labels, allocated
-precisions) takes it as an optional argument and builds it when None;
-``sweep`` builds each once and hands it on.
+and write its (3, n) label array ``flat`` (pair labels j * m + delta_ji, d,
+N) directly. A kernel that reads a flat per-point array (path points,
+residuals, allocated precisions) takes it as an optional argument and builds
+it when None; ``sweep`` builds each once and hands it on.
 """
 
 from __future__ import annotations
@@ -136,26 +136,17 @@ def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
     return pooled
 
 
-def _pair_labels(state: ChainState) -> np.ndarray:
-    """Flat index j * m + delta_ji of every point's (series, measure) pair."""
-    return state.alloc.series * state.m + state.alloc.flat[0]
-
-
-def _atom_rows(state: ChainState, pair=None) -> np.ndarray:
-    """Atom row of every point's pair {j, delta_ji}."""
-    return state.atoms.index.ravel()[_pair_labels(state) if pair is None else pair]
-
-
-def _tau_per_point(state: ChainState, pair=None) -> np.ndarray:
+def _tau_per_point(state: ChainState) -> np.ndarray:
     """Allocated precision tau_{j, delta_ji, d_ji} of every point, flat in
     series order."""
-    return state.atoms.values[_atom_rows(state, pair), state.alloc.flat[1] - 1]
+    pair, d, _ = state.alloc.flat
+    return state.atoms.values[state.atoms.index.ravel()[pair], d - 1]
 
 
 # --- posterior-parameter helpers (kernels draw from these; tests audit them) ---
 
 def precision_posterior_params(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                               h=None, pair=None):
+                               h=None):
     """Gamma (shape, rate) of every atom's full conditional, as two (P, K)
     arrays laid out like ``state.atoms.values``.
 
@@ -164,7 +155,7 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     """
     m = state.m
     K = state.atoms.max_size()
-    cell = (_pair_labels(state) if pair is None else pair) * K + state.alloc.flat[1] - 1
+    cell = state.alloc.flat[0] * K + state.alloc.flat[1] - 1
     counts = np.bincount(cell, None, m * m * K).reshape(m, m, K)
     rsums = np.bincount(cell, residuals(state, data) if h is None else h,
                         m * m * K).reshape(m, m, K)
@@ -173,14 +164,13 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
             prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
 
 
-def selection_posterior_alpha(state: ChainState, prior: PriorConfig, pair=None) -> np.ndarray:
+def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarray:
     """Dirichlet parameters alpha_{jl} + #{i : delta_ji = l} for every row."""
     m = state.m
-    labels = _pair_labels(state) if pair is None else pair
-    return prior.dirichlet_alpha + np.bincount(labels, None, m * m).reshape(m, m)
+    return prior.dirichlet_alpha + np.bincount(state.alloc.flat[0], None, m * m).reshape(m, m)
 
 
-def geometric_posterior_params(state: ChainState, prior: PriorConfig, pair=None):
+def geometric_posterior_params(state: ChainState, prior: PriorConfig):
     """Beta (a, b) of every lambda_{jl} full conditional, as two length-P
     arrays over the pairs j <= l in atom-row order.
 
@@ -189,7 +179,7 @@ def geometric_posterior_params(state: ChainState, prior: PriorConfig, pair=None)
     to its atom row. The sums are of whole numbers, so exact in any order.
     """
     rows = state.atoms.values.shape[0]
-    row = _atom_rows(state, pair)
+    row = state.atoms.index.ravel()[state.alloc.flat[0]]  # atom row of each point's pair
     S = np.bincount(row, None, rows)
     Sp = np.bincount(row, state.alloc.flat[2] - 1.0, rows)
     upper = state.atoms.upper
@@ -266,40 +256,36 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
             best = np.repeat(np.maximum.reduceat(score, offset), count)
             pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
     delta, d = np.divmod(pick, width)
-    state.alloc.flat[:2] = delta, d + 1
+    state.alloc.flat[:2] = pair_base + delta, d + 1
     return state
 
 
-def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle,
-                   pair=None) -> ChainState:
+def update_slice_N(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Redraw every slice bound (capped at SLICE_BOUND_CAP) and resize the atoms."""
-    _, d, N = state.alloc.flat
-    labels = _pair_labels(state) if pair is None else pair
-    bound = draw_truncated_geometric(state.lam.ravel()[labels], d, rng)
+    pair, d, N = state.alloc.flat
+    bound = draw_truncated_geometric(state.lam.ravel()[pair], d, rng)
     N[:] = np.maximum(np.minimum(bound, SLICE_BOUND_CAP), d)
     return ensure_atoms(state, prior, rng)
 
 
 def update_precisions(state: ChainState, data: MultiSeries, prior: PriorConfig,
-                      rng: RngHandle, h=None, pair=None) -> ChainState:
+                      rng: RngHandle, h=None) -> ChainState:
     """Conjugate gamma redraw of every stored atom, in row order."""
-    shape, rate = precision_posterior_params(state, data, prior, h, pair)
+    shape, rate = precision_posterior_params(state, data, prior, h)
     draws = list(map(draw_gamma, shape.ravel().tolist(), rate.ravel().tolist(), repeat(rng)))
     state.atoms.values = np.reshape(draws, shape.shape)
     return state
 
 
-def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle,
-                           pair=None) -> ChainState:
+def update_selection_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Conjugate Dirichlet redraw of every selection row."""
-    state.p[:] = draw_dirichlet(selection_posterior_alpha(state, prior, pair), rng)
+    state.p[:] = draw_dirichlet(selection_posterior_alpha(state, prior), rng)
     return state
 
 
-def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle,
-                           pair=None) -> ChainState:
+def update_geometric_probs(state: ChainState, prior: PriorConfig, rng: RngHandle) -> ChainState:
     """Conjugate beta redraw of every geometric probability (mirrored)."""
-    a, b = geometric_posterior_params(state, prior, pair)
+    a, b = geometric_posterior_params(state, prior)
     j, l = state.atoms.upper
     state.lam[j, l] = state.lam[l, j] = draw_beta(a, b, rng)
     return state
@@ -437,20 +423,18 @@ def sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
     Each flat per-point array is built once, where its inputs last change,
     and handed to the kernels that read it: the path points and residuals at
-    the start (theta, x0 and the paths hold until ``update_theta``), the pair
-    labels after the allocation block (the only kernel that writes delta),
-    the allocated precisions after ``update_precisions`` (the last kernel
-    before theta that writes atoms or labels).
+    the start (theta, x0 and the paths hold until ``update_theta``), the
+    allocated precisions after ``update_precisions`` (the last kernel before
+    theta that writes atoms or labels).
     """
     points = _path_points(state, data)
     h = residuals(state, data, points)
     update_alloc_block(state, data, prior, rng, h)
-    pair = _pair_labels(state)
-    update_slice_N(state, prior, rng, pair)
-    update_precisions(state, data, prior, rng, h, pair)
-    update_selection_probs(state, prior, rng, pair)
-    update_geometric_probs(state, prior, rng, pair)
-    tau = _tau_per_point(state, pair)
+    update_slice_N(state, prior, rng)
+    update_precisions(state, data, prior, rng, h)
+    update_selection_probs(state, prior, rng)
+    update_geometric_probs(state, prior, rng)
+    tau = _tau_per_point(state)
     update_theta(state, data, prior, rng, tau, points)
     update_x0(state, data, prior, rng, config, tau)
     update_future(state, data, prior, rng, config, tau)

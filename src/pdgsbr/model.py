@@ -1,13 +1,13 @@
 """Latent state, hyperparameters and shared-atom bookkeeping for the sampler.
 
 Index conventions: series are 0-based internally (j = 0..m-1), measure and
-cluster labels in allocations are stored 0-based (delta in 0..m-1) except for
-the cluster index d which stays 1-based to match the slice constraint
-d <= N. Allocations are stored flat, series after series (see Allocations),
-each over i = 0..n_j+T_j-1: observed points, then the out-of-sample latent
-points. The shared atoms form one
-(P, K) array over the P = m(m+1)/2 unordered series pairs, rows in sorted
-pair order, with a symmetric (m, m) pair-to-row index (see AtomTable).
+cluster labels in allocations are 0-based (delta in 0..m-1, stored as the
+pair label j * m + delta) except for the cluster index d which stays 1-based
+to match the slice constraint d <= N. Allocations are stored flat, series
+after series (see Allocations), each over i = 0..n_j+T_j-1: observed points,
+then the out-of-sample latent points. The shared atoms form one (P, K) array
+over the P = m(m+1)/2 unordered series pairs, rows in sorted pair order,
+with a symmetric (m, m) pair-to-row index (see AtomTable).
 """
 
 from __future__ import annotations
@@ -146,12 +146,14 @@ def _series_views(row: int, doc: str) -> property:
 
 class Allocations:
     """Latent labels of every point, in the flat layout every kernel works in:
-    ``flat`` is a (3, n) int array with rows delta, d and N over the points of
-    all series, series after series; ``series`` is each point's series label
-    and ``first`` the flat index of each series' first point; ``bounds``
-    holds each series' (start, stop) in ``flat``. ``delta``, ``d`` and ``N``
-    are tuples of per-series slices of ``flat``, made on each access, so
-    that a copy never holds views of the original's ``flat``."""
+    ``flat`` is a (3, n) int array with rows pair, d and N over the points of
+    all series, series after series, where point (j, i)'s pair label
+    j * m + delta_ji (m the number of series held) indexes a flat (m, m)
+    array; ``series`` is each point's series label and ``first`` the flat
+    index of each series' first point; ``bounds`` holds each series' (start,
+    stop) in ``flat``. ``delta`` (decoded, read-only), ``d`` and ``N`` are
+    tuples of per-series arrays made on each access, ``d`` and ``N`` slices
+    of ``flat``, so that a copy never holds views of the original's ``flat``."""
 
     def __init__(self, delta, d, N):
         sizes = [len(a) for a in delta]
@@ -160,15 +162,25 @@ class Allocations:
         self.flat = np.array([np.concatenate([np.asarray(a, dtype=int) for a in rows])
                               for rows in (delta, d, N)])
         self.series = np.repeat(np.arange(len(sizes)), sizes)
+        self.flat[0] += self.series * len(sizes)
         self.first = np.cumsum(sizes) - sizes
         self.bounds = list(zip(self.first.tolist(), np.cumsum(sizes).tolist()))
 
-    delta = _series_views(0, "per series: measure labels in 0..m-1")
+    @property
+    def delta(self) -> tuple:
+        """per series: measure labels in 0..m-1, decoded from the pair labels (read-only)"""
+        labels = self.flat[0] - self.series * len(self.bounds)
+        labels.flags.writeable = False
+        return tuple(labels[start:stop] for start, stop in self.bounds)
+
     d = _series_views(1, "per series: 1-based cluster labels")
     N = _series_views(2, "per series: slice bounds, N >= d")
 
     def validate(self, m: int) -> None:
-        delta, d, N = self.flat
+        if len(self.bounds) != m:
+            raise ValueError(f"the allocations hold {len(self.bounds)} series where m = {m}")
+        pair, d, N = self.flat
+        delta = pair - self.series * m
         for bad, what in (((d > N) | (d < 1), "slice constraint d <= N violated"),
                           ((delta < 0) | (delta >= m), "measure label out of range")):
             if bad.any():

@@ -79,6 +79,19 @@ def jsonl(*records):
     return "".join(json.dumps(record) + "\n" for record in records)
 
 
+def two_series_data(maps):
+    """A 2-series data.json whose truth holds ``maps`` and one noise per series."""
+    return json.dumps({"m": 2, "series": [[0.1, 0.2, 0.3]] * 2, "truth": {
+        "x0": [0.1, 0.2], "maps": maps, "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2}})
+
+
+# a truth map per series is scored against that series' chain; one map for two
+# series once crashed report with an IndexError, and four (the two swapped,
+# then repeated) once scored series 1 against series 2's map, with exit 0
+FEWER_MAPS = two_series_data([[1.0, 0.0, -1.65]])
+MORE_MAPS = two_series_data([[1.0, 0.0, -1.71], [1.0, 0.0, -1.65]] * 2)
+
+
 def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -485,13 +498,19 @@ class TestReport:
         ("report", "data.json", json.dumps({"m": 2, "series": [[0.1, 0.2, 0.3]] * 2, "truth": {
             "x0": ["a", None], "maps": [[1.0, 0.0, -1.65]] * 2,
             "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2}}), 2),
+        ("report", "data.json", FEWER_MAPS, 2),
+        ("report", "data.json", MORE_MAPS, 2),
+        ("run", "data.json", FEWER_MAPS, 2),
+        ("run", "data.json", MORE_MAPS, 2),
     ], ids=["mixture-then-parametric", "parametric-then-mixture",
             "theta-lengths-differ", "theta-a-number", "empty-trace",
             "iteration-fractional", "n-star-fractional", "x0-a-string", "z-pred-a-boolean",
             "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace",
-            "series-a-string", "series-a-boolean", "truth-x0-a-string"])
+            "series-a-string", "series-a-boolean", "truth-x0-a-string",
+            "report-fewer-truth-maps", "report-more-truth-maps", "run-fewer-truth-maps",
+            "run-more-truth-maps"])
     def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,
                                           content, code):
         cfg, sim, run = run_dir

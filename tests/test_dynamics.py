@@ -24,6 +24,8 @@ from pdgsbr.dynamics import (
 )
 from pdgsbr.errors import DivergenceError
 
+NOISE = NoiseMixtureSpec((1.0,), (1e-4,))
+
 
 class TestEvalMap:
     def test_quadratic_at_one(self):
@@ -220,6 +222,25 @@ class TestSimulation:
         assert [p.endswith(f"series_{j+1}.csv") for j, p in enumerate(paths)] == [True, True]
         loaded = np.loadtxt(paths[0], delimiter=",", skiprows=1, usecols=1)
         assert np.array_equal(loaded, data.series[0])
+
+    @pytest.mark.parametrize("truth, message", [
+        (dict(maps_true=[NAMED_MAPS["Q1"]]), "needs both its maps and its noise"),
+        (dict(noise_true=[NOISE] * 2), "needs both its maps and its noise"),
+        (dict(maps_true=[NAMED_MAPS["Q1"]], noise_true=[NOISE] * 2),
+         "truth maps holds 1 series, not 2"),
+        (dict(maps_true=[NAMED_MAPS["Q1"]] * 3, noise_true=[NOISE] * 2),
+         "truth maps holds 3 series, not 2"),
+        (dict(maps_true=[NAMED_MAPS["Q1"]] * 2, noise_true=[NOISE]),
+         "truth noise holds 1 series, not 2"),
+        (dict(x0_true=[0.5]), "truth x0 holds 1 series, not 2"),
+        (dict(futures_true=[np.zeros(1)] * 3), "truth futures holds 3 series, not 2"),
+        (dict(selection_true=[[1.0]]), "truth selection is not 2 x 2"),
+    ])
+    def test_truth_describes_every_series(self, truth, message):
+        # a truth of one map and no noise was once built, and its to_json_dict
+        # then raised TypeError
+        with pytest.raises(ValueError, match=message):
+            MultiSeries(series=[np.arange(5.0), np.arange(3.0) + 1], **truth)
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):

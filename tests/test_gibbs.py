@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import tracemalloc
@@ -189,7 +190,8 @@ def assert_alloc_follows_its_law(state, data, prior, rng, draws=N_KERNEL):
     points = np.arange(probs.shape[0])
     for _ in range(draws):
         update_alloc_block(state, data, prior, rng)
-        delta, d = state.alloc.flat[:2]
+        pair, d = state.alloc.flat[:2]
+        delta = pair - state.alloc.series * state.m
         counts[points, delta * K + d - 1] += 1
     assert counts[probs == 0].sum() == 0
     total = dof = 0.0
@@ -902,10 +904,20 @@ def kernel_by_kernel_parametric_sweep(state, data, prior, config, rng):
     return state, z
 
 
+def test_kernels_read_the_stored_pair_labels():
+    # Allocations.flat[0] holds each point's pair label j * m + delta_ji, so no
+    # kernel rebuilds it or takes it as an argument
+    assert not hasattr(gibbs, "_pair_labels")
+    takes_pair = [name for name, function in inspect.getmembers(gibbs, inspect.isfunction)
+                  if function.__module__ == gibbs.__name__
+                  and "pair" in inspect.signature(function).parameters]
+    assert takes_pair == []
+
+
 class TestSweepSharesItsArrays:
-    """A sweep builds each per-point array (path points, residuals, pair
-    labels, allocated precisions) once and hands it on; it must give what
-    its kernels give called one by one, bit for bit."""
+    """A sweep builds each per-point array (path points, residuals, allocated
+    precisions) once and hands it on; it must give what its kernels give
+    called one by one, bit for bit."""
 
     def assert_same_chain(self, step, replay, state, data, prior, rng, sweeps=24):
         """Run ``step`` and ``replay`` from equal states and generators;

@@ -586,8 +586,8 @@ class TestAllocations:
             d=[np.ones(3, dtype=int)],
             N=[np.ones(3, dtype=int)],
         )
-        with pytest.raises(ValueError):
-            alloc.validate(2)
+        with pytest.raises(ValueError, match="measure label out of range"):
+            alloc.validate(1)
 
     @staticmethod
     def three_series():
@@ -607,8 +607,9 @@ class TestAllocations:
     def test_writes_through_the_views_show_in_flat(self):
         alloc = self.three_series()
         assert alloc.bounds == [(0, 2), (2, 3), (3, 6)]
-        assert all(view.base is alloc.flat for row in (alloc.delta, alloc.d, alloc.N)
-                   for view in row)
+        assert all(view.base is alloc.flat for row in (alloc.d, alloc.N) for view in row)
+        with pytest.raises(ValueError, match="read-only"):  # delta is decoded, not a view
+            alloc.delta[0][0] = 1
         alloc.N[2][:] = 7
         alloc.d[0][1] = 5
         assert alloc.flat[2].tolist() == [1, 2, 4, 7, 7, 7]
@@ -636,9 +637,22 @@ class TestAllocations:
         alloc = self.three_series()
         alloc.validate(3)
         j, i = index
-        getattr(alloc, row)[j][i] = value
+        if row == "delta":  # written as its pair label j * m + delta
+            alloc.flat[0, alloc.bounds[j][0] + i] = j * 3 + value
+        else:
+            getattr(alloc, row)[j][i] = value
         with pytest.raises(ValueError, match=message):
             alloc.validate(3)
+
+    def test_delta_is_stored_as_the_pair_label(self):
+        alloc = self.three_series()
+        assert alloc.flat[0].tolist() == [0, 1, 3 + 2, 6 + 1, 6 + 0, 6 + 2]
+        assert [a.tolist() for a in alloc.delta] == [[0, 1], [2], [1, 0, 2]]
+        alloc.validate(3)
+        # the label's meaning depends on m, so a state of another m is refused
+        for m in (2, 4):
+            with pytest.raises(ValueError, match=f"hold 3 series where m = {m}"):
+                alloc.validate(m)
 
     @pytest.mark.parametrize("row, value, message", [
         ("N", 2.7, "N holds 2.7 where a whole number"), ("delta", "1", "delta holds a str"),
