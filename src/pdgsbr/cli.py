@@ -29,7 +29,6 @@ from .diagnostics import (
     hpdi,
     kde,
     pare_table,
-    posterior_mean_matrix,
     quantile,
 )
 from .distributions import (COUNT, POSITIVE, PROBABILITY, REAL, WHOLE, RngHandle, in_domain,
@@ -164,19 +163,18 @@ def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
-    ns = in_domain("n", block["n"], whole_from(2))
-    x0s = in_domain("x0", block["x0"], REAL)
-    horizons = in_domain("horizon", block.get("horizon", [1] * m), COUNT)
-    selection = in_domain("selection", block["selection"], PROBABILITY)
-    if not (np.shape(ns) == np.shape(x0s) == np.shape(horizons) == (m,)
-            and np.shape(selection) == (m, m)):
-        raise ConfigError("data block dimensions disagree (maps/n/x0/horizon/selection)")
+    ns = in_domain("n", block["n"], whole_from(2), (m,))
+    x0s = in_domain("x0", block["x0"], REAL, (m,))
+    horizons = in_domain("horizon", block.get("horizon", [1] * m), COUNT, (m,))
+    selection = in_domain("selection", block["selection"], PROBABILITY, (m, m))
     components = {}
     for key, spec in block["components"].items():
         j, l = sorted(int(t) for t in str(key).split(","))
         if not 1 <= j <= l <= m:
             raise ConfigError(f"data.components key {key!r} names a series outside 1..{m}")
-        components[(j, l)] = NoiseMixtureSpec(tuple(spec["weights"]), tuple(spec["variances"]))
+        if (j, l) in components:
+            raise ConfigError(f"data.components names the pair {j},{l} twice")
+        components[(j, l)] = NoiseMixtureSpec(spec["weights"], spec["variances"])
     noises = []
     for j, row in enumerate(selection.tolist()):
         if abs(sum(row) - 1.0) > 1e-9:
@@ -191,9 +189,7 @@ def parse_data_block(block: dict):
 def parse_prior_block(block: dict, m: int, alpha_key: str = "dirichlet_alpha") -> PriorConfig:
     """The selection rows come from ``alpha_key``; every other PriorConfig field
     the block leaves out keeps its default."""
-    alpha = in_domain(alpha_key, block[alpha_key], POSITIVE)
-    if np.shape(alpha) != (m, m):
-        raise ConfigError(f"{alpha_key} must be an {m}x{m} matrix, got shape {np.shape(alpha)}")
+    alpha = in_domain(alpha_key, block[alpha_key], POSITIVE, (m, m))
     given = {key: value for key, value in block.items() if key in PRIOR_FIELDS}
     return PriorConfig(**given | {"m": m, "dirichlet_alpha": alpha})
 
@@ -216,8 +212,8 @@ def check_kde_bounds(bounds):
     default range; ConfigError for anything else."""
     if bounds is None:
         return None
-    bounds = in_domain("kde_bounds", bounds, REAL)
-    if np.shape(bounds) != (2,) or not bounds[0] < bounds[1]:
+    bounds = in_domain("kde_bounds", bounds, REAL, (2,))
+    if not bounds[0] < bounds[1]:
         raise ConfigError(f"kde_bounds must be [lo, hi] with lo < hi, got {bounds}")
     return bounds.tolist()
 
@@ -348,12 +344,12 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
     summary = {}
 
     if trace.p is not None:
-        mean_p = posterior_mean_matrix(trace.p)
+        mean_p = np.mean(trace.p, axis=0)
         _write_matrix(os.path.join(out_dir, "posterior_mean_p.csv"), mean_p)
         _write_matrix(os.path.join(out_dir, "posterior_mean_lambda.csv"),
                       np.mean(trace.lam, axis=0))
         summary["boi"] = {
-            str(j + 1): boi(trace.p, j, [l for l in range(m) if l != j]) for j in range(m)
+            str(j + 1): boi(mean_p, j, [l for l in range(m) if l != j]) for j in range(m)
         }
         summary["posterior_mean_p"] = mean_p.tolist()
 
@@ -414,7 +410,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
     with _config_errors("reproduce block"):
         rep = _block(doc, "reproduce")
         short = in_domain("short_series", rep.get("short_series", 2), whole_from(1)) - 1
-        donors = [int(d) - 1 for d in in_domain("donors", rep.get("donors", [1]), whole_from(1))]
+        donors = (in_domain("donors", rep.get("donors", [1]), whole_from(1), (None,)) - 1).tolist()
         if max([short, *donors]) >= m or short in donors or len(set(donors)) < len(donors):
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
                               "block, the donors distinct and without the short series")
@@ -443,9 +439,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
              f"{'quantity':<28}{'weak':>12}{'strong':>12}"]
     for label in ("weak", "strong"):
         summary = results[label]
-        comparison[f"boi_{label}"] = float(
-            sum(summary["posterior_mean_p"][short][d] for d in donors)
-        )
+        comparison[f"boi_{label}"] = boi(summary["posterior_mean_p"], short, donors)
         comparison[f"mean_pare_{label}"] = summary.get("mean_pare", {})
         comparison[f"hpdi_width_{label}"] = summary.get("hpdi_future", {}).get(
             str(short + 1), {}).get("width")

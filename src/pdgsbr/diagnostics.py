@@ -31,22 +31,13 @@ def ergodic_average(samples) -> np.ndarray:
     return (np.cumsum(samples, axis=0).T / np.arange(1, len(samples) + 1)).T
 
 
-def posterior_mean_matrix(p) -> np.ndarray:
-    """Elementwise average of a trace's (records, m, m) selection-probability
-    column ``p``."""
-    if p is None:
-        raise ValueError("trace carries no selection probabilities")
-    return np.mean(p, axis=0)
-
-
-def boi(p, series_index: int, donor_indices: Sequence[int]) -> float:
-    """Posterior-mean borrowing: E(sum of p_{j,l} over donors l | data), from a
-    trace's (records, m, m) selection-probability column ``p``."""
+def boi(mean_p, series_index: int, donor_indices: Sequence[int]) -> float:
+    """Posterior-mean borrowing: E(sum of p_{j,l} over donors l | data), from
+    the (m, m) posterior mean ``mean_p`` of the selection probabilities."""
     donors = list(donor_indices)
     if series_index in donors:
         raise ValueError("donor set must exclude the receiving series")
-    mean_p = posterior_mean_matrix(p)
-    return float(mean_p[series_index, donors].sum())
+    return float(np.asarray(mean_p)[series_index, donors].sum())
 
 
 def quantile(samples, q) -> np.ndarray:

@@ -47,19 +47,28 @@ def declared(domain: Domain, default=MISSING):
     return field(default=default, metadata={"domain": domain})
 
 
-def in_domain(name: str, values, domain: Domain):
-    """``values``, a number or an array of them, checked against ``domain``: a
-    float or float array, or for a whole-number domain an int (exact, however
-    large) or int array. ValueError naming ``name`` and the first value
-    outside the domain; a string is read as the number it spells."""
+def _check_shape(name: str, got: tuple, shape: tuple) -> None:
+    """ValueError unless ``got`` is ``shape``, None there for an axis of any length."""
+    if got != shape and (len(got) != len(shape) or any(want not in (None, size)
+                                                        for size, want in zip(got, shape))):
+        raise ValueError(f"{name} has shape {got} where {shape} is expected")
+
+
+def in_domain(name: str, values, domain: Domain, shape: tuple = ()):
+    """``values``, a number or an array of them, checked against ``shape``
+    (None there for an axis of any length) and ``domain``: a float or float
+    array, or for a whole-number domain an int (exact, however large) or int
+    array. ValueError naming ``name`` and the shape if it differs, or the
+    first value outside the domain; a string is read as the number it spells."""
     array = np.asarray(values)
+    _check_shape(name, array.shape, shape)
     real = array.astype(float)
     inside = domain.holds(real)
     if domain.whole:
         inside &= real == np.trunc(real)
     if not inside.all():
         raise ValueError(f"{name} holds {array[~inside][0]} where {domain.text} is expected")
-    if array.ndim == 0:
+    if not shape:
         return int(array) if domain.whole else float(real)
     return real.astype(int) if domain.whole else real
 
@@ -71,9 +80,7 @@ def json_numbers(name: str, values, shape: tuple, domain=None):
     differs, if a value is not a number (a string, a boolean or null, say),
     or if it lies outside the domain."""
     array = np.array(values, dtype=float)  # ValueError if the lists are ragged
-    if array.ndim != len(shape) or any(want not in (None, got)
-                                       for got, want in zip(array.shape, shape)):
-        raise ValueError(f"{name} has shape {array.shape} where {shape} is expected")
+    _check_shape(name, array.shape, shape)
     if shape and set(map(type, values)) == {np.ndarray}:  # the chain driver's rows
         kinds = {value.dtype.type for value in values}
     else:  # every scalar, one type check each
@@ -85,7 +92,7 @@ def json_numbers(name: str, values, shape: tuple, domain=None):
            if kind is bool or not issubclass(kind, (int, float, np.number))]
     if odd:
         raise ValueError(f"{name} holds a {odd[0]} where a number is expected")
-    return array if domain is None else in_domain(name, array, domain)
+    return array if domain is None else in_domain(name, array, domain, shape)
 
 
 class RngHandle:

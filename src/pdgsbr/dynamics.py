@@ -30,7 +30,7 @@ DIVERGENCE_BOUND = 1e12
 
 def as_map(coefficients) -> tuple:
     """A map from outside the program as finite float coefficients theta_0..theta_R."""
-    coefficients = tuple(map(float, in_domain("map coefficients", coefficients, REAL)))
+    coefficients = tuple(map(float, in_domain("map coefficients", coefficients, REAL, (None,))))
     if not coefficients:
         raise ValueError("a polynomial map needs at least a constant term")
     return coefficients
@@ -83,8 +83,8 @@ class NoiseMixtureSpec:
     sd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = tuple(map(float, in_domain("weights", self.weights, PROBABILITY)))
-        v = tuple(map(float, in_domain("variances", self.variances, POSITIVE)))
+        w = tuple(map(float, in_domain("weights", self.weights, PROBABILITY, (None,))))
+        v = tuple(map(float, in_domain("variances", self.variances, POSITIVE, (None,))))
         if len(w) != len(v) or len(w) == 0:
             raise ValueError("weights and variances must be non-empty and equal length")
         if abs(sum(w) - 1.0) > 1e-12:
@@ -134,7 +134,8 @@ class MultiSeries:
     selection_true: Optional[list] = None  # generating selection rows, if synthetic
 
     def __post_init__(self):
-        self.series = [in_domain(f"series {j}", s, REAL) for j, s in enumerate(self.series, 1)]
+        self.series = [in_domain(f"series {j}", s, REAL, (None,))
+                       for j, s in enumerate(self.series, 1)]
         for j, s in enumerate(self.series, 1):
             if np.size(s) < 2:
                 raise ValueError(f"series {j} has fewer than 2 observations")
@@ -144,8 +145,9 @@ class MultiSeries:
                             ("noise", self.noise_true), ("futures", self.futures_true)):
             if value is not None and len(value) != self.m:
                 raise ValueError(f"truth {name} holds {len(value)} series, not {self.m}")
-        if self.selection_true is not None and np.shape(self.selection_true) != (self.m, self.m):
-            raise ValueError(f"truth selection is not {self.m} x {self.m}")
+        if self.selection_true is not None:
+            self.selection_true = in_domain("truth selection", self.selection_true, PROBABILITY,
+                                            (self.m, self.m)).tolist()
 
     @property
     def m(self) -> int:
@@ -187,7 +189,7 @@ class MultiSeries:
                 "futures_true": None if futures is None else
                 [json_numbers("futures", f, (None,), REAL) for f in futures],
                 "selection_true": None if selection is None else
-                json_numbers("selection", selection, (None, None), PROBABILITY).tolist(),
+                json_numbers("selection", selection, (None, None)),
             }
         return cls(series=[json_numbers(f"series {j}", s, (None,))
                            for j, s in enumerate(doc["series"], 1)], **kwargs)

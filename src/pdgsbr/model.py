@@ -17,7 +17,7 @@ import json
 import logging
 import operator
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
@@ -63,8 +63,10 @@ class PriorConfig:
         shapes = {"dirichlet_alpha": (m, m), "beta_a": (m, m), "beta_b": (m, m),
                   "horizon": (m,), "x0_support": (m, 2)}
         for f in fields(self)[1:]:
-            value = np.broadcast_to(getattr(self, f.name), shapes.get(f.name, ()))
-            setattr(self, f.name, in_domain(f.name, value, f.metadata["domain"]))
+            shape, value = shapes.get(f.name, ()), getattr(self, f.name)
+            with suppress(ValueError):  # a value of another shape: in_domain names it
+                value = np.broadcast_to(value, shape)
+            setattr(self, f.name, in_domain(f.name, value, f.metadata["domain"], shape))
         for name in ("beta_a", "beta_b"):
             mat = getattr(self, name)
             if not np.allclose(mat, mat.T):
@@ -91,10 +93,8 @@ class AtomTable:
         rows = np.arange(self.upper[0].size)
         self.index = np.empty((m, m), dtype=int)
         self.index[self.upper] = self.index[self.upper[::-1]] = rows
-        values = np.empty((rows.size, 0)) if values is None else np.asarray(values)
-        if values.ndim != 2 or values.shape[0] != rows.size:
-            raise ValueError(f"atoms must have shape ({rows.size}, K), got {values.shape}")
-        self.values = in_domain("atoms", values, POSITIVE)
+        values = np.empty((rows.size, 0)) if values is None else values
+        self.values = in_domain("atoms", values, POSITIVE, (rows.size, None))
 
     def size(self, j: int, l: int) -> int:
         return int(np.count_nonzero(~np.isnan(self.values[self.index[j, l]])))
@@ -279,9 +279,7 @@ class Trace:
                 raise ValueError(f"{name} is null in {nulls} of {n} records")
             return json_numbers(name, values, (n, *shape), domain)
 
-        theta_shape = np.shape(rows[0]["theta"])
-        if len(theta_shape) != 2:
-            raise ValueError(f"theta has shape {theta_shape} where (m, R+1) is expected")
+        theta_shape = json_numbers("theta", rows[0]["theta"], (None, None)).shape
         m = theta_shape[0]
         paths = [row["future"] for row in rows]
         if any(len(path) != m for path in paths):

@@ -70,6 +70,9 @@ NON_FINITE_PRIOR = [(f"{case}-{name}", key, value)
                                              ("x0-lo", "x0_support", [[x, 5.0], [-5.0, 5.0]]),
                                              ("x0-hi", "x0_support", [[-5.0, 5.0], [-5.0, x]]))]
 
+# a valid value of each sampler field, given as a one-element list where a number is due
+SAMPLER_LISTS = [("iterations", 150), ("burn_in", 30), ("thinning", 1), ("checkpoint_interval", 5),
+                 ("seed", 5), ("max_stepout", 16), ("slice_width", 0.25)]
 
 # a valid pair of reproduce selection priors for two series
 ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
@@ -677,6 +680,9 @@ class TestReproduce:
                      id="alpha-weak-negative"),
         pytest.param({"prior": ALPHAS, "sampler": {"iterations": 10, "burn_in": 20}},
                      id="sampler-keeps-no-sweep"),
+        # once passed these checks, and both chains ran before a TypeError
+        pytest.param({"prior": ALPHAS, "reproduce": {"short_series": [2]}},
+                     id="short-series-list"),
     ])
     def test_series_numbers_are_checked_before_anything_runs(self, tmp_path, monkeypatch, block):
         # on m = 2, short_series 0 once reported series 2 (index -1 wraps), donors [0]
@@ -770,6 +776,15 @@ class TestConfigHelpers:
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]},
                                             "0,1": {"weights": [1.0], "variances": [1e-4]}}, []),
+        # once the later of the two silently won
+        ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
+                                            "2,2": {"weights": [1.0], "variances": [1e-4]},
+                                            "1,2": {"weights": [1.0], "variances": [1e-4]},
+                                            "2,1": {"weights": [1.0], "variances": [9.0]}}, []),
+        # a list where a number is due: each once ran every sweep and then exited 1 writing
+        # the checkpoint, or exited 1 with a TypeError or ValueError traceback
+    ] + [("run", "sampler", key, [value], []) for key, value in SAMPLER_LISTS] + [
+        ("simulate", "data", "seed", [9], []),
     ],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
@@ -781,7 +796,8 @@ class TestConfigHelpers:
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
           "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
           "outputs-directory-int", "outputs-directory-empty", "component-key-series-5",
-          "component-key-series-0"])
+          "component-key-series-0", "component-pair-named-twice"]
+       + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS] + ["data-seed-list"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -795,6 +811,7 @@ class TestConfigHelpers:
         capsys.readouterr()
         assert cli.main(argv + extra) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_non_finite_slice_width_exits_2_without_hanging(self, tmp_path, sim_dir, width):
@@ -900,6 +917,16 @@ class TestDeclaredDomains:
     def test_values_outside_the_domain_are_refused(self, config, name, value):
         with pytest.raises(ValueError, match=f"{name} holds"):
             config(**CONFIGS[config] | {name: value})
+
+    @pytest.mark.parametrize("config, name", [
+        (config, f.name) for config in CONFIGS for f in dataclasses.fields(config)
+    ])
+    def test_a_value_one_axis_deeper_is_refused(self, config, name):
+        # a one-element list where a number is due once ran every sweep and then
+        # failed writing the checkpoint
+        deeper = [getattr(config(**CONFIGS[config]), name)]
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            config(**CONFIGS[config] | {name: deeper})
 
     def test_whole_numbers_stay_exact(self):
         for seed in (2 ** 63 + 1, 2 ** 70 + 1, -2 ** 63 - 1, "9223372036854775809"):

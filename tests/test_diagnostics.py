@@ -14,7 +14,6 @@ from pdgsbr.diagnostics import (
     kde,
     pare,
     pare_table,
-    posterior_mean_matrix,
     quantile,
     silverman_bandwidth,
 )
@@ -96,28 +95,15 @@ class TestErgodicAverage:
         assert abs(full - thinned) < 4 * se
 
 
-class TestPosteriorMeanMatrixAndBoi:
-    def test_single_record_is_identity(self):
-        p = [[0.7, 0.3], [0.2, 0.8]]
-        assert np.array_equal(posterior_mean_matrix(np.array([p])), p)
-
-    def test_elementwise_average(self):
-        p = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-        assert np.allclose(posterior_mean_matrix(p), 0.5)
-
-    def test_missing_p_rejected(self):
-        # the parametric baseline's trace has no p column
-        with pytest.raises(ValueError):
-            posterior_mean_matrix(None)
-
+class TestBoi:
     def test_boi_sums_donor_columns(self):
-        p = [[0.1, 0.5, 0.4], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]
-        assert boi(np.array([p]), 1, [0, 2]) == pytest.approx(0.4)
-        assert boi(np.array([p]), 2, [1]) == pytest.approx(0.3)
+        mean_p = np.array([[0.1, 0.5, 0.4], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])
+        assert boi(mean_p, 1, [0, 2]) == pytest.approx(0.4)
+        assert boi(mean_p, 2, [1]) == pytest.approx(0.3)
 
     def test_boi_rejects_self_donation(self):
         with pytest.raises(ValueError):
-            boi(np.full((1, 2, 2), 0.5), 0, [0, 1])
+            boi(np.full((2, 2), 0.5), 0, [0, 1])
 
 
 class TestHpdi:

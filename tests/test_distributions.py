@@ -1,17 +1,24 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdgsbr import distributions
 from pdgsbr.distributions import (
+    REAL,
     RngHandle,
     draw_beta,
     draw_categorical,
     draw_dirichlet,
     draw_gamma,
     draw_truncated_geometric,
+    in_domain,
+    json_numbers,
     slice_sample_1d,
 )
 from pdgsbr.errors import DegenerateWeightsError, InvalidStateError, ParameterDomainError
@@ -387,3 +394,31 @@ class TestDrawHelpersKeepTheirStream:
             with pytest.raises(ParameterDomainError):
                 draw_truncated_geometric(lam, 1, rng)
         assert rng.get_state() == before  # nothing was drawn
+
+
+class TestShapes:
+    def test_a_declared_shape_is_checked(self):
+        assert in_domain("x", [1.0, 2.0], REAL, (None,)).tolist() == [1.0, 2.0]
+        assert in_domain("x", [[1, 2]], REAL, (1, None)).shape == (1, 2)
+        assert type(in_domain("x", 3, REAL)) is float
+        for values, shape in (([1.0], ()), (1.0, (None,)), ([[1.0]], (None,)),
+                              ([1.0, 2.0], (3,)), ([[1.0, 2.0]], (2, None))):
+            message = re.escape(f"x has shape {np.asarray(values).shape} where {shape} is expected")
+            for check in (in_domain, json_numbers):
+                with pytest.raises(ValueError, match=message):
+                    check("x", values, domain=REAL, shape=shape)
+
+
+def test_in_domain_is_the_one_shape_check():
+    # every numeric input declares its shape to in_domain (json_numbers calls the same
+    # check); np.shape or .ndim anywhere else would be a second, hand-written rule
+    found = []
+    for path in sorted(Path(distributions.__file__).parent.glob("*.py")):
+        if path.name == "distributions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and (node.attr == "ndim" or (
+                    node.attr == "shape" and isinstance(node.value, ast.Name)
+                    and node.value.id == "np")):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

@@ -234,7 +234,7 @@ class TestSimulation:
          "truth noise holds 1 series, not 2"),
         (dict(x0_true=[0.5]), "truth x0 holds 1 series, not 2"),
         (dict(futures_true=[np.zeros(1)] * 3), "truth futures holds 3 series, not 2"),
-        (dict(selection_true=[[1.0]]), "truth selection is not 2 x 2"),
+        (dict(selection_true=[[1.0]]), "truth selection has shape"),
     ])
     def test_truth_describes_every_series(self, truth, message):
         # a truth of one map and no noise was once built, and its to_json_dict
