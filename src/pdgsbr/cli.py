@@ -411,9 +411,9 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
         rep = _block(doc, "reproduce")
         short = in_domain("short_series", rep.get("short_series", 2), whole_from(1)) - 1
         donors = (in_domain("donors", rep.get("donors", [1]), whole_from(1), (None,)) - 1).tolist()
-        if max([short, *donors]) >= m or short in donors or len(set(donors)) < len(donors):
+        if not 0 < len(set(donors)) == len(donors) or max([short, *donors]) >= m or short in donors:
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
-                              "block, the donors distinct and without the short series")
+                              "block, the donors one or more, distinct, without the short one")
     _, kde_bounds = parse_outputs_block(_block(doc, "outputs"))
     for alpha_key in ("dirichlet_alpha_weak", "dirichlet_alpha_strong"):
         parse_prior_block(_block(doc, "prior"), m, alpha_key)

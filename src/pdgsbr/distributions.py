@@ -58,10 +58,13 @@ def in_domain(name: str, values, domain: Domain, shape: tuple = ()):
     """``values``, a number or an array of them, checked against ``shape``
     (None there for an axis of any length) and ``domain``: a float or float
     array, or for a whole-number domain an int (exact, however large) or int
-    array. ValueError naming ``name`` and the shape if it differs, or the
-    first value outside the domain; a string is read as the number it spells."""
+    array. ValueError naming ``name`` and the shape if it differs, a bool,
+    or the first value outside the domain; a string reads as its number."""
     array = np.asarray(values)
     _check_shape(name, array.shape, shape)
+    if (values is not array or array.dtype.kind in "bO") and any(  # ints and bools read as ints
+            isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
+        raise ValueError(f"{name} holds a bool where a number is expected")
     real = array.astype(float)
     inside = domain.holds(real)
     if domain.whole:
@@ -141,17 +144,17 @@ def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
 
 def draw_beta(a, b, rng: RngHandle):
     """Draw from Beta(a, b). Works elementwise on arrays of ``a`` and ``b``,
-    one draw per element in order; scalar arguments give a float."""
+    one scalar ``Generator.beta`` call per element in C order (an array
+    call's per-element routine); scalar arguments give a float."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not all(0.0 < v < math.inf for v in a.ravel().tolist() + b.ravel().tolist()):
         raise ParameterDomainError(f"beta parameters must be positive, got ({a}, {b})")
+    pairs = np.broadcast(a, b)  # (a, b) pairs in C order
     # keep strictly inside (0, 1): downstream geometric weights need both tails open
     eps = 1e-15
-    value = rng.generator.beta(a, b)
-    if isinstance(value, float):
-        return min(max(value, eps), 1.0 - eps)
-    return np.clip(value, eps, 1.0 - eps, out=value)
+    value = [min(max(rng.generator.beta(x, y), eps), 1.0 - eps) for x, y in pairs]
+    return np.reshape(value, pairs.shape) if pairs.shape else value[0]
 
 
 def draw_dirichlet(alpha: np.ndarray, rng: RngHandle) -> np.ndarray:

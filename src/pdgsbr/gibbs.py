@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -126,13 +127,18 @@ def _point_target(coefficients, tau, x_next):
     return log_f
 
 
+@cache
+def _hankel(R: int) -> np.ndarray:
+    """Index r + s of the Hankel matrix A_rs = sums_{r+s}, r, s = 0..R (read-only)."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * R + 1), R + 1)
+
+
 def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
     """Per-series sums x[j, l, ...] pooled over the pairs ``upper`` (atom-row
     order): x[j, j] on the diagonal, x[j, l] + x[l, j] off it."""
     j, l = upper
     pooled = x[j, l]
-    off = j < l
-    pooled[off] += x[l[off], j[off]]
+    np.add(pooled.T, x[l, j].T, out=pooled.T, where=j < l)  # .T: the pairs on the last axis
     return pooled
 
 
@@ -200,7 +206,7 @@ def _alloc_chunks(cells: np.ndarray):
     stop) runs of at most ALLOC_CELL_BUDGET cells in all; a point over the
     budget forms a run of its own. Yields each run's (start, stop) and the
     first cell of each of its points within the run."""
-    ends = np.cumsum(cells)
+    ends = cells.cumsum()
     start = done = 0
     while start < cells.size:
         if ends[-1] - done <= ALLOC_CELL_BUDGET:  # the rest fits
@@ -226,37 +232,38 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     block. A non-finite weight (an unused NaN cell of a hand-built ragged
     table) counts as -inf.
 
-    The live cells of all series lie flat in point order, with one uniform
-    per cell, cut into chunks of at most ALLOC_CELL_BUDGET cells (see
-    ``_alloc_chunks``), so memory does not grow with N*.
+    Two (m m, K) tables, log p_{jl} + 1/2 log tau_{jlk} and tau_{jlk}, are
+    gathered once. A cell's flat index (j m + l) K + k into both rises with
+    (l, k), so a point's first highest cell is its smallest index among its
+    maxima, and divmod by K decodes it into the pair label and d. The live
+    cells of all series lie flat in point order, one uniform each, cut into
+    chunks of at most ALLOC_CELL_BUDGET cells (``_alloc_chunks``).
     """
     m = state.m
     K = state.atoms.max_size()
     half_h = 0.5 * (residuals(state, data) if h is None else h)
     width = np.minimum(state.alloc.flat[2], K)  # live k of each point
     cells = m * width
-    pair_base = state.alloc.series * m  # flat (m, m) index of (j, l = 0)
-    rows = state.atoms.index.ravel() * K  # flat offset of each pair's atom row
-    pick = np.empty(width.size, dtype=int)  # each point's cell l * width + k
+    first = state.alloc.series * (m * K)  # flat index of each point's cell (l, k) = (0, 0)
+    lanes = np.arange(m)[:, None]
+    pair, d, _ = state.alloc.flat
+    tau = state.atoms.values[state.atoms.index.ravel()]  # (m m, K), row j m + l
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(state.p).ravel()
-        half_log_tau = 0.5 * np.log(state.atoms.values)
+        base = np.log(state.p).reshape(-1, 1) + 0.5 * np.log(tau)
         for start, stop, offset in _alloc_chunks(cells):
-            count = cells[start:stop]
-            pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
-            l, k = np.divmod(pos, np.repeat(width[start:stop], count))
-            pair = np.repeat(pair_base[start:stop], count) + l
-            atom = rows[pair] + k  # flat index into atoms.values
-            score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
-                     - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
+            count, w = cells[start:stop], width[start:stop]
+            # run (point, l) holds cell first + l K + k at offset + l w + k; (m, points) layout
+            shift = (first[start:stop] - offset) + lanes * (K - w)
+            cell = shift.T.ravel().repeat(w.repeat(m)) + np.arange(offset[-1] + count[-1])
+            score = base.take(cell) - tau.take(cell) * half_h[start:stop].repeat(count)
             noise = rng.generator.random(score.size)  # log(-log U), in place
             np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
             score -= noise
             np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
-            best = np.repeat(np.maximum.reduceat(score, offset), count)
-            pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
-    delta, d = np.divmod(pick, width)
-    state.alloc.flat[:2] = pair_base + delta, d + 1
+            best = np.maximum.reduceat(score, offset).repeat(count)
+            pick = np.minimum.reduceat(np.where(score == best, cell, tau.size), offset)
+            np.divmod(pick, K, out=(pair[start:stop], d[start:stop]))  # d from 0 until the += 1
+    d += 1
     return state
 
 
@@ -313,7 +320,7 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     for r in range(1, 2 * R + 1):
         np.multiply(powers[r - 1], prev, out=powers[r])
     sums = np.add.reduceat(powers, first, axis=1).T  # (m, 2R + 1)
-    A = sums[:, np.add.outer(np.arange(R + 1), np.arange(R + 1))]  # Hankel: A_rs = sums_{r+s}
+    A = sums[:, _hankel(R)]
     b = np.add.reduceat(powers[:R + 1] * nxt, first, axis=1).T
     w, Q = np.linalg.eigh(A)  # eigenvalues ascending
     bad = ~(w[:, -1] <= THETA_COND_LIMIT * w[:, 0])  # NaN and w <= 0 included
@@ -412,9 +419,9 @@ def sample_noise_predictive(state: ChainState, prior: PriorConfig, rng: RngHandl
     l = np.minimum((cdf <= u[:, None]).sum(axis=1), m - 1)
     k = draw_truncated_geometric(state.lam[rows, l], 1, rng) - 1
     tau = state.atoms.values[state.atoms.index[rows, l], np.minimum(k, n_star - 1)]
-    for j in np.flatnonzero(k >= n_star):  # tail lump
+    for j in np.flatnonzero(k >= n_star).tolist():  # tail lump
         tau[j] = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
-    return rng.generator.normal(0.0, tau ** -0.5)
+    return 0.0 + tau ** -0.5 * rng.generator.standard_normal(m)  # normal(0.0, scale)'s arithmetic
 
 
 def sweep(state: ChainState, data: MultiSeries, prior: PriorConfig,

@@ -65,7 +65,7 @@ class PriorConfig:
         for f in fields(self)[1:]:
             shape, value = shapes.get(f.name, ()), getattr(self, f.name)
             with suppress(ValueError):  # a value of another shape: in_domain names it
-                value = np.broadcast_to(value, shape)
+                value = np.broadcast_to(np.array(value, dtype=object), shape)  # bools kept
             setattr(self, f.name, in_domain(f.name, value, f.metadata["domain"], shape))
         for name in ("beta_a", "beta_b"):
             mat = getattr(self, name)

@@ -7,9 +7,10 @@ one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
 whose random stream the vectorized chain keeps bit for bit, the
 out-of-sample kernel point by point with scalar normal draws, the trace
-writers record by record, the report's former writers and KDE range, and
-the gamma, beta and Dirichlet draw helpers as they were before their checks
-took one pass.
+writers record by record, the report's former writers and KDE range, the
+gamma, beta and Dirichlet draw helpers as they were before their checks
+took one pass, and the allocation block, the noise predictive and the pair
+pooling as they were before their fixed cost was cut.
 """
 
 import csv
@@ -19,7 +20,9 @@ import math
 import numpy as np
 
 from pdgsbr.diagnostics import kde
-from pdgsbr.distributions import draw_beta, draw_dirichlet, draw_truncated_geometric
+from pdgsbr import gibbs
+from pdgsbr.distributions import (draw_beta, draw_dirichlet, draw_gamma,
+                                  draw_truncated_geometric)
 from pdgsbr.dynamics import eval_map
 from pdgsbr.errors import ParameterDomainError
 from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
@@ -276,3 +279,60 @@ def former_draw_dirichlet(alpha, rng):
         raise ParameterDomainError(f"alpha entries must be positive, got {alpha}")
     g = np.maximum(rng.generator.standard_gamma(alpha), 1e-300)
     return g / g.sum(axis=-1, keepdims=True)
+
+
+# --- the kernels as written before their fixed cost was cut -------------------
+
+def former_pool_pairs(x, upper):
+    j, l = upper
+    pooled = x[j, l]
+    off = j < l
+    pooled[off] += x[l[off], j[off]]
+    return pooled
+
+
+def former_update_alloc_block(state, data, prior, rng, h=None):
+    """The Gumbel-max block with each cell's (l, k) decoded from its position
+    in the point's run and three gathers per cell."""
+    m = state.m
+    K = state.atoms.max_size()
+    half_h = 0.5 * (gibbs.residuals(state, data) if h is None else h)
+    width = np.minimum(state.alloc.flat[2], K)
+    cells = m * width
+    pair_base = state.alloc.series * m
+    rows = state.atoms.index.ravel() * K
+    pick = np.empty(width.size, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(state.p).ravel()
+        half_log_tau = 0.5 * np.log(state.atoms.values)
+        for start, stop, offset in gibbs._alloc_chunks(cells):
+            count = cells[start:stop]
+            pos = np.arange(offset[-1] + count[-1]) - np.repeat(offset, count)
+            l, k = np.divmod(pos, np.repeat(width[start:stop], count))
+            pair = np.repeat(pair_base[start:stop], count) + l
+            atom = rows[pair] + k
+            score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
+                     - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
+            noise = rng.generator.random(score.size)
+            np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
+            score -= noise
+            np.fmax(score, -np.inf, out=score)
+            best = np.repeat(np.maximum.reduceat(score, offset), count)
+            pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)
+    delta, d = np.divmod(pick, width)
+    state.alloc.flat[:2] = pair_base + delta, d + 1
+    return state
+
+
+def former_sample_noise_predictive(state, prior, rng):
+    """The noise predictive with one array ``Generator.normal`` call."""
+    m, n_star = state.m, state.atoms.max_size()
+    rows = np.arange(m)
+    cdf = np.cumsum(state.p, axis=1)
+    u = rng.generator.random(m) * cdf[:, -1]
+    l = np.minimum((cdf <= u[:, None]).sum(axis=1), m - 1)
+    k = draw_truncated_geometric(state.lam[rows, l], 1, rng) - 1
+    tau = state.atoms.values[state.atoms.index[rows, l], np.minimum(k, n_star - 1)]
+    for j in np.flatnonzero(k >= n_star):
+        tau[j] = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
+    return rng.generator.normal(0.0, tau ** -0.5)

@@ -683,6 +683,8 @@ class TestReproduce:
         # once passed these checks, and both chains ran before a TypeError
         pytest.param({"prior": ALPHAS, "reproduce": {"short_series": [2]}},
                      id="short-series-list"),
+        # once simulated and ran both chains to report a borrowing index of 0.0
+        pytest.param({"prior": ALPHAS, "reproduce": {"donors": []}}, id="donors-empty"),
     ])
     def test_series_numbers_are_checked_before_anything_runs(self, tmp_path, monkeypatch, block):
         # on m = 2, short_series 0 once reported series 2 (index -1 wraps), donors [0]
@@ -785,6 +787,9 @@ class TestConfigHelpers:
         # the checkpoint, or exited 1 with a TypeError or ValueError traceback
     ] + [("run", "sampler", key, [value], []) for key, value in SAMPLER_LISTS] + [
         ("simulate", "data", "seed", [9], []),
+        # a bool where a number is due: each once read as 1 and ran
+        ("run", "sampler", "seed", True, []),
+        ("run", "prior", "poly_degree", True, []),
     ],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
@@ -797,7 +802,8 @@ class TestConfigHelpers:
           "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
           "outputs-directory-int", "outputs-directory-empty", "component-key-series-5",
           "component-key-series-0", "component-pair-named-twice"]
-       + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS] + ["data-seed-list"])
+       + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS]
+       + ["data-seed-list", "sampler-seed-bool", "prior-poly_degree-bool"])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -927,6 +933,17 @@ class TestDeclaredDomains:
         deeper = [getattr(config(**CONFIGS[config]), name)]
         with pytest.raises(ValueError, match=f"{name} has shape"):
             config(**CONFIGS[config] | {name: deeper})
+
+    def test_a_bool_is_refused(self):
+        # a bool, bare or in a list, once read as 0 or 1: GibbsConfig(burn_in=True,
+        # seed=False) gave burn_in 1 and seed 0
+        for config, value in ((GibbsConfig, {"burn_in": True}), (GibbsConfig, {"seed": False}),
+                              (PriorConfig, {"poly_degree": True}),
+                              (PriorConfig, {"dirichlet_alpha": [[1, True], [1, 1]]}),
+                              (PriorConfig, {"x0_support": [np.True_, 5.0]})):
+            name, = value
+            with pytest.raises(ValueError, match=f"{name} holds a bool where a number is expected"):
+                config(**CONFIGS[config] | value)
 
     def test_whole_numbers_stay_exact(self):
         for seed in (2 ** 63 + 1, 2 ** 70 + 1, -2 ** 63 - 1, "9223372036854775809"):

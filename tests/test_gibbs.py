@@ -24,6 +24,7 @@ from pdgsbr.gibbs import (
     _alloc_chunks,
     geometric_posterior_params,
     parametric_tau_params,
+    pool_pairs,
     precision_posterior_params,
     run_chain,
     run_parametric_gaussian,
@@ -53,6 +54,9 @@ from pdgsbr.model import (
 from oracle import (
     alloc_cell_probs,
     augmented_joint_density,
+    former_pool_pairs,
+    former_sample_noise_predictive,
+    former_update_alloc_block,
     loop_precision_posterior_params,
     loop_update_future,
     loop_update_geometric_probs,
@@ -411,6 +415,29 @@ def ragged_nan_state():
     return state, data, prior, rng
 
 
+def mixed_bounds_fourc_state():
+    """A 4C state whose bounds are a third 1-10, a third 100-600 and a third
+    at the cap: about 1 M live cells, several chunks of the block."""
+    state, data, prior, rng = fourc_state()
+    mix = np.random.default_rng(11)
+    bounds = []
+    for N in state.alloc.N:
+        kind = mix.integers(3, size=N.size)
+        bounds.append(np.select([kind == 0, kind == 1],
+                                [mix.integers(1, 11, size=N.size),
+                                 mix.integers(100, 601, size=N.size)],
+                                SLICE_BOUND_CAP))
+    pin_slice_bounds(state, prior, rng, bounds)
+    return state, data, prior, rng
+
+
+def mixed_bounds_single_series_state():
+    """An m = 1 state of 8 points with bounds 1-4 on 4 atoms."""
+    state, data = single_series_state(np.linspace(-0.4, 0.5, 8), [0.1, 0.9],
+                                      [1.0, 30.0, 4.0, 900.0], N=[1, 4, 2, 4, 3, 1, 4, 2])
+    return state, data, make_prior(1, R=1), RngHandle(6)
+
+
 class TestAllocBlockMatchesDenseOracle:
     """The Gumbel-max kernel against the law of the dense oracle. Its draws
     cannot equal those of an inverse-CDF oracle, so each law test is a
@@ -418,21 +445,11 @@ class TestAllocBlockMatchesDenseOracle:
     checked exactly: the block must draw the same in one chunk as in many."""
 
     def test_4c_state_with_mixed_bounds(self):
-        # a third of the bounds 1-10, a third 100-600, a third at the cap:
-        # about 1 M live cells. Each cell gets one uniform in point order,
-        # whatever the chunking, so the block in one chunk and in chunks of
-        # ALLOC_CELL_BUDGET cells must draw the same, and it is exact (a law
-        # test at this size would take minutes)
-        state, data, prior, rng = fourc_state()
-        mix = np.random.default_rng(11)
-        bounds = []
-        for N in state.alloc.N:
-            kind = mix.integers(3, size=N.size)
-            bounds.append(np.select([kind == 0, kind == 1],
-                                    [mix.integers(1, 11, size=N.size),
-                                     mix.integers(100, 601, size=N.size)],
-                                    SLICE_BOUND_CAP))
-        pin_slice_bounds(state, prior, rng, bounds)
+        # each cell gets one uniform in point order, whatever the chunking, so
+        # the block in one chunk and in chunks of ALLOC_CELL_BUDGET cells must
+        # draw the same, and it is exact (a law test at this size would take
+        # minutes)
+        state, data, prior, rng = mixed_bounds_fourc_state()
         assert len(list(_alloc_chunks(live_cells(state)))) >= 3
         whole, whole_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
         for _ in range(3):
@@ -461,10 +478,7 @@ class TestAllocBlockMatchesDenseOracle:
         assert_alloc_follows_its_law(*ragged_nan_state())
 
     def test_single_series(self):
-        bounds = [1, 4, 2, 4, 3, 1, 4, 2]
-        state, data = single_series_state(np.linspace(-0.4, 0.5, 8), [0.1, 0.9],
-                                          [1.0, 30.0, 4.0, 900.0], N=bounds)
-        assert_alloc_follows_its_law(state, data, make_prior(1, R=1), RngHandle(6))
+        assert_alloc_follows_its_law(*mixed_bounds_single_series_state())
 
     def test_small_cell_budget_splits_the_block_in_chunks(self, monkeypatch):
         monkeypatch.setattr(gibbs, "ALLOC_CELL_BUDGET", 64)
@@ -484,6 +498,54 @@ class TestAllocBlockMatchesDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+FORMER_STATES = {"4c-mixed-bounds": mixed_bounds_fourc_state, "ragged-nan": ragged_nan_state,
+                 "single-series": mixed_bounds_single_series_state}
+
+
+class TestKernelsKeepTheirFormerStream:
+    """The allocation block, the noise predictive and the pair pooling give
+    what their former forms (tests/oracle.py) give, bit for bit, and leave
+    the generators in equal states."""
+
+    @pytest.mark.parametrize("make", FORMER_STATES.values(), ids=FORMER_STATES)
+    def test_alloc_block_and_pooling_equal_the_former_form(self, make):
+        state, data, prior, rng = make()
+        former, former_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
+        K = state.atoms.max_size()
+        for _ in range(3):
+            update_alloc_block(state, data, prior, rng)
+            former_update_alloc_block(former, data, prior, former_rng)
+            assert np.array_equal(state.alloc.flat, former.alloc.flat)
+            assert rng.get_state() == former_rng.get_state()
+            cell = state.alloc.flat[0] * K + state.alloc.flat[1] - 1
+            for weights in (None, gibbs.residuals(state, data)):  # the counts, then the sums
+                x = np.bincount(cell, weights, state.m ** 2 * K).reshape(state.m, state.m, K)
+                got, want = pool_pairs(x, state.atoms.upper), former_pool_pairs(x, state.atoms.upper)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", FORMER_STATES.values(), ids=FORMER_STATES)
+    def test_noise_predictive_equals_the_former_form(self, make):
+        # 200 calls a state; on the NaN-ragged and single-series states about 39
+        # and 10 of them draw a fresh tail atom
+        state, _, prior, rng = make()
+        former_rng = RngHandle.from_state(rng.get_state())
+        for _ in range(200):
+            got = sample_noise_predictive(state, prior, rng)
+            want = former_sample_noise_predictive(state, prior, former_rng)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.get_state() == former_rng.get_state()
+
+    def test_pooling_keeps_an_infinite_sum(self):
+        # a residual sum that overflowed to inf, on the diagonal and off it: an
+        # inf times a 0/1 mask would make the diagonal's pooled value NaN
+        x = np.arange(3.0 * 3 * 2).reshape(3, 3, 2)
+        x[1, 1, 0] = x[0, 2, 1] = np.inf
+        upper = np.triu_indices(3)
+        got, want = pool_pairs(x.copy(), upper), former_pool_pairs(x.copy(), upper)
+        assert got.tobytes() == want.tobytes() and not np.isnan(got).any()
+        assert got[3, 0] == np.inf and got[2, 1] == np.inf
 
 
 class TestSliceBoundKernel:
