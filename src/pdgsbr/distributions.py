@@ -58,14 +58,18 @@ def in_domain(name: str, values, domain: Domain, shape: tuple = ()):
     """``values``, a number or an array of them, checked against ``shape``
     (None there for an axis of any length) and ``domain``: a float or float
     array, or for a whole-number domain an int (exact, however large) or int
-    array. ValueError naming ``name`` and the shape if it differs, a bool,
-    or the first value outside the domain; a string reads as its number."""
-    array = np.asarray(values)
+    array. ValueError naming ``name`` if it cannot be read as numbers, and
+    the shape if it differs, a bool, or the first value outside the domain;
+    a string reads as its number."""
+    try:
+        array = np.asarray(values)
+        real = array.astype(float)
+    except (TypeError, ValueError) as error:  # a string that is no number, or ragged lists
+        raise ValueError(f"{name} cannot be read as numbers: {error}") from None
     _check_shape(name, array.shape, shape)
     if (values is not array or array.dtype.kind in "bO") and any(  # ints and bools read as ints
             isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat):
         raise ValueError(f"{name} holds a bool where a number is expected")
-    real = array.astype(float)
     inside = domain.holds(real)
     if domain.whole:
         inside &= real == np.trunc(real)
@@ -79,10 +83,13 @@ def in_domain(name: str, values, domain: Domain, shape: tuple = ()):
 def json_numbers(name: str, values, shape: tuple, domain=None):
     """``values`` (nested lists as JSON holds them, or lists of arrays) as a
     float array of ``shape``, None there for an axis of any length, checked
-    by ``in_domain`` where a ``domain`` is given. ValueError if the shape
-    differs, if a value is not a number (a string, a boolean or null, say),
-    or if it lies outside the domain."""
-    array = np.array(values, dtype=float)  # ValueError if the lists are ragged
+    by ``in_domain`` where a ``domain`` is given. ValueError naming ``name``
+    if the shape differs, if a value is not a number (a string, a boolean or
+    null, say) or the lists are ragged, or if a value lies outside the domain."""
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError) as error:  # a string that is no number, or ragged lists
+        raise ValueError(f"{name} cannot be read as numbers: {error}") from None
     _check_shape(name, array.shape, shape)
     if shape and set(map(type, values)) == {np.ndarray}:  # the chain driver's rows
         kinds = {value.dtype.type for value in values}
@@ -228,44 +235,40 @@ def slice_sample_1d(
 
     The stepping-out interval is expanded by at most ``max_stepout`` widths in
     total (split randomly between the two sides, Neal 2003) and is always
-    clipped to [lo, hi]. Leaves the normalized target invariant; suitable for
-    the multimodal polynomial-exponent target of the initial-condition
-    kernel.
+    clipped to [lo, hi], the only points where ``log_f`` is evaluated. Leaves
+    the normalized target invariant; suitable for the multimodal
+    polynomial-exponent target of the initial-condition kernel.
     """
     if not lo < hi:
         raise ParameterDomainError(f"empty support [{lo}, {hi}]")
     if not 0 < width < math.inf:
         raise ParameterDomainError(f"width must be positive and finite, got {width}")
-
-    def target(x):
-        return log_f(x) if lo <= x <= hi else -math.inf
-
-    gen = rng.generator
-    log_fx = target(current)
+    log_fx = log_f(current) if lo <= current <= hi else -math.inf
     if not math.isfinite(log_fx):
         raise InvalidStateError(f"non-finite log-density {log_fx} at current point {current}")
 
+    gen = rng.generator
     # vertical level: log u + log f(x) with u in (0, 1]
     log_y = log_fx + math.log1p(-gen.random())
 
-    # stepping out, clipped to the support interval
+    # stepping out, clipped to the support; left stays <= current, right can round below lo
     left = current - width * gen.random()
     right = left + width
     steps_left = int(math.floor(max_stepout * gen.random()))
     steps_right = max_stepout - 1 - steps_left
-    while steps_left > 0 and left > lo and target(left) > log_y:
+    while steps_left > 0 and left > lo and log_f(left) > log_y:
         left -= width
         steps_left -= 1
-    while steps_right > 0 and right < hi and target(right) > log_y:
+    while steps_right > 0 and lo <= right < hi and log_f(right) > log_y:
         right += width
         steps_right -= 1
     left = max(left, lo)
     right = min(right, hi)
 
-    # shrinkage
+    # shrinkage; rounding can put a proposal outside [lo, hi] (below lo when right is)
     while True:
         proposal = left + gen.random() * (right - left)
-        if target(proposal) > log_y:
+        if lo <= proposal <= hi and log_f(proposal) > log_y:
             return proposal
         if proposal < current:
             left = proposal

@@ -65,8 +65,8 @@ THETA_COND_LIMIT = 1e12
 # those transient states.
 SLICE_BOUND_CAP = 2000
 
-# Most live cells one chunk of the allocation block scores at once (see
-# update_alloc_block), so its memory does not grow with N*. Each cell holds
+# Live cells in each block that cuts the allocation block into chunks (see
+# _alloc_chunks), so its memory does not grow with N*. Each cell holds
 # about ten 8-byte temporaries.
 ALLOC_CELL_BUDGET = 2 ** 14
 
@@ -202,21 +202,15 @@ def parametric_tau_params(state: ChainState, data: MultiSeries, prior: PriorConf
 # --- the nine kernels -----------------------------------------------------------
 
 def _alloc_chunks(cells: np.ndarray):
-    """Cut consecutive points, given the live cells of each, into (start,
-    stop) runs of at most ALLOC_CELL_BUDGET cells in all; a point over the
-    budget forms a run of its own. Yields each run's (start, stop) and the
-    first cell of each of its points within the run."""
-    ends = cells.cumsum()
-    start = done = 0
-    while start < cells.size:
-        if ends[-1] - done <= ALLOC_CELL_BUDGET:  # the rest fits
-            stop = cells.size
-        else:
-            stop = int(np.searchsorted(ends, done + ALLOC_CELL_BUDGET, side="right"))
-            stop = max(stop, start + 1)
-        yield start, stop, ends[start:stop] - cells[start:stop] - done
-        done = int(ends[stop - 1])
-        start = stop
+    """Cut consecutive points, given the live cells of each, into the (start,
+    stop) runs whose first cells lie in one block of ALLOC_CELL_BUDGET cells,
+    so a run holds fewer cells than the budget plus its last point's. Yields
+    each run's (start, stop) and the first cell of each of its points in it."""
+    first = cells.cumsum() - cells
+    cuts = first.searchsorted(range(ALLOC_CELL_BUDGET, first[-1] + 1, ALLOC_CELL_BUDGET)).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, cells.size]):
+        if start < stop:  # a point of more cells than the budget can leave blocks empty
+            yield start, stop, first[start:stop] - first[start]
 
 
 def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
@@ -237,7 +231,7 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     (l, k), so a point's first highest cell is its smallest index among its
     maxima, and divmod by K decodes it into the pair label and d. The live
     cells of all series lie flat in point order, one uniform each, cut into
-    chunks of at most ALLOC_CELL_BUDGET cells (``_alloc_chunks``).
+    chunks by ``_alloc_chunks``.
     """
     m = state.m
     K = state.atoms.max_size()

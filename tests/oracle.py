@@ -9,8 +9,9 @@ whose random stream the vectorized chain keeps bit for bit, the
 out-of-sample kernel point by point with scalar normal draws, the trace
 writers record by record, the report's former writers and KDE range, the
 gamma, beta and Dirichlet draw helpers as they were before their checks
-took one pass, and the allocation block, the noise predictive and the pair
-pooling as they were before their fixed cost was cut.
+took one pass, the allocation block, the noise predictive and the pair
+pooling as they were before their fixed cost was cut, and the slice sampler
+as it was before its support wrapper went.
 """
 
 import csv
@@ -24,7 +25,7 @@ from pdgsbr import gibbs
 from pdgsbr.distributions import (draw_beta, draw_dirichlet, draw_gamma,
                                   draw_truncated_geometric)
 from pdgsbr.dynamics import eval_map
-from pdgsbr.errors import ParameterDomainError
+from pdgsbr.errors import InvalidStateError, ParameterDomainError
 from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
 from pdgsbr.model import ensure_atoms
 
@@ -279,6 +280,47 @@ def former_draw_dirichlet(alpha, rng):
         raise ParameterDomainError(f"alpha entries must be positive, got {alpha}")
     g = np.maximum(rng.generator.standard_gamma(alpha), 1e-300)
     return g / g.sum(axis=-1, keepdims=True)
+
+
+# --- the slice sampler as written before its support wrapper went -------------
+
+def former_slice_sample_1d(log_f, lo, hi, current, width, max_stepout, rng):
+    """The slice sampler with every evaluation behind a [lo, hi] test."""
+    if not lo < hi:
+        raise ParameterDomainError(f"empty support [{lo}, {hi}]")
+    if not 0 < width < math.inf:
+        raise ParameterDomainError(f"width must be positive and finite, got {width}")
+
+    def target(x):
+        return log_f(x) if lo <= x <= hi else -math.inf
+
+    gen = rng.generator
+    log_fx = target(current)
+    if not math.isfinite(log_fx):
+        raise InvalidStateError(f"non-finite log-density {log_fx} at current point {current}")
+    log_y = log_fx + math.log1p(-gen.random())
+    left = current - width * gen.random()
+    right = left + width
+    steps_left = int(math.floor(max_stepout * gen.random()))
+    steps_right = max_stepout - 1 - steps_left
+    while steps_left > 0 and left > lo and target(left) > log_y:
+        left -= width
+        steps_left -= 1
+    while steps_right > 0 and right < hi and target(right) > log_y:
+        right += width
+        steps_right -= 1
+    left = max(left, lo)
+    right = min(right, hi)
+    while True:
+        proposal = left + gen.random() * (right - left)
+        if target(proposal) > log_y:
+            return proposal
+        if proposal < current:
+            left = proposal
+        else:
+            right = proposal
+        if right - left < 1e-300:
+            return current
 
 
 # --- the kernels as written before their fixed cost was cut -------------------

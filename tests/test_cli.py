@@ -74,6 +74,12 @@ NON_FINITE_PRIOR = [(f"{case}-{name}", key, value)
 SAMPLER_LISTS = [("iterations", 150), ("burn_in", 30), ("thinning", 1), ("checkpoint_interval", 5),
                  ("seed", 5), ("max_stepout", 16), ("slice_width", 0.25)]
 
+# a value that cannot be read as numbers; each once exited 2 with numpy's text in place of the key
+UNREADABLE = [("run", "prior", "x0_support", [[-5, 5], [-5]]),
+              ("run", "prior", "dirichlet_alpha", [[1, 1], [1]]),
+              ("simulate", "data", "n", ["abc", 50]),
+              ("simulate", "data", "selection", [[0.5, 0.5], [1.0]])]
+
 # a valid pair of reproduce selection priors for two series
 ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
 
@@ -790,7 +796,7 @@ class TestConfigHelpers:
         # a bool where a number is due: each once read as 1 and ran
         ("run", "sampler", "seed", True, []),
         ("run", "prior", "poly_degree", True, []),
-    ],
+    ] + [(*case, []) for case in UNREADABLE],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
@@ -803,7 +809,8 @@ class TestConfigHelpers:
           "outputs-directory-int", "outputs-directory-empty", "component-key-series-5",
           "component-key-series-0", "component-pair-named-twice"]
        + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS]
-       + ["data-seed-list", "sampler-seed-bool", "prior-poly_degree-bool"])
+       + ["data-seed-list", "sampler-seed-bool", "prior-poly_degree-bool"]
+       + [f"{block}-{key}-unreadable" for _, block, key, _ in UNREADABLE])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -816,7 +823,10 @@ class TestConfigHelpers:
                 ["run", "--config", cfg, "--data", str(sim / "data.json"), "--out", out])
         capsys.readouterr()
         assert cli.main(argv + extra) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if (verb, block, key, value) in [*UNREADABLE, ("run", "prior", "poly_degree", "abc")]:
+            assert f": {key} cannot be read as numbers:" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
@@ -857,6 +867,8 @@ class TestConfigHelpers:
         # values coerced to the field types keep checkpoint.json typed
         config = cli.parse_sampler_block({"slice_width": 1, "iterations": "100", "burn_in": 0})
         assert type(config.slice_width) is float and type(config.iterations) is int
+        # YAML reads 1e-3, without a point, as a string
+        assert cli.parse_prior_block({"dirichlet_alpha": alpha, "gamma_a": "1e-3"}, 2).gamma_a == 1e-3
 
     def test_unparsable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "broken.yaml"

@@ -23,7 +23,8 @@ from pdgsbr.distributions import (
 )
 from pdgsbr.errors import DegenerateWeightsError, InvalidStateError, ParameterDomainError
 
-from oracle import former_draw_beta, former_draw_dirichlet, former_draw_gamma
+from oracle import (former_draw_beta, former_draw_dirichlet, former_draw_gamma,
+                    former_slice_sample_1d)
 
 N_DRAWS = 100_000
 
@@ -320,6 +321,68 @@ class TestSliceSampler:
         assert tv < 0.02
 
 
+def double_well(x):
+    return -((x ** 2 - 1.0) ** 2) / 0.5
+
+
+def inside(lo, hi):
+    """The double well, failing the test if it is evaluated outside [lo, hi]."""
+    def log_f(x):
+        assert lo <= x <= hi, f"log_f evaluated at {x!r} outside [{lo!r}, {hi!r}]"
+        return double_well(x)
+    return log_f
+
+
+class Scripted:
+    """A stand-in generator whose uniforms are given, then 0.5 for ever."""
+
+    def __init__(self, uniforms):
+        self.generator, self.uniforms = self, iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms, 0.5)
+
+
+class TestSliceSamplerKeepsItsFormerStream:
+    """The sampler gives the draws of its former form (tests/oracle.py), whose
+    every evaluation sat behind a [lo, hi] test, leaves the generator in the
+    same state, and never evaluates log_f outside [lo, hi]."""
+
+    @pytest.mark.parametrize("lo, hi, width, max_stepout, start, chained", [
+        (-3.0, 3.0, 0.5, 16, 1.0, True),
+        (-3.0, 3.0, 0.5, 16, -3.0, False),
+        (-3.0, 3.0, 0.5, 16, 3.0, False),
+        (-3.0, 3.0, 0.5, 1, 0.0, True),
+        (-0.2, 0.3, 5.0, 16, 0.0, True),
+        (-0.2, 0.3, 5.0, 16, -0.2, False),
+        (1.0, 1.0 + 1e-9, 0.25, 16, 1.0, True),
+        (1.0, 1.0 + 1e-9, 0.25, 16, 1.0 + 1e-9, False),
+        (-7.231090023290769, 0.0, 2.1824326502773332, 4, -7.231090023290769, False),
+    ], ids=["chain", "start-at-lo", "start-at-hi", "one-step", "wide", "wide-at-lo",
+            "width-1e-9", "width-1e-9-at-hi", "negative-lo"])
+    def test_draws_and_generator_state_equal_the_former_form(self, lo, hi, width,
+                                                             max_stepout, start, chained):
+        new, old = RngHandle(2024), RngHandle(2024)
+        x = y = start
+        for _ in range(2000):
+            x = slice_sample_1d(inside(lo, hi), lo, hi, x if chained else start,
+                                width, max_stepout, new)
+            y = former_slice_sample_1d(double_well, lo, hi, y if chained else start,
+                                       width, max_stepout, old)
+            assert type(x) is float and x == y
+        assert new.get_state() == old.get_state()
+
+    def test_a_right_end_rounded_below_lo_is_never_evaluated(self):
+        # from current = lo, right = (lo - width u) + width rounds below lo when u
+        # is the largest uniform; the shrinkage then proposes below lo as well
+        lo, width, u = -7.231090023290769, 2.1824326502773332, 1.0 - 2.0 ** -53
+        assert (lo - width * u) + width < lo
+        uniforms = [0.5, u, 0.0]  # level, left end, all steps to the right
+        got = slice_sample_1d(inside(lo, 0.0), lo, 0.0, lo, width, 4, Scripted(uniforms))
+        assert got == former_slice_sample_1d(double_well, lo, 0.0, lo, width, 4,
+                                             Scripted(uniforms)) == lo
+
+
 class TestDeterminism:
     def test_equal_seeds_equal_sequences(self):
         a, b = RngHandle(99), RngHandle(99)
@@ -407,6 +470,20 @@ class TestShapes:
             for check in (in_domain, json_numbers):
                 with pytest.raises(ValueError, match=message):
                     check("x", values, domain=REAL, shape=shape)
+
+    @pytest.mark.parametrize("check, values, shape", [
+        (in_domain, "abc", ()),
+        (in_domain, ["abc", 50], (2,)),
+        (in_domain, [[-5, 5], [-5]], (2, 2)),
+        (in_domain, {"a": 1}, ()),
+        (json_numbers, [1.0, "abc"], (None,)),
+        (json_numbers, [[1.0, 2.0], [3.0]], (None, None)),
+        (json_numbers, [1.0, [2.0]], (None,)),
+    ], ids=["word", "word-in-list", "ragged", "mapping", "json-word", "json-ragged",
+            "json-list-for-number"])
+    def test_a_value_that_is_no_number_is_named(self, check, values, shape):
+        with pytest.raises(ValueError, match="^x cannot be read as numbers: "):
+            check("x", values, domain=REAL, shape=shape)
 
 
 def test_in_domain_is_the_one_shape_check():

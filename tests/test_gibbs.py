@@ -500,6 +500,33 @@ class TestAllocBlockMatchesDenseOracle:
         assert peak < 8e6
 
 
+class TestAllocChunks:
+    """The points whose first live cell falls in the same block of
+    ALLOC_CELL_BUDGET cells form one chunk of the allocation block."""
+
+    @pytest.mark.parametrize("budget", [64, 1000, gibbs.ALLOC_CELL_BUDGET])
+    def test_chunks_are_the_blocks_of_the_first_cells(self, budget, monkeypatch):
+        monkeypatch.setattr(gibbs, "ALLOC_CELL_BUDGET", budget)
+        mix = np.random.default_rng(budget)
+        for trial in range(200):
+            m, n = mix.integers(1, 4), mix.integers(1, 500)
+            width = mix.integers(1, [11, 601, SLICE_BOUND_CAP + 1][trial % 3], size=n)
+            width[mix.random(n) < 0.05] = SLICE_BOUND_CAP
+            cells = m * width
+            first = cells.cumsum() - cells
+            chunks = list(_alloc_chunks(cells))
+            assert [start for start, _, _ in chunks] == [0] + [stop for _, stop, _ in chunks[:-1]]
+            assert chunks[-1][1] == n
+            for start, stop, offset in chunks:
+                assert start < stop
+                assert np.array_equal(offset, np.cumsum([0, *cells[start:stop - 1]]))
+                held = offset[-1] + cells[stop - 1]
+                assert held < budget + cells[stop - 1]
+            block = first // budget
+            assert all(block[start] == block[stop - 1] for start, stop, _ in chunks)
+            assert all(block[stop - 1] < block[stop] for _, stop, _ in chunks[:-1])
+
+
 FORMER_STATES = {"4c-mixed-bounds": mixed_bounds_fourc_state, "ragged-nan": ragged_nan_state,
                  "single-series": mixed_bounds_single_series_state}
 
