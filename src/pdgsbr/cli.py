@@ -161,6 +161,8 @@ def _resolve_map(spec) -> tuple:
 @_config_errors("data block")
 def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
+    if not isinstance(block["maps"], list):
+        raise ConfigError(f"data.maps must be a list of maps, got {block['maps']!r}")
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
     ns = in_domain("n", block["n"], whole_from(2), (m,))
@@ -169,12 +171,13 @@ def parse_data_block(block: dict):
     selection = in_domain("selection", block["selection"], PROBABILITY, (m, m))
     components = {}
     for key, spec in block["components"].items():
-        j, l = sorted(int(t) for t in str(key).split(","))
-        if not 1 <= j <= l <= m:
-            raise ConfigError(f"data.components key {key!r} names a series outside 1..{m}")
-        if (j, l) in components:
-            raise ConfigError(f"data.components names the pair {j},{l} twice")
-        components[(j, l)] = NoiseMixtureSpec(spec["weights"], spec["variances"])
+        with _config_errors(f"data.components key {key!r}"):
+            j, l = sorted(int(t) for t in str(key).split(","))
+            if not 1 <= j <= l <= m:
+                raise ConfigError(f"data.components key {key!r} names a series outside 1..{m}")
+            if (j, l) in components:
+                raise ConfigError(f"data.components names the pair {j},{l} twice")
+            components[(j, l)] = NoiseMixtureSpec(spec["weights"], spec["variances"])
     noises = []
     for j, row in enumerate(selection.tolist()):
         if abs(sum(row) - 1.0) > 1e-9:
@@ -318,11 +321,6 @@ def _repr_rows(table: np.ndarray):
     return zip(*(map(repr, column) for column in table.T.tolist()))
 
 
-def _write_grid_csv(path, grid_density) -> None:
-    _write_csv(path, ["grid", "density"],
-               _repr_rows(np.column_stack((grid_density.grid, grid_density.density))))
-
-
 def _kde_with_bounds(samples: np.ndarray, bounds):
     if bounds is not None:
         lo, hi = bounds
@@ -377,7 +375,8 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
             except InsufficientSamplesError as exc:
                 logger.warning("series %d: no %s KDE grid: %s", j + 1, name, exc)
                 continue
-            _write_grid_csv(os.path.join(out_dir, f"kde_{name}_{j + 1}.csv"), grid)
+            _write_csv(os.path.join(out_dir, f"kde_{name}_{j + 1}.csv"), ["grid", "density"],
+                       _repr_rows(np.column_stack((grid.grid, grid.density))))
         if not has_future:
             continue
         try:

@@ -368,8 +368,6 @@ def update_future(state: ChainState, data: MultiSeries, prior: PriorConfig,
     """
     horizon = [f.size for f in state.future]
     total = sum(horizon)
-    if not total:
-        return state
     tau = _tau_per_point(state) if tau_override is None else tau_override
     if isinstance(tau, np.ndarray):  # each series' last T_j points are its future ones
         ahead = [tau[stop - steps:stop] for (_, stop), steps in zip(state.alloc.bounds, horizon)]

@@ -390,9 +390,8 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     lam = np.empty((m, m))
     lam[upper] = lam[upper[::-1]] = draw_beta(prior.beta_a[upper], prior.beta_b[upper], rng)
 
-    theta, sq_resid = np.zeros((m, R + 1)), []
-    for j in range(m):
-        x = data.series[j]
+    theta, sq_resid, x0, future = np.zeros((m, R + 1)), [], np.empty(m), []
+    for j, x in enumerate(data.series):
         design = np.vander(x[:-1], R + 1, increasing=True)
         coeffs, _, rank, _ = np.linalg.lstsq(design, x[1:], rcond=None)
         if rank < R + 1 or not np.all(np.isfinite(coeffs)):
@@ -400,6 +399,15 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         else:
             theta[j] = coeffs
         sq_resid.append((x[1:] - design @ theta[j]) ** 2)
+        lo, hi = prior.x0_support[j].tolist()
+        x0[j] = _root_start(theta[j], float(x[0]), lo, hi)
+        path, y = [], float(x[-1])
+        for _ in range(int(prior.horizon[j])):
+            y = eval_map(theta[j], y)
+            if not lo <= y <= hi:
+                y = float(x[-1])
+            path.append(y)
+        future.append(np.asarray(path))
 
     # Initial atoms matched to the least-squares residual scales. Base-measure
     # draws with shape 1e-3 are so diffuse that early allocation sweeps rarely
@@ -408,7 +416,7 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
     probs = (np.arange(INIT_SLICE_BOUND) + 0.5) / INIT_SLICE_BOUND
     scales = [
         quantile(sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l])), probs)
-        for j, l in zip(*np.triu_indices(m))
+        for j, l in zip(*upper)
     ]
     atoms = AtomTable(m, 1.0 / np.maximum(scales, 1e-12))
 
@@ -419,19 +427,6 @@ def init_chain(data: MultiSeries, prior: PriorConfig, rng: RngHandle) -> ChainSt
         d.append(rng.generator.integers(1, INIT_SLICE_BOUND + 1, size=total))
         N.append(np.full(total, INIT_SLICE_BOUND, dtype=int))
     alloc = Allocations(delta=delta, d=d, N=N)
-
-    x0 = np.asarray([_root_start(theta[j], float(data.series[j][0]), *prior.x0_support[j].tolist())
-                     for j in range(m)])
-    future = []
-    for j in range(m):
-        vals, x = [], float(data.series[j][-1])
-        lo, hi = prior.x0_support[j].tolist()
-        for _ in range(int(prior.horizon[j])):
-            x = eval_map(theta[j], x)
-            if not lo <= x <= hi:
-                x = float(data.series[j][-1])
-            vals.append(x)
-        future.append(np.asarray(vals))
 
     state = ChainState(
         atoms=atoms, alloc=alloc, p=p, lam=lam, theta=theta, x0=x0,

@@ -10,8 +10,9 @@ out-of-sample kernel point by point with scalar normal draws, the trace
 writers record by record, the report's former writers and KDE range, the
 gamma, beta and Dirichlet draw helpers as they were before their checks
 took one pass, the allocation block, the noise predictive and the pair
-pooling as they were before their fixed cost was cut, and the slice sampler
-as it was before its support wrapper went.
+pooling as they were before their fixed cost was cut, the slice sampler
+as it was before its support wrapper went, and the chain's start as it was
+before its three loops over the series became one.
 """
 
 import csv
@@ -20,14 +21,15 @@ import math
 
 import numpy as np
 
-from pdgsbr.diagnostics import kde
-from pdgsbr import gibbs
-from pdgsbr.distributions import (draw_beta, draw_dirichlet, draw_gamma,
+from pdgsbr.diagnostics import kde, quantile
+from pdgsbr import gibbs, model
+from pdgsbr.distributions import (draw_beta, draw_categorical, draw_dirichlet, draw_gamma,
                                   draw_truncated_geometric)
 from pdgsbr.dynamics import eval_map
 from pdgsbr.errors import InvalidStateError, ParameterDomainError
 from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
-from pdgsbr.model import ensure_atoms
+from pdgsbr.model import (INIT_SLICE_BOUND, Allocations, AtomTable, ChainState, _root_start,
+                          ensure_atoms)
 
 
 def full_path(state, data, j: int) -> np.ndarray:
@@ -378,3 +380,66 @@ def former_sample_noise_predictive(state, prior, rng):
     for j in np.flatnonzero(k >= n_star):
         tau[j] = draw_gamma(prior.gamma_a, prior.gamma_b, rng)
     return rng.generator.normal(0.0, tau ** -0.5)
+
+
+# --- the chain's start as written before its per-series loops became one ----
+
+def former_init_chain(data, prior, rng):
+    """init_chain with three loops over the series: the least-squares fits,
+    then, after the label draws, the x0 starts and the future paths."""
+    m = data.m
+    if prior.m != m:
+        raise ValueError(f"prior is for m={prior.m} but data has m={m} series")
+    R = prior.poly_degree
+
+    p = draw_dirichlet(prior.dirichlet_alpha, rng)
+    upper = np.triu_indices(m)
+    lam = np.empty((m, m))
+    lam[upper] = lam[upper[::-1]] = draw_beta(prior.beta_a[upper], prior.beta_b[upper], rng)
+
+    theta, sq_resid = np.zeros((m, R + 1)), []
+    for j in range(m):
+        x = data.series[j]
+        design = np.vander(x[:-1], R + 1, increasing=True)
+        coeffs, _, rank, _ = np.linalg.lstsq(design, x[1:], rcond=None)
+        if rank < R + 1 or not np.all(np.isfinite(coeffs)):
+            model.logger.warning("series %d: singular least-squares start; theta starts at 0",
+                                 j + 1)
+        else:
+            theta[j] = coeffs
+        sq_resid.append((x[1:] - design @ theta[j]) ** 2)
+
+    probs = (np.arange(INIT_SLICE_BOUND) + 0.5) / INIT_SLICE_BOUND
+    scales = [
+        quantile(sq_resid[j] if j == l else np.concatenate((sq_resid[j], sq_resid[l])), probs)
+        for j, l in zip(*np.triu_indices(m))
+    ]
+    atoms = AtomTable(m, 1.0 / np.maximum(scales, 1e-12))
+
+    delta, d, N = [], [], []
+    for j in range(m):
+        total = data.lengths[j] + int(prior.horizon[j])
+        delta.append(draw_categorical(p[j], rng, total))
+        d.append(rng.generator.integers(1, INIT_SLICE_BOUND + 1, size=total))
+        N.append(np.full(total, INIT_SLICE_BOUND, dtype=int))
+    alloc = Allocations(delta=delta, d=d, N=N)
+
+    x0 = np.asarray([_root_start(theta[j], float(data.series[j][0]), *prior.x0_support[j].tolist())
+                     for j in range(m)])
+    future = []
+    for j in range(m):
+        vals, x = [], float(data.series[j][-1])
+        lo, hi = prior.x0_support[j].tolist()
+        for _ in range(int(prior.horizon[j])):
+            x = eval_map(theta[j], x)
+            if not lo <= x <= hi:
+                x = float(data.series[j][-1])
+            vals.append(x)
+        future.append(np.asarray(vals))
+
+    state = ChainState(
+        atoms=atoms, alloc=alloc, p=p, lam=lam, theta=theta, x0=x0,
+        future=future, iteration=0,
+    )
+    state.validate()
+    return state

@@ -80,6 +80,20 @@ UNREADABLE = [("run", "prior", "x0_support", [[-5, 5], [-5]]),
               ("simulate", "data", "n", ["abc", 50]),
               ("simulate", "data", "selection", [[0.5, 0.5], [1.0]])]
 
+# a malformed data.components key or entry, or data.maps not a list, and the words that name
+# it; each once exited 2 with Python's text in place of the key
+ONE_COMPONENT = {"weights": [1.0], "variances": [1e-4]}
+UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
+            "data.components key '1'"),
+           ("component-key-not-numbers", "components", {"a,b": ONE_COMPONENT},
+            "data.components key 'a,b'"),
+           ("component-key-three-numbers", "components", {"1,2,3": ONE_COMPONENT},
+            "data.components key '1,2,3'"),
+           ("maps-a-string", "maps", "Q1", "data.maps"),
+           ("component-weights-a-number", "components",
+            {"1,1": {"weights": 1.0, "variances": [1e-4]}, "2,2": ONE_COMPONENT},
+            "data.components key '1,1'")]
+
 # a valid pair of reproduce selection priors for two series
 ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
 
@@ -796,7 +810,8 @@ class TestConfigHelpers:
         # a bool where a number is due: each once read as 1 and ran
         ("run", "sampler", "seed", True, []),
         ("run", "prior", "poly_degree", True, []),
-    ] + [(*case, []) for case in UNREADABLE],
+    ] + [(*case, []) for case in UNREADABLE]
+      + [("simulate", "data", key, value, []) for _, key, value, _ in UNNAMED],
        ids=["component-key-typo", "component-weights-sum", "selection-without-component",
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
@@ -810,7 +825,8 @@ class TestConfigHelpers:
           "component-key-series-0", "component-pair-named-twice"]
        + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS]
        + ["data-seed-list", "sampler-seed-bool", "prior-poly_degree-bool"]
-       + [f"{block}-{key}-unreadable" for _, block, key, _ in UNREADABLE])
+       + [f"{block}-{key}-unreadable" for _, block, key, _ in UNREADABLE]
+       + [case for case, _, _, _ in UNNAMED])
     def test_malformed_value_exits_2(self, tmp_path, sim_dir, capsys, verb, block, key,
                                      value, extra):
         _, sim = sim_dir
@@ -827,6 +843,9 @@ class TestConfigHelpers:
         assert err.startswith("config error:")
         if (verb, block, key, value) in [*UNREADABLE, ("run", "prior", "poly_degree", "abc")]:
             assert f": {key} cannot be read as numbers:" in err
+        for _, named_key, named_value, words in UNNAMED:
+            if (block, key, value) == ("data", named_key, named_value):
+                assert words in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import loop_write_trace_csv, loop_write_trace_jsonl
+from oracle import former_init_chain, loop_write_trace_csv, loop_write_trace_jsonl
 from pdgsbr import model
 from pdgsbr.distributions import RngHandle, draw_gamma
 from pdgsbr.dynamics import NAMED_MAPS, MultiSeries, NoiseMixtureSpec, eval_map, simulate_multi
@@ -238,6 +238,35 @@ class TestInitChain:
     def test_prior_data_mismatch(self):
         with pytest.raises(ValueError):
             init_chain(small_data(m=2), small_prior(m=3), RngHandle(0))
+
+    def test_one_pass_start_matches_the_former_loops(self, caplog):
+        # a constant and so singular middle series, horizons (0, 2, 3), and the doubling
+        # orbit 1.28, 2.56 leaving series 3's support [-2, 2], so that its second future
+        # point restarts at the last observation
+        data = MultiSeries(series=[small_data(m=1).series[0], np.full(30, 0.7),
+                                   0.01 * 2.0 ** np.arange(7)])
+        prior = small_prior(m=3, poly_degree=1, horizon=[0, 2, 3],
+                            x0_support=[[-5.0, 5.0], [-5.0, 5.0], [-2.0, 2.0]])
+        states, logs, streams = [], [], []
+        for start in (init_chain, former_init_chain):
+            rng = RngHandle(12)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="pdgsbr.model"):
+                states.append(start(data, prior, rng))
+            logs.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
+            streams.append(rng.get_state())
+        new, old = states
+        assert logs[0] == logs[1] == [
+            ("pdgsbr.model", "WARNING", "series 2: singular least-squares start; theta starts at 0")]
+        assert streams[0] == streams[1]
+        assert [path.size for path in new.future] == [0, 2, 3]
+        assert new.future[2][1] == data.series[2][-1]
+        for name in ("theta", "x0", "p", "lam"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        for path, former in zip(new.future, old.future):
+            assert path.dtype == former.dtype and np.array_equal(path, former)
+        assert np.array_equal(new.atoms.values, old.atoms.values)
+        assert np.array_equal(new.alloc.flat, old.alloc.flat)
 
 
 class TestCheckpoint:

@@ -18,11 +18,8 @@ def referenced(tree, skip=frozenset()) -> set:
 
 
 def test_every_import_is_used():
-    # __init__.py imports only to re-export
     found = []
     for name, tree in TREES.items():
-        if name == "__init__.py":
-            continue
         used = referenced(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and (
