@@ -161,8 +161,8 @@ def _resolve_map(spec) -> tuple:
 @_config_errors("data block")
 def parse_data_block(block: dict):
     """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
-    if not isinstance(block["maps"], list):
-        raise ConfigError(f"data.maps must be a list of maps, got {block['maps']!r}")
+    if not isinstance(block["maps"], list) or not block["maps"]:
+        raise ConfigError(f"data.maps must be a non-empty list of maps, got {block['maps']!r}")
     maps = [_resolve_map(s) for s in block["maps"]]
     m = len(maps)
     ns = in_domain("n", block["n"], whole_from(2), (m,))
@@ -251,9 +251,10 @@ def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
 
 def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> MultiSeries:
     check_config_keys(doc)
-    specs, horizons, selection, seed = parse_data_block(_block(doc, "data"))
+    block = _block(doc, "data")
     if seed_override is not None:
-        seed = int(seed_override)
+        block = {**block, "seed": seed_override}
+    specs, horizons, selection, seed = parse_data_block(block)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
     write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict(), indent=1))
     for j, series in enumerate(data.series, start=1):

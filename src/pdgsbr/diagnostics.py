@@ -12,15 +12,15 @@ from .distributions import POSITIVE, UNIT, in_domain
 from .errors import InsufficientSamplesError, TruthUnavailableError
 
 
-def pare(estimate: float, truth: float) -> float:
-    """Percentage absolute relative error.
+def pare(estimate, truth):
+    """Percentage absolute relative error, elementwise.
 
     Convention for a zero truth value: 100 * |estimate - truth| (absolute
     error on the percent scale), applied uniformly.
     """
-    if truth == 0.0:
-        return 100.0 * abs(estimate - truth)
-    return 100.0 * abs(estimate - truth) / abs(truth)
+    truth = np.asarray(truth, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python floats give them
+        return 100.0 * np.abs(estimate - truth) / np.where(truth == 0.0, 1.0, np.abs(truth))
 
 
 def ergodic_average(samples) -> np.ndarray:
@@ -133,23 +133,27 @@ def pare_table(theta, data) -> dict:
     """PARE of posterior-mean coefficients per series, plus row means, from a
     trace's (records, m, R+1) coefficient column ``theta``.
 
-    Returns {"per_coefficient": m x (R+1) array, "row_mean": length-m array,
+    Series j's own width is max(R+1, len(map_j)): a fit or a truth shorter
+    than that has zeros past its end. The table has the widest series' W
+    columns; a cell past a series' own width is NaN, and its row mean runs
+    over its own cells only.
+
+    Returns {"per_coefficient": m x W array, "row_mean": length-m array,
     "posterior_mean_theta": m x (R+1) array}.
     """
     if data.maps_true is None:
         raise TruthUnavailableError("data carries no ground-truth maps")
     theta_mean = np.mean(theta, axis=0)
-    rows = []
-    for est, truth in zip(theta_mean, data.maps_true):
-        truth = np.asarray(truth, dtype=float)
-        if est.size != truth.size:
-            width = max(est.size, truth.size)
-            truth = np.pad(truth, (0, width - truth.size))
-            est = np.pad(est, (0, width - est.size))
-        rows.append([pare(e, t) for e, t in zip(est, truth)])
-    table = np.asarray(rows)
+    fit = theta_mean.shape[1]
+    own = np.maximum(fit, [len(truth) for truth in data.maps_true])
+    inside = np.arange(own.max()) < own[:, None]  # (m, W): the cells of each series' width
+    est, truth = np.zeros(inside.shape), np.zeros(inside.shape)
+    est[:, :fit] = theta_mean
+    for row, coefficients in zip(truth, data.maps_true):
+        row[:len(coefficients)] = coefficients
+    table = np.where(inside, pare(est, truth), np.nan)
     return {
         "per_coefficient": table,
-        "row_mean": table.mean(axis=1),
+        "row_mean": np.where(inside, table, 0.0).sum(axis=1) / own,
         "posterior_mean_theta": theta_mean,
     }

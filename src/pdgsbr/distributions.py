@@ -139,13 +139,9 @@ def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
     if shape >= 1.0:
         value = gen.standard_gamma(shape) / rate
     else:
-        # log-space boost: X = G(shape+1) * U^(1/shape)
+        # log-space boost: X = G(shape+1) * U^(1/shape), U = 1 - random() in (0, 1]
         g = gen.standard_gamma(shape + 1.0)
-        u = gen.random()
-        while u <= 0.0:  # pragma: no cover - random() is in [0, 1)
-            u = gen.random()
-        log_value = math.log(g) + math.log(u) / shape - math.log(rate)
-        value = math.exp(log_value)
+        value = math.exp(math.log(g) + math.log1p(-gen.random()) / shape - math.log(rate))
     return value if value > _GAMMA_FLOOR else _GAMMA_FLOOR
 
 

@@ -233,22 +233,20 @@ def simulate_multi(specs, horizons, rng: RngHandle, selection=None,
     ``allow_escape`` a diverging series keeps its finite prefix (if it has at
     least 2 values) and no futures instead of raising DivergenceError.
     """
-    obs, futs, maps, noises, x0s = [], [], [], [], []
+    obs, futs = [], []
     for j, ((poly, noise, n, x0), horizon) in enumerate(zip(specs, horizons)):
         try:
             series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
         except DivergenceError as exc:
-            if not allow_escape or exc.prefix is None or exc.prefix.size < 2:
+            if not allow_escape or exc.prefix.size < 2:
                 raise
             logger.warning("series %d diverged at step %d; keeping the finite prefix",
                            j + 1, exc.index + 1)
             series, future = exc.prefix, np.empty(0)
         obs.append(series)
         futs.append(future)
-        maps.append(poly)
-        noises.append(noise)
-        x0s.append(float(x0))
     return MultiSeries(
-        series=obs, x0_true=x0s, maps_true=maps, noise_true=noises, futures_true=futs,
-        selection_true=selection,
+        series=obs, x0_true=[float(spec[3]) for spec in specs],
+        maps_true=[spec[0] for spec in specs], noise_true=[spec[1] for spec in specs],
+        futures_true=futs, selection_true=selection,
     )

@@ -133,15 +133,6 @@ def _hankel(R: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.arange(2 * R + 1), R + 1)
 
 
-def pool_pairs(x: np.ndarray, upper) -> np.ndarray:
-    """Per-series sums x[j, l, ...] pooled over the pairs ``upper`` (atom-row
-    order): x[j, j] on the diagonal, x[j, l] + x[l, j] off it."""
-    j, l = upper
-    pooled = x[j, l]
-    np.add(pooled.T, x[l, j].T, out=pooled.T, where=j < l)  # .T: the pairs on the last axis
-    return pooled
-
-
 def _tau_per_point(state: ChainState) -> np.ndarray:
     """Allocated precision tau_{j, delta_ji, d_ji} of every point, flat in
     series order."""
@@ -157,17 +148,16 @@ def precision_posterior_params(state: ChainState, data: MultiSeries, prior: Prio
     arrays laid out like ``state.atoms.values``.
 
     Counts and residual sums run over the whole augmented index range
-    i = 1..n_j+T_j and pool both series of an off-diagonal pair.
+    i = 1..n_j+T_j; an off-diagonal pair pools both orientations, since both
+    map to its atom row, and its residual sum adds them in point order.
     """
-    m = state.m
-    K = state.atoms.max_size()
-    cell = state.alloc.flat[0] * K + state.alloc.flat[1] - 1
-    counts = np.bincount(cell, None, m * m * K).reshape(m, m, K)
+    rows, K = state.atoms.values.shape
+    pair, d, _ = state.alloc.flat
+    cell = state.atoms.index.ravel()[pair] * K + d - 1  # atom row and k of each point
+    counts = np.bincount(cell, None, rows * K).reshape(rows, K)
     rsums = np.bincount(cell, residuals(state, data) if h is None else h,
-                        m * m * K).reshape(m, m, K)
-    upper = state.atoms.upper
-    return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
-            prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
+                        rows * K).reshape(rows, K)
+    return prior.gamma_a + 0.5 * counts, prior.gamma_b + 0.5 * rsums
 
 
 def selection_posterior_alpha(state: ChainState, prior: PriorConfig) -> np.ndarray:
@@ -219,9 +209,9 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
     The support of point (j, i) is its m min(N_ji, N*) live cells l = 1..m,
     k = 1..N_ji. Each cell's log weight log p_{jl} + 1/2 log tau_{jlk}
-    - 1/2 tau_{jlk} h_ji gets standard Gumbel noise -log(-log U), and the
-    point takes its first highest cell: a Gumbel-max draw from the
-    normalized weights (Maddison, Tarlow & Minka 2014). Nothing is
+    - 1/2 tau_{jlk} h_ji gets standard Gumbel noise (``Generator.gumbel``,
+    finite), and the point takes its first highest cell: a Gumbel-max draw
+    from the normalized weights (Maddison, Tarlow & Minka 2014). Nothing is
     exponentiated or normalized, so extreme precisions cannot underflow the
     block. A non-finite weight (an unused NaN cell of a hand-built ragged
     table) counts as -inf.
@@ -230,8 +220,8 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
     gathered once. A cell's flat index (j m + l) K + k into both rises with
     (l, k), so a point's first highest cell is its smallest index among its
     maxima, and divmod by K decodes it into the pair label and d. The live
-    cells of all series lie flat in point order, one uniform each, cut into
-    chunks by ``_alloc_chunks``.
+    cells of all series lie flat in point order, one Gumbel draw each, cut
+    into chunks by ``_alloc_chunks``.
     """
     m = state.m
     K = state.atoms.max_size()
@@ -250,9 +240,7 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
             shift = (first[start:stop] - offset) + lanes * (K - w)
             cell = shift.T.ravel().repeat(w.repeat(m)) + np.arange(offset[-1] + count[-1])
             score = base.take(cell) - tau.take(cell) * half_h[start:stop].repeat(count)
-            noise = rng.generator.random(score.size)  # log(-log U), in place
-            np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
-            score -= noise
+            score += rng.generator.gumbel(size=score.size)
             np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
             best = np.maximum.reduceat(score, offset).repeat(count)
             pick = np.minimum.reduceat(np.where(score == best, cell, tau.size), offset)

@@ -9,8 +9,8 @@ whose random stream the vectorized chain keeps bit for bit, the
 out-of-sample kernel point by point with scalar normal draws, the trace
 writers record by record, the report's former writers and KDE range, the
 gamma, beta and Dirichlet draw helpers as they were before their checks
-took one pass, the allocation block, the noise predictive and the pair
-pooling as they were before their fixed cost was cut, the slice sampler
+took one pass, the allocation block and the noise predictive as they were
+before their fixed cost was cut, the slice sampler
 as it was before its support wrapper went, and the chain's start as it was
 before its three loops over the series became one.
 """
@@ -27,7 +27,7 @@ from pdgsbr.distributions import (draw_beta, draw_categorical, draw_dirichlet, d
                                   draw_truncated_geometric)
 from pdgsbr.dynamics import eval_map
 from pdgsbr.errors import InvalidStateError, ParameterDomainError
-from pdgsbr.gibbs import SLICE_BOUND_CAP, pool_pairs
+from pdgsbr.gibbs import SLICE_BOUND_CAP
 from pdgsbr.model import (INIT_SLICE_BOUND, Allocations, AtomTable, ChainState, _root_start,
                           ensure_atoms)
 
@@ -95,18 +95,17 @@ def alloc_cell_probs(state, data) -> np.ndarray:
 # --- the per-series loop kernels the vectorized ones must reproduce exactly ---
 
 def loop_precision_posterior_params(state, data, prior):
-    m = state.m
-    K = state.atoms.max_size()
-    counts = np.zeros((m, m, K))
-    rsums = np.zeros((m, m, K))
-    for j in range(m):
+    """Counts and residual sums per atom row, series by series in point
+    order: np.add.at adds each point in turn, so an off-diagonal row adds
+    both orientations in the order of the points."""
+    counts = np.zeros(state.atoms.values.shape)
+    rsums = np.zeros(state.atoms.values.shape)
+    for j in range(state.m):
         h = residuals(state, data, j)
-        cells = (state.alloc.delta[j], state.alloc.d[j] - 1)
-        np.add.at(counts[j], cells, 1.0)
-        np.add.at(rsums[j], cells, h)
-    upper = state.atoms.upper
-    return (prior.gamma_a + 0.5 * pool_pairs(counts, upper),
-            prior.gamma_b + 0.5 * pool_pairs(rsums, upper))
+        cells = (state.atoms.index[j, state.alloc.delta[j]], state.alloc.d[j] - 1)
+        np.add.at(counts, cells, 1.0)
+        np.add.at(rsums, cells, h)
+    return prior.gamma_a + 0.5 * counts, prior.gamma_b + 0.5 * rsums
 
 
 def loop_update_slice_N(state, prior, rng):
@@ -135,12 +134,12 @@ def loop_update_geometric_probs(state, prior, rng):
     for j in range(m):
         np.add.at(S[j], state.alloc.delta[j], 1.0)
         np.add.at(Sp[j], state.alloc.delta[j], state.alloc.N[j] - 1.0)
-    upper = state.atoms.upper
-    a = prior.beta_a[upper] + 2.0 * pool_pairs(S, upper)
-    b = prior.beta_b[upper] + pool_pairs(Sp, upper)
-    j, l = upper
-    draws = [draw_beta(x, y, rng) for x, y in zip(a.tolist(), b.tolist())]
-    state.lam[j, l] = state.lam[l, j] = draws
+    # pool both orientations of an off-diagonal pair; the sums are whole numbers
+    for j, l in zip(*state.atoms.upper):
+        pooled_S = S[j, l] + S[l, j] if j < l else S[j, j]
+        pooled_Sp = Sp[j, l] + Sp[l, j] if j < l else Sp[j, j]
+        a, b = prior.beta_a[j, l] + 2.0 * pooled_S, prior.beta_b[j, l] + pooled_Sp
+        state.lam[j, l] = state.lam[l, j] = draw_beta(a, b, rng)
     return state
 
 
@@ -327,17 +326,10 @@ def former_slice_sample_1d(log_f, lo, hi, current, width, max_stepout, rng):
 
 # --- the kernels as written before their fixed cost was cut -------------------
 
-def former_pool_pairs(x, upper):
-    j, l = upper
-    pooled = x[j, l]
-    off = j < l
-    pooled[off] += x[l[off], j[off]]
-    return pooled
-
-
 def former_update_alloc_block(state, data, prior, rng, h=None):
     """The Gumbel-max block with each cell's (l, k) decoded from its position
-    in the point's run and three gathers per cell."""
+    in the point's run and three gathers per cell; its noise is drawn as the
+    block draws it now, so the two agree bit for bit."""
     m = state.m
     K = state.atoms.max_size()
     half_h = 0.5 * (gibbs.residuals(state, data) if h is None else h)
@@ -357,9 +349,7 @@ def former_update_alloc_block(state, data, prior, rng, h=None):
             atom = rows[pair] + k
             score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
                      - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
-            noise = rng.generator.random(score.size)
-            np.log(np.negative(np.log(noise, out=noise), out=noise), out=noise)
-            score -= noise
+            score += rng.generator.gumbel(size=score.size)
             np.fmax(score, -np.inf, out=score)
             best = np.repeat(np.maximum.reduceat(score, offset), count)
             pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)

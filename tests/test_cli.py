@@ -80,8 +80,8 @@ UNREADABLE = [("run", "prior", "x0_support", [[-5, 5], [-5]]),
               ("simulate", "data", "n", ["abc", 50]),
               ("simulate", "data", "selection", [[0.5, 0.5], [1.0]])]
 
-# a malformed data.components key or entry, or data.maps not a list, and the words that name
-# it; each once exited 2 with Python's text in place of the key
+# a malformed data.components key or entry, or data.maps not a list or empty, and the
+# words that name it; each once exited 2 with Python's text, or another key, in place of it
 ONE_COMPONENT = {"weights": [1.0], "variances": [1e-4]}
 UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
             "data.components key '1'"),
@@ -90,6 +90,7 @@ UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
            ("component-key-three-numbers", "components", {"1,2,3": ONE_COMPONENT},
             "data.components key '1,2,3'"),
            ("maps-a-string", "maps", "Q1", "data.maps"),
+           ("maps-empty", "maps", [], "data.maps"),
            ("component-weights-a-number", "components",
             {"1,1": {"weights": 1.0, "variances": [1e-4]}, "2,2": ONE_COMPONENT},
             "data.components key '1,1'")]
@@ -149,6 +150,14 @@ class TestSimulate:
         assert read_bytes(a / "data.json") == read_bytes(b / "data.json")
         assert cli.main(["simulate", "--config", cfg, "--out", str(c), "--seed", "77"]) == 0
         assert read_bytes(a / "data.json") != read_bytes(c / "data.json")
+
+    @pytest.mark.parametrize("seed", [2.7, True, math.nan], ids=["fractional", "bool", "nan"])
+    def test_bad_seed_override_is_refused_before_anything_is_written(self, tmp_path, seed):
+        # 2.7 once simulated with seed 2, True with seed 1, and NaN raised a bare ValueError
+        out = tmp_path / "sim"
+        with pytest.raises(ConfigError, match="seed"):
+            cli.cmd_simulate(base_config(), out, seed_override=seed)
+        assert not out.exists()
 
     def test_missing_key_is_config_error(self, tmp_path):
         doc = base_config()
@@ -433,6 +442,32 @@ class TestReport:
         assert not (out / "boi.json").exists()
         assert not (out / "posterior_mean_p.csv").exists()
         assert (out / "pare_table.csv").exists()
+
+    def test_pare_table_of_a_truth_longer_than_the_fit(self, tmp_path):
+        # a truth map of 8 coefficients beside one of 3, under a quintic fit:
+        # report once crashed on rows of 6 and 8 PAREs
+        doc = base_config()
+        doc["data"]["maps"] = ["Q1", [1.0, 0.0, -1.65, 0.0, 0.0, 0.0, 0.0, 0.0]]
+        doc["prior"]["poly_degree"] = 5
+        doc["sampler"].update(iterations=40, burn_in=10)
+        cfg = write_config(tmp_path, doc)
+        sim, run, out = tmp_path / "sim", tmp_path / "run", tmp_path / "rep"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(run)]) == 0
+        assert cli.main(["report", "--trace", str(run / "trace.jsonl"),
+                         "--data", str(sim / "data.json"), "--out", str(out)]) == 0
+        header, *rows = (line.split(",") for line in
+                         (out / "pare_table.csv").read_text().splitlines())
+        assert header == ["series", *(f"theta_{k}" for k in range(8)), "mean"]
+        short, long = (np.array(row[1:], dtype=float) for row in rows)
+        assert rows[0][7:9] == ["nan", "nan"] and np.isfinite(short[:6]).all()
+        assert np.isfinite(long).all()
+        for values, width in ((short, 6), (long, 8)):  # each mean over its own cells
+            assert values[-1] == pytest.approx(values[:width].mean(), rel=1e-5)
+        summary = json.loads((out / "summary.json").read_text())
+        assert [summary["mean_pare"][j] for j in "12"] == pytest.approx([short[-1], long[-1]],
+                                                                       rel=1e-5)
 
     def test_m_mismatch_is_config_error(self, tmp_path, run_dir):
         cfg, sim, run = run_dir

@@ -63,6 +63,16 @@ class TestGamma:
         centered_sq = (draws - draws.mean()) ** 2
         assert abs(draws.var() - oracle_var) < 3.0 * mc_se(centered_sq)
 
+    @pytest.mark.parametrize("shape", [0.5, 0.05])
+    def test_boosted_small_shape_mean_and_variance(self, rng, shape):
+        # shape < 1 draws through the boost G(shape + 1) U^(1/shape):
+        # Gamma(shape, rate) has mean shape / rate and variance shape / rate^2
+        rate = 2.0
+        draws = np.array([draw_gamma(shape, rate, rng) for _ in range(N_DRAWS)])
+        assert abs(draws.mean() - shape / rate) < 3.0 * mc_se(draws)
+        centered_sq = (draws - shape / rate) ** 2
+        assert abs(centered_sq.mean() - shape / rate ** 2) < 3.0 * mc_se(centered_sq)
+
     @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_domain_errors(self, rng, shape, rate):
         with pytest.raises(ParameterDomainError):
@@ -413,9 +423,10 @@ class TestDrawHelpersKeepTheirStream:
     Python floats and numpy scalars alike, before drawing anything."""
 
     @pytest.mark.parametrize("helper, former, args", [
-        (draw_gamma, former_draw_gamma, [(s, r) for s in (1e-3, 0.5, 1.0, 2.5, 300.0)
+        # shape >= 1 only: the boost for shape < 1 draws its uniform as 1 - U now
+        (draw_gamma, former_draw_gamma, [(s, r) for s in (1.0, 2.5, 300.0)
                                          for r in (1e-3, 1.0, 50.0)]),
-        (draw_gamma, former_draw_gamma, [(np.float64(0.7), np.float64(3.0)), (2, 1)]),
+        (draw_gamma, former_draw_gamma, [(np.float64(1.7), np.float64(3.0)), (2, 1)]),
         (draw_beta, former_draw_beta, [(0.5, 0.5), (np.float64(28.5), 32.5), (1e-3, 1e3),
                                        (np.array([0.5, 2.0, 1e-3]), np.array([0.5, 7.0, 1e3])),
                                        (np.full((2, 3), 0.5), 2.0)]),

@@ -24,7 +24,6 @@ from pdgsbr.gibbs import (
     _alloc_chunks,
     geometric_posterior_params,
     parametric_tau_params,
-    pool_pairs,
     precision_posterior_params,
     run_chain,
     run_parametric_gaussian,
@@ -54,7 +53,6 @@ from pdgsbr.model import (
 from oracle import (
     alloc_cell_probs,
     augmented_joint_density,
-    former_pool_pairs,
     former_sample_noise_predictive,
     former_update_alloc_block,
     loop_precision_posterior_params,
@@ -532,25 +530,19 @@ FORMER_STATES = {"4c-mixed-bounds": mixed_bounds_fourc_state, "ragged-nan": ragg
 
 
 class TestKernelsKeepTheirFormerStream:
-    """The allocation block, the noise predictive and the pair pooling give
-    what their former forms (tests/oracle.py) give, bit for bit, and leave
-    the generators in equal states."""
+    """The allocation block and the noise predictive give what their former
+    forms (tests/oracle.py) give, bit for bit, and leave the generators in
+    equal states."""
 
     @pytest.mark.parametrize("make", FORMER_STATES.values(), ids=FORMER_STATES)
-    def test_alloc_block_and_pooling_equal_the_former_form(self, make):
+    def test_alloc_block_equals_the_former_form(self, make):
         state, data, prior, rng = make()
         former, former_rng = copy.deepcopy(state), RngHandle.from_state(rng.get_state())
-        K = state.atoms.max_size()
         for _ in range(3):
             update_alloc_block(state, data, prior, rng)
             former_update_alloc_block(former, data, prior, former_rng)
             assert np.array_equal(state.alloc.flat, former.alloc.flat)
             assert rng.get_state() == former_rng.get_state()
-            cell = state.alloc.flat[0] * K + state.alloc.flat[1] - 1
-            for weights in (None, gibbs.residuals(state, data)):  # the counts, then the sums
-                x = np.bincount(cell, weights, state.m ** 2 * K).reshape(state.m, state.m, K)
-                got, want = pool_pairs(x, state.atoms.upper), former_pool_pairs(x, state.atoms.upper)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", FORMER_STATES.values(), ids=FORMER_STATES)
     def test_noise_predictive_equals_the_former_form(self, make):
@@ -565,14 +557,19 @@ class TestKernelsKeepTheirFormerStream:
         assert rng.get_state() == former_rng.get_state()
 
     def test_pooling_keeps_an_infinite_sum(self):
-        # a residual sum that overflowed to inf, on the diagonal and off it: an
-        # inf times a 0/1 mask would make the diagonal's pooled value NaN
-        x = np.arange(3.0 * 3 * 2).reshape(3, 3, 2)
-        x[1, 1, 0] = x[0, 2, 1] = np.inf
-        upper = np.triu_indices(3)
-        got, want = pool_pairs(x.copy(), upper), former_pool_pairs(x.copy(), upper)
-        assert got.tobytes() == want.tobytes() and not np.isnan(got).any()
-        assert got[3, 0] == np.inf and got[2, 1] == np.inf
+        # a residual that overflowed to inf, on a diagonal atom row and on an
+        # off-diagonal one: each row's rate stays inf, and no rate is NaN
+        state, data, prior, _ = fourc_state()
+        pair, d, _ = state.alloc.flat
+        row = state.atoms.index.ravel()[pair]
+        diagonal = pair // state.m == pair % state.m
+        h = gibbs.residuals(state, data)
+        picks = [np.flatnonzero(diagonal)[0], np.flatnonzero(~diagonal)[-1]]
+        h[picks] = np.inf
+        shape, rate = precision_posterior_params(state, data, prior, h)
+        assert not np.isnan(rate).any()
+        assert np.isinf(rate[row[picks], d[picks] - 1]).all()
+        assert np.isfinite(rate).sum() == rate.size - 2
 
 
 class TestSliceBoundKernel:

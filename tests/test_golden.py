@@ -36,13 +36,13 @@ CASES = {
 GOLDEN = {
     "2.4": {
         "4a-strong": {
-            "trace.jsonl": "47167ff25cc8db37a28b6e3f742f0b66f7e6a3729bd9993a65ffdfe2321308b2",
-            "trace.csv": "de45a94b342192f47abdc76c3cd971ca2098cca27c5517cc5ae367c1231ef476",
+            "trace.jsonl": "bfb78be75c0cbb4d3d0a44d9ef3a3b72d1b32a23de4dbb6447e64889e5f7affd",
+            "trace.csv": "a8fbb0ebfe8bbd58cab985507ba169b67e452b016cc91e3b4f0d0c5ecca0c30a",
         },
         "4c-checkpointed": {
-            "trace.jsonl": "7aed6138bc1ca85e1631265bb03bb0f894f9a9be0ec7e3786c191a696d4ead42",
-            "trace.csv": "7f0a9691d8006d9f20c946af6e628eed127d32e32da1be68ecdf1dbfac5788d9",
-            "checkpoint.json": "e81d32bb0e66ce9f2be1e7972cf6864baedd79f76fc1db476c5ade53e5e5fa63",
+            "trace.jsonl": "891800483fea720f08521d9c2eb26a6c0ce4358aa19cd3b83c10cae4698dbf9e",
+            "trace.csv": "880876b84711eb49263647d2740a243eb4a7c56cc7ce535094ba181ce04c65af",
+            "checkpoint.json": "55b4a5fd4b6a9a914038416614bace16d9b9071a06737865956bd6e6e9579acb",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
@@ -62,20 +62,20 @@ GOLDEN = {
 GOLDEN_REPORT = {
     "2.4": {
         "4a-strong": {
-            "boi.json": "1379637f4588ad8125c54a6e53e5ffb88476a24f74461d0c160c2dc25d657598",
-            "ergodic_theta_1.csv": "6fb359237bd8632952a6a86123d2a6582fbf3da6b4bd621a70d648f216b8cea9",
-            "ergodic_theta_2.csv": "9b07931226064fd71d511aefa57099c7322b35ed599cb38d3daca34b97f88e0f",
-            "hpdi.json": "53d78cea3fdee8f1f5f1056116a0c8b9e0be0cf915ec6f3c52bb90eeaa6d866c",
-            "kde_future_1.csv": "8bea82f698967cfcde63532020132b24ebc38af5d82dfb8e72f95a9e22985125",
-            "kde_future_2.csv": "cfb21b56588defde2c18781d4e2b08fa09e779fa85f49335126d6cef39194cad",
-            "kde_noise_1.csv": "bf3ad1567710e47a908caedf775116f05c35b505629af784e92cf117c0857fc0",
-            "kde_noise_2.csv": "fd5dc594c55f7cc7b0da8508ed6e8f2cec6228d763bc241628221203e0742e32",
-            "kde_x0_1.csv": "3d8f43940bb16e338087cd6a585772ea8904493bffb85548ddd4929f9233c039",
-            "kde_x0_2.csv": "cd614c512338f90e824370010f2dc8f68b4f2f61003e8cded228de7903a5105b",
-            "pare_table.csv": "0b6c2e4c30caf33534874d7bdb4b409ffb62644711b6a5bc809379ea38dadd6a",
-            "posterior_mean_lambda.csv": "9abd08a92fcd657066ab1c81b45dfaf35cfc1dd672217f2bb4a127dcc89fc444",
-            "posterior_mean_p.csv": "d1000140e0a916ddcabe25f27110a97df87f844d2200688b8313c8bc90e20700",
-            "summary.json": "954bbe5eada226eb8d9784a148965278e0948485a0b6b3f7be769312bf08a647",
+            "boi.json": "8f3f8cbc70ba57793dae6c509067eec9409f88ea5eae0e741c385b3b5980ab3b",
+            "ergodic_theta_1.csv": "af17a399f296f896c6d634654b324e6d3af2032a081adc52d1db04b44b1d1560",
+            "ergodic_theta_2.csv": "bbefb9f80fee97128a8c273cad692ee57e404b545c0d352678f3ab5a208b67c6",
+            "hpdi.json": "3da1a49302e4761579f83dfab4a6ec5922d98e24f28ab412a970df1f6b586b54",
+            "kde_future_1.csv": "75c9ff9250e2d877054df0be4e025081433588a2612c1a3ac70db18120e7cd4d",
+            "kde_future_2.csv": "bad6d417fd50f5afb4c4b40cae5758dc25a3ee5b4dcfbe6b492900b323286333",
+            "kde_noise_1.csv": "985c26765c26f046212824440972fd6522e3941ab393ac799b98e8a1d5445978",
+            "kde_noise_2.csv": "e4f8fe744fbf99fd3004f25709068f70f95cae4fc187c661a83ff9fff33fa3ce",
+            "kde_x0_1.csv": "9841fbc1465108d9813609cf928f93be6e39908a83744648b5b3614128161c9a",
+            "kde_x0_2.csv": "7934c903822842b1b57cb2365967a46f177b778d849b405098890413727d9da3",
+            "pare_table.csv": "64720f70592ebc8627b6c1a078f0e6e64c4f7d528d0a4a69404ba71ed96ded67",
+            "posterior_mean_lambda.csv": "6dffe05b02ebbe8aaf805f47c69686c93e5db791c22c82d5a8060a64b18d30fd",
+            "posterior_mean_p.csv": "b22ebc40f41120dcdd4bcd4d47a1ab40af2c8698589388d37a47f7690ef4c3f2",
+            "summary.json": "8e481959a53f9226b47a567dc440dc6ad2412741775a255392efae81b0c81632",
         },
         "4a-parametric-h3": {
             "ergodic_theta_1.csv": "3716ae6a6b59074b67f7e8e870caf46004af9435d38bcc4a1b57db3a4b3d725e",
@@ -91,24 +91,24 @@ GOLDEN_REPORT = {
             "summary.json": "ca05cad9551f350abb2d9c7651da7412e593b26d180cb31631d8209418d45f6e",
         },
         "4c-checkpointed": {
-            "boi.json": "b40c1866797b873128e749e1bbcca5fdc17629eb385b017e971a0e4585690dd2",
-            "ergodic_theta_1.csv": "59259c346c3687c8f3e76141155ef7cc4d5f2dbe3e1f44b95931d8bac0d4f7ab",
-            "ergodic_theta_2.csv": "14a769be062b493039f830c146cd79b01bc3149366d48650042d512691ef3617",
-            "ergodic_theta_3.csv": "3481d6e6451ab212dfb700848e6aed92e92b1486775b0bf8e3db97db195c30c1",
-            "hpdi.json": "daeaa7dc3da0d2a40b50aac017e4224ab2be7b2853118b85adfe2a1095822872",
-            "kde_future_1.csv": "9312b60210c979d27249d54bcad58ce33023f3547fa4ce14216147220bee0e5b",
-            "kde_future_2.csv": "04d62b51b23936f51f93b4d0b4605f70076a5ab78a9bd3690aa18ffd0a15da5e",
-            "kde_future_3.csv": "b78cbc21ba8a60ab8fa0b007990a653129abc7ccbd0a9d90d685bd2232e1e833",
-            "kde_noise_1.csv": "1a13d3302266179555b1de98fd622d21a797accf839d11ce3b0f2c277235398a",
-            "kde_noise_2.csv": "614434026885530e21a3aa2f2f54359da404fcf8ec84f277e25ea363e5ba5c9e",
-            "kde_noise_3.csv": "d144e400d9bd8124860caf53fe45556dddb6c81293e5e37c39a5de19023179d7",
-            "kde_x0_1.csv": "ae21e9dcdf0ac96eb0ae3fa03ad41c922d9057e7d47754a08ffa390b1dfe34d4",
-            "kde_x0_2.csv": "d8b065cb42f32b65f9d72b01109efade390dd7947bebdb7807af3918ebcf6536",
-            "kde_x0_3.csv": "a25260fd001b0ffa9c31ae821cec6022d22834496f625f1956d9285bb6866279",
-            "pare_table.csv": "e4ba27a362f8a4d62abd74ee49a60e0aa1b27f83c395ee1657d4ad2692d974bc",
-            "posterior_mean_lambda.csv": "ee0aa9e47c13933d61e6859dcbd5e00f12aa115c3132cf41f79fcdc589214540",
-            "posterior_mean_p.csv": "25539948bae5d406201ee31d50771538db7df54a5990ac3c29353c30cc5af089",
-            "summary.json": "97bafa989d7d09f461138f63c14df20346026a137f8469c1b5911364940ae541",
+            "boi.json": "f7da92338e5901e87dd9e30fa8431d112b11b014a099df2c69ca031c0b3c7a86",
+            "ergodic_theta_1.csv": "41f4b3b8ee6759cd070f79406be4829fb8206432c460fe6d426a3a86ab5674e4",
+            "ergodic_theta_2.csv": "be3b8df12b52d353534d6160ea9c520c3d709424420bdf5c25a20e037f11d6fc",
+            "ergodic_theta_3.csv": "a570472f9c0953b7217a9e5941a4aace4ecf1ffb5842e19a2fa6ef676072f24c",
+            "hpdi.json": "b646052e4a20b2cdfe817619e047c4d71488cafa8bcb1d1338f6f1c1c1c1121f",
+            "kde_future_1.csv": "ab0bbcc9724a6f6b7dad8e68d3c3bb42913867a96428be55c12aeea74e47f2cc",
+            "kde_future_2.csv": "765b3e35eb9389f8fd695e34f47cdf1d5c1b9d6dfcb6a492feddf637c7c27bdf",
+            "kde_future_3.csv": "226611962c44d7a945c8d45451bb8de88a48ac4863cf5cf91d1147b11b689684",
+            "kde_noise_1.csv": "931c0b8d43d43ca704b71b745df4f1b7a7db15edcb12cc2c8572824fa69c1251",
+            "kde_noise_2.csv": "594898b242fc0fe143e168f3552449c752ef16970e501c82c7713c4a43dcfd6f",
+            "kde_noise_3.csv": "ed8a304b5446081a3943416b8d3321518a23a4f775219641490b723ec8d3e1c0",
+            "kde_x0_1.csv": "e16f5e2cd3b76ba16b5861905b93b6b470646c5689bbf5387572e2241f228e5e",
+            "kde_x0_2.csv": "290fa9a17e057a38edb72bf645eadaadf25c8c3a0cf1bbb755532bc14912e989",
+            "kde_x0_3.csv": "78fec8ea8bd14afece85dca2f3ab91a71c6519594ac8a0c9bfb05fb1ed63b15d",
+            "pare_table.csv": "8f5e878910b047344554ca586569f6a1b7ca65ce0ca9349837ca90c965976ebd",
+            "posterior_mean_lambda.csv": "b921841e3389f14d2e8dce8ab0f8e929d2ce277bfbec1ba822c6cfe35aae7d3f",
+            "posterior_mean_p.csv": "323383f0933b90debb5952b5b72eb1b4c98dd172af2422dc82bfbb02b8fca53f",
+            "summary.json": "4e761eef4679bbd00a26110695ed6240b24eb3c3f7687dfda137794dfb3bb7a5",
         },
     },
 }
