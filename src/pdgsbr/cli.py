@@ -236,7 +236,7 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(out_dir, command: str, doc: dict, extra: dict) -> None:
+def write_manifest(out_dir, command: str, doc: dict, **extra) -> None:
     manifest = {
         "command": command,
         "config_hash": config_hash(doc),
@@ -260,7 +260,7 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
     for j, series in enumerate(data.series, start=1):
         _write_csv(os.path.join(out_dir, f"series_{j}.csv"), ["index", "value"],
                    ((str(i), repr(x)) for i, x in enumerate(series.tolist(), start=1)))
-    write_manifest(out_dir, "simulate", doc, {"data_seed": seed})
+    write_manifest(out_dir, "simulate", {**doc, "data": {**block, "seed": seed}})
     return data
 
 
@@ -288,15 +288,10 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     )
     write_trace_jsonl(os.path.join(out_dir, "trace.jsonl"), trace,
                       csv_path=os.path.join(out_dir, "trace.csv"))
-    write_manifest(out_dir, "run", doc, {
-        "sampler": sampler,
-        "chain_seed": config.seed,
-        "data_path": os.path.basename(str(data_path)),
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "thinning": config.thinning,
-        "alpha_key": alpha_key,
-    })
+    write_manifest(out_dir, "run", {  # the config that ran, with every override applied
+        **doc, "sampler": dataclasses.asdict(config),
+        "prior": {**_block(doc, "prior"), "dirichlet_alpha": prior.dirichlet_alpha.tolist()},
+    }, sampler=sampler, data_path=os.path.basename(str(data_path)))
     return trace
 
 
@@ -455,7 +450,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
                      f"{comparison['hpdi_width_strong']:>12.5f}")
     print("\n".join(lines))
     write_text(os.path.join(out_dir, "comparison.json"), json.dumps(comparison, indent=1))
-    write_manifest(out_dir, "reproduce", doc, {"scale": scale})
+    write_manifest(out_dir, "reproduce", doc, scale=scale)
     return comparison
 
 

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import POSITIVE, UNIT, in_domain
+from .distributions import UNIT, in_domain
 from .errors import InsufficientSamplesError, TruthUnavailableError
 
 
@@ -94,19 +94,19 @@ KDE_BLOCK_CELLS = 8192
 class KdeGrid:
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 sigma-hat n^(-1/5), floored to stay positive on degenerate input."""
-    sd = float(np.std(samples))
+    """1.06 sigma-hat n^(-1/5), floored to stay positive on degenerate input;
+    inf or NaN where finite samples spread too far for a double to hold it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(samples))
     n = samples.size
     return max(1.06 * sd * n ** (-0.2), 1e-12)
 
 
-def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
-        bandwidth: Optional[float] = None) -> KdeGrid:
-    """Gaussian-kernel density estimate on an equally spaced grid.
+def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None) -> KdeGrid:
+    """Gaussian-kernel density estimate at Silverman's bandwidth on an even grid.
 
     Without an explicit grid, the grid spans the sample range extended by
     four bandwidths on each side, so the trapezoid integral is close to 1.
@@ -114,8 +114,9 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2 or not np.isfinite(samples).all():
         raise InsufficientSamplesError(f"need >= 2 samples, all finite; got {samples.size}")
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(samples)
-    h = in_domain("bandwidth", h, POSITIVE)
+    h = silverman_bandwidth(samples)
+    if not math.isfinite(h):
+        raise InsufficientSamplesError(f"no finite bandwidth for {samples.size} samples")
     if grid is None:
         lo, hi = samples.min() - 4.0 * h, samples.max() + 4.0 * h
         grid = np.linspace(lo, hi, KDE_GRID_SIZE)
@@ -126,7 +127,7 @@ def kde(samples: Sequence[float], grid: Optional[np.ndarray] = None,
         z = (grid[start:start + rows, None] - samples[None, :]) / h
         sums[start:start + rows] = np.exp(-0.5 * z ** 2).sum(axis=1)
     density = sums / (samples.size * h * math.sqrt(2.0 * math.pi))
-    return KdeGrid(grid=grid, density=density, bandwidth=h)
+    return KdeGrid(grid=grid, density=density)
 
 
 def pare_table(theta, data) -> dict:
@@ -138,8 +139,7 @@ def pare_table(theta, data) -> dict:
     columns; a cell past a series' own width is NaN, and its row mean runs
     over its own cells only.
 
-    Returns {"per_coefficient": m x W array, "row_mean": length-m array,
-    "posterior_mean_theta": m x (R+1) array}.
+    Returns {"per_coefficient": m x W array, "row_mean": length-m array}.
     """
     if data.maps_true is None:
         raise TruthUnavailableError("data carries no ground-truth maps")
@@ -152,8 +152,4 @@ def pare_table(theta, data) -> dict:
     for row, coefficients in zip(truth, data.maps_true):
         row[:len(coefficients)] = coefficients
     table = np.where(inside, pare(est, truth), np.nan)
-    return {
-        "per_coefficient": table,
-        "row_mean": np.where(inside, table, 0.0).sum(axis=1) / own,
-        "posterior_mean_theta": theta_mean,
-    }
+    return {"per_coefficient": table, "row_mean": np.where(inside, table, 0.0).sum(axis=1) / own}

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, InvalidStateError, ParameterDomainError
+from .errors import InvalidStateError, ParameterDomainError
 
 # Positive floor applied to gamma variates so that extreme shapes (e.g. the
 # 1e-3 reference-prior setting) can never underflow to exactly zero.
@@ -182,12 +182,12 @@ def draw_categorical(weights: np.ndarray, rng: RngHandle, size=None):
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
-        raise DegenerateWeightsError("weights must be a non-empty vector")
+        raise ParameterDomainError("weights must be a non-empty vector")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise DegenerateWeightsError(f"weights must be finite and non-negative, got {weights}")
+        raise ParameterDomainError(f"weights must be finite and non-negative, got {weights}")
     total = weights.sum()
     if total <= 0:
-        raise DegenerateWeightsError("all weights are zero")
+        raise ParameterDomainError("all weights are zero")
     cumulative = np.cumsum(weights)
     index = np.searchsorted(cumulative, rng.generator.random(size) * total, side="right")
     if size is None:

@@ -2,11 +2,7 @@
 
 
 class ParameterDomainError(ValueError):
-    """A distribution parameter is outside its admissible domain."""
-
-
-class DegenerateWeightsError(ValueError):
-    """Categorical weights are all zero, negative, or non-finite."""
+    """A distribution parameter, or a categorical's weights, is outside its domain."""
 
 
 class InvalidStateError(RuntimeError):
@@ -32,13 +28,9 @@ class DivergenceError(RuntimeError):
 class SingularDesignError(RuntimeError):
     """The precision matrix of a control-parameter draw is numerically singular."""
 
-    def __init__(self, series, cond=None):
+    def __init__(self, series, cond):
         self.series = series  # 0-based; the message counts from 1
-        self.cond = cond
-        super().__init__(
-            f"singular design for series {series + 1}"
-            + (f" (condition estimate {cond:.3g})" if cond is not None else "")
-        )
+        super().__init__(f"singular design for series {series + 1} (condition estimate {cond:.3g})")
 
 
 class TruthUnavailableError(ValueError):

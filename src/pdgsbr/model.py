@@ -88,7 +88,6 @@ class AtomTable:
     """
 
     def __init__(self, m: int, values=None):
-        self.m = m
         self.upper = np.triu_indices(m)
         rows = np.arange(self.upper[0].size)
         self.index = np.empty((m, m), dtype=int)

@@ -140,7 +140,7 @@ class TestSimulate:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert manifest["data_seed"] == 9
+        assert manifest["config"]["data"]["seed"] == 9
 
     def test_deterministic_and_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -208,7 +208,7 @@ class TestRun:
         assert (out / "trace.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sampler"] == "pdgsbr"
-        assert manifest["chain_seed"] == 5
+        assert manifest["config"]["sampler"]["seed"] == 5
 
     def test_run_is_deterministic(self, tmp_path, sim_dir):
         cfg, sim = sim_dir
@@ -506,21 +506,27 @@ class TestReport:
         assert (out / "summary.json").exists() and (out / "ergodic_theta_2.csv").exists()
         assert "no noise KDE grid" in caplog.text
 
-    def test_non_finite_samples_skip_their_grid(self, tmp_path, sim_dir, caplog):
-        # one NaN z_pred once ended report with a traceback ("bandwidth holds nan")
+    @pytest.mark.parametrize("z, reason", [
+        ([0.0, 0.01, math.nan, 0.03, 0.04], "need >= 2 samples, all finite; got 5"),
+        # finite, but np.std overflows on their squares
+        ([1e200, -1e200] * 2 + [1e200], "no finite bandwidth for 5 samples"),
+    ], ids=["nan", "spread-past-1e154"])
+    def test_samples_without_a_bandwidth_skip_their_grid(self, tmp_path, sim_dir, caplog, z,
+                                                         reason):
+        # each once ended report with a traceback ("bandwidth holds nan", or inf)
         _, sim = sim_dir
         records = [dict(MIXTURE, iteration=31 + i, x0=[0.1 + 0.01 * i, 0.2 - 0.01 * i],
-                        z_pred=[0.01 * i, -0.02 * i]) for i in range(5)]
-        records[2]["z_pred"] = [math.nan, 0.0]
+                        z_pred=[z[i], -0.02 * i]) for i in range(5)]
         trace = tmp_path / "trace.jsonl"
         trace.write_text(jsonl(*records))
         out = tmp_path / "rep"
         assert cli.main(["report", "--trace", str(trace), "--data", str(sim / "data.json"),
                          "--out", str(out)]) == 0
-        assert "series 1: no noise KDE grid: need >= 2 samples, all finite; got 5" in caplog.text
+        assert f"series 1: no noise KDE grid: {reason}" in caplog.text
         assert sorted(path.name for path in out.glob("kde_*.csv")) == [
             "kde_future_1.csv", "kde_future_2.csv", "kde_noise_2.csv", "kde_x0_1.csv",
             "kde_x0_2.csv"]
+        assert (out / "summary.json").exists()
 
     def test_hand_made_trace_is_reported(self, tmp_path, sim_dir):
         # each malformed trace below differs from this one in one record or field
@@ -756,14 +762,28 @@ class TestReproduce:
             cli.cmd_reproduce("4A", None, out, doc=doc)
         assert not out.exists()
 
-    def test_manifest_replay_is_byte_identical(self, tmp_path, sim_dir):
-        cfg, sim = sim_dir
-        manifest = json.loads((sim / "manifest.json").read_text())
+    @pytest.mark.parametrize("verb, overrides", [
+        ("simulate", {}),
+        ("simulate", {"seed_override": 77}),
+        ("run", {}),
+        ("run", {"seed_override": 7}),
+        ("run", {"seed_override": 7, "alpha_key": "dirichlet_alpha_strong"}),
+    ], ids=["simulate", "simulate-seed", "run", "run-seed", "run-seed-strong-prior"])
+    def test_manifest_replay_is_byte_identical(self, tmp_path, sim_dir, verb, overrides):
+        # an override once stayed out of the embedded config: run --seed 7 embedded the
+        # config's seed 5 and kept 7 in a side field, so its replay ran another chain
+        _, sim = sim_dir
+        doc = base_config()
+        doc["prior"].update(ALPHAS, dirichlet_alpha_strong=[[5, 1], [1, 5]])
+        command = (cli.cmd_simulate if verb == "simulate"
+                   else functools.partial(cli.cmd_run, data_path=sim / "data.json"))
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        command(doc, out_dir=first, **overrides)
         # replay from the embedded config alone
-        replay = tmp_path / "replay"
-        cli.cmd_simulate(manifest["config"], replay)
-        for name in ("data.json", "series_1.csv", "series_2.csv", "manifest.json"):
-            assert read_bytes(sim / name) == read_bytes(replay / name), name
+        command(json.loads((first / "manifest.json").read_text())["config"], out_dir=replay)
+        assert sorted(os.listdir(first)) == sorted(os.listdir(replay))
+        for name in os.listdir(first):
+            assert read_bytes(first / name) == read_bytes(replay / name), name
 
 
 class TestConfigHelpers:

@@ -21,7 +21,7 @@ from pdgsbr.distributions import (
     json_numbers,
     slice_sample_1d,
 )
-from pdgsbr.errors import DegenerateWeightsError, InvalidStateError, ParameterDomainError
+from pdgsbr.errors import InvalidStateError, ParameterDomainError
 
 from oracle import (former_draw_beta, former_draw_dirichlet, former_draw_gamma,
                     former_slice_sample_1d)
@@ -164,11 +164,11 @@ class TestCategorical:
             assert p > 0.001
 
     def test_degenerate_weights(self, rng):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ParameterDomainError):
             draw_categorical([0.0, 0.0], rng)
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ParameterDomainError):
             draw_categorical([1.0, -1.0], rng)
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ParameterDomainError):
             draw_categorical([1.0, float("nan")], rng)
 
 
@@ -189,9 +189,9 @@ class TestCategorical:
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [1.0, float("nan")], [],
                                          [[1.0, 2.0]]])
     def test_array_form_has_the_same_domain_errors(self, rng, weights):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ParameterDomainError):
             draw_categorical(weights, rng)
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ParameterDomainError):
             draw_categorical(weights, rng, 3)
 
 
