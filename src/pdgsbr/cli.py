@@ -244,7 +244,7 @@ def write_manifest(out_dir, command: str, doc: dict, **extra) -> None:
         "version": __version__,
     }
     manifest.update(extra)
-    write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=1, default=str))
+    write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, default=str))
 
 
 # --- simulate --------------------------------------------------------------------
@@ -256,7 +256,7 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
         block = {**block, "seed": seed_override}
     specs, horizons, selection, seed = parse_data_block(block)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
-    write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict(), indent=1))
+    write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict()))
     for j, series in enumerate(data.series, start=1):
         _write_csv(os.path.join(out_dir, f"series_{j}.csv"), ["index", "value"],
                    ((str(i), repr(x)) for i, x in enumerate(series.tolist(), start=1)))
@@ -281,8 +281,8 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     if sampler == "gsbr" and data.m != 1:
         raise ConfigError(f"the gsbr sampler needs exactly one series; the data have m={data.m}")
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-    with _config_errors(f"checkpoint {resume_path}"):  # (state, rng) to resume from
-        resume = load_checkpoint(resume_path, data, prior)[:2] if resume_path else None
+    with _config_errors(f"checkpoint {resume_path}"):
+        resume = load_checkpoint(resume_path, data, prior) if resume_path else None
     trace = SAMPLERS[sampler](
         data, prior, config, checkpoint_path=checkpoint_path, resume=resume
     )
@@ -302,13 +302,6 @@ def _write_csv(path, header, rows) -> None:
     of ``rows`` (an iterable of str), comma-joined, with CRLF line ends. No
     value here needs quoting."""
     write_text(path, "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n", newline="")
-
-
-def _write_matrix(path, matrix: np.ndarray) -> None:
-    """A 2-D float array with np.savetxt(fmt="%.17g", delimiter=",")'s bytes:
-    no header, LF line ends."""
-    write_text(path, "\n".join([",".join(["%.17g" % v for v in row]) for row in matrix.tolist()])
-               + "\n", newline="")
 
 
 def _repr_rows(table: np.ndarray):
@@ -339,21 +332,19 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
 
     if trace.p is not None:
         mean_p = np.mean(trace.p, axis=0)
-        _write_matrix(os.path.join(out_dir, "posterior_mean_p.csv"), mean_p)
-        _write_matrix(os.path.join(out_dir, "posterior_mean_lambda.csv"),
-                      np.mean(trace.lam, axis=0))
         summary["boi"] = {
             str(j + 1): boi(mean_p, j, [l for l in range(m) if l != j]) for j in range(m)
         }
         summary["posterior_mean_p"] = mean_p.tolist()
+        summary["posterior_mean_lambda"] = np.mean(trace.lam, axis=0).tolist()
 
     if data.maps_true is not None:
         table = pare_table(trace.theta, data)
         degree = table["per_coefficient"].shape[1]
+        rows = _repr_rows(np.column_stack((table["per_coefficient"], table["row_mean"])))
         _write_csv(os.path.join(out_dir, "pare_table.csv"),
                    ["series"] + [f"theta_{k}" for k in range(degree)] + ["mean"],
-                   ([str(j + 1)] + [f"{v:.6g}" for v in table["per_coefficient"][j]]
-                    + [f"{table['row_mean'][j]:.6g}"] for j in range(m)))
+                   ((str(j), *row) for j, row in enumerate(rows, start=1)))
         summary["mean_pare"] = {str(j + 1): float(table["row_mean"][j]) for j in range(m)}
 
     for j in range(m):
@@ -385,12 +376,7 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
             "width": interval.upper - interval.lower, "mass": interval.mass,
         }
 
-    if trace.p is not None:
-        write_text(os.path.join(out_dir, "boi.json"), json.dumps(
-            {"boi": summary["boi"], "posterior_mean_p": summary["posterior_mean_p"]}, indent=1))
-    if "hpdi_future" in summary:
-        write_text(os.path.join(out_dir, "hpdi.json"), json.dumps(summary["hpdi_future"], indent=1))
-    write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=1))
+    write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary))
     return summary
 
 
@@ -449,7 +435,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
                      f"{comparison['hpdi_width_weak']:>12.5f}"
                      f"{comparison['hpdi_width_strong']:>12.5f}")
     print("\n".join(lines))
-    write_text(os.path.join(out_dir, "comparison.json"), json.dumps(comparison, indent=1))
+    write_text(os.path.join(out_dir, "comparison.json"), json.dumps(comparison))
     write_manifest(out_dir, "reproduce", doc, scale=scale)
     return comparison
 

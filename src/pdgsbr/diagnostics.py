@@ -24,11 +24,21 @@ def pare(estimate, truth):
 
 
 def ergodic_average(samples) -> np.ndarray:
-    """Running means (1/k) sum_{i<=k} samples_i down axis 0: per column of a block."""
+    """Running means (1/k) sum_{i<=k} samples_i down axis 0: per column of a block.
+    A running sum that overflows is taken again over the samples scaled down
+    by a power of two, so finite samples give finite means."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empty sample sequence")
-    return (np.cumsum(samples, axis=0).T / np.arange(1, len(samples) + 1)).T
+    counts = np.arange(1, len(samples) + 1)
+    with np.errstate(over="ignore"):
+        means = (np.cumsum(samples, axis=0).T / counts).T
+    lost = ~np.isfinite(means)
+    if lost.any():  # 2^shift > 2 len(samples): no scaled sum reaches half the double range
+        shift = len(samples).bit_length() + 1
+        scaled = (np.cumsum(np.ldexp(samples, -shift), axis=0).T / counts).T
+        means[lost] = np.ldexp(scaled[lost], shift)
+    return means
 
 
 def boi(mean_p, series_index: int, donor_indices: Sequence[int]) -> float:
@@ -77,8 +87,11 @@ def hpdi(samples: Sequence[float], mass: float = 0.95) -> Hpdi:
         raise InsufficientSamplesError(f"need >= 100 samples, all finite; got {n}")
     mass = in_domain("mass", mass, UNIT)
     window = min(int(math.ceil(mass * n)), n)
-    widths = samples[window - 1:] - samples[: n - window + 1]
+    with np.errstate(over="ignore"):
+        widths = samples[window - 1:] - samples[: n - window + 1]
     best = int(np.argmin(widths))
+    if not math.isfinite(widths[best]):
+        raise InsufficientSamplesError(f"no {mass} interval of {n} samples has a finite width")
     return Hpdi(float(samples[best]), float(samples[best + window - 1]), mass)
 
 

@@ -20,7 +20,7 @@ it when None; ``sweep`` builds each once and hands it on.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import repeat
 
@@ -486,7 +486,7 @@ def _run(parametric: bool, data: MultiSeries, prior: PriorConfig, config: GibbsC
             })
         if checkpoint_path and (current == config.iterations or (
                 config.checkpoint_interval and current % config.checkpoint_interval == 0)):
-            save_checkpoint(checkpoint_path, state, rng, {"config": asdict(config)})
+            save_checkpoint(checkpoint_path, state, rng)
         if current % 1000 == 0:
             logger.info("sweep %d/%d", current, config.iterations)
     return Trace.stack(rows)

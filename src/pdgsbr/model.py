@@ -468,20 +468,18 @@ def write_text(path, text: str, newline=None) -> None:
         fh.write(text)
 
 
-def save_checkpoint(path, state: ChainState, rng: RngHandle, extra: Optional[dict] = None) -> None:
+def save_checkpoint(path, state: ChainState, rng: RngHandle) -> None:
     """Write the checkpoint, compact JSON, whole: a run killed mid-write
     keeps the previous checkpoint."""
-    doc = {"state": state.to_dict(), "rng": rng.get_state()}
-    if extra:
-        doc.update(extra)
-    write_text(path, json.dumps(doc))
+    write_text(path, json.dumps({"state": state.to_dict(), "rng": rng.get_state()}))
 
 
 def load_checkpoint(path, data: MultiSeries, prior: PriorConfig):
-    """(state, rng, doc) of a checkpoint, its state read by ``ChainState.from_dict``."""
+    """(state, rng) of a checkpoint, its state read by ``ChainState.from_dict``;
+    any other key, such as the config older checkpoints carried, is ignored."""
     with open(path) as fh:
         doc = json.load(fh)
-    return ChainState.from_dict(doc["state"], data, prior), RngHandle.from_state(doc["rng"]), doc
+    return ChainState.from_dict(doc["state"], data, prior), RngHandle.from_state(doc["rng"])
 
 
 # json.dumps's spelling of the non-finite floats whose repr is the key

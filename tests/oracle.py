@@ -7,7 +7,7 @@ one and compare it with the other. The rest are plain per-series loops: the
 allocation block's cell probabilities, the former loop form of the kernels
 whose random stream the vectorized chain keeps bit for bit, the
 out-of-sample kernel point by point with scalar normal draws, the trace
-writers record by record, the report's former writers and KDE range, the
+writers record by record, the report's former CSV writer and KDE range, the
 gamma, beta and Dirichlet draw helpers as they were before their checks
 took one pass, the allocation block and the noise predictive as they were
 before their fixed cost was cut, the slice sampler
@@ -226,7 +226,7 @@ def loop_write_trace_jsonl(path, records) -> None:
             fh.write(json.dumps(plain(record)) + "\n")
 
 
-# --- the former report writers the one-call ones must reproduce byte for byte ---
+# --- the former report writer the one-call one must reproduce byte for byte ---
 
 def csv_write_table(path, header, table) -> None:
     """csv.writer over the header and the ``repr`` of each row's values."""
@@ -235,10 +235,6 @@ def csv_write_table(path, header, table) -> None:
         writer.writerow(header)
         for row in table:
             writer.writerow([repr(v) for v in row.tolist()])
-
-
-def savetxt_matrix(path, matrix) -> None:
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
 
 
 def two_call_default_kde(samples):

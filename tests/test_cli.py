@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracle import csv_write_table, savetxt_matrix, two_call_default_kde
+from oracle import csv_write_table, two_call_default_kde
 import pdgsbr
 from pdgsbr import cli, model
 from pdgsbr.dynamics import MultiSeries
@@ -413,14 +413,26 @@ class TestReport:
         code = cli.main(["report", "--trace", str(run / "trace.jsonl"),
                          "--data", str(sim / "data.json"), "--out", str(out)])
         assert code == 0
-        for name in ("pare_table.csv", "boi.json", "posterior_mean_p.csv",
-                     "posterior_mean_lambda.csv", "summary.json", "hpdi.json",
-                     "ergodic_theta_1.csv", "kde_noise_1.csv", "kde_x0_2.csv"):
-            assert (out / name).exists(), name
+        # each result once: no boi.json, hpdi.json or posterior-mean CSV beside summary.json
+        assert sorted(path.name for path in out.iterdir()) == [
+            "ergodic_theta_1.csv", "ergodic_theta_2.csv", "kde_future_1.csv",
+            "kde_future_2.csv", "kde_noise_1.csv", "kde_noise_2.csv", "kde_x0_1.csv",
+            "kde_x0_2.csv", "pare_table.csv", "summary.json"]
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["boi"]) == {"1", "2"}
-        p = np.loadtxt(out / "posterior_mean_p.csv", delimiter=",")
-        assert np.allclose(p.sum(axis=1), 1.0)
+        assert set(summary) == {"boi", "posterior_mean_p", "posterior_mean_lambda",
+                                "mean_pare", "hpdi_future"}
+        assert set(summary["boi"]) == set(summary["hpdi_future"]) == {"1", "2"}
+        assert np.allclose(np.sum(summary["posterior_mean_p"], axis=1), 1.0)
+        lam = np.array(summary["posterior_mean_lambda"])
+        assert lam.shape == (2, 2) and np.array_equal(lam, lam.T)
+        assert ((lam > 0.0) & (lam < 1.0)).all()
+        # the PARE table in the one CSV dialect: a header, repr values, CRLF line ends
+        header, *rows = (out / "pare_table.csv").read_bytes().decode().split("\r\n")[:-1]
+        assert header.startswith("series,theta_0,") and header.endswith(",mean")
+        assert [row.split(",")[-1] for row in rows] == [repr(summary["mean_pare"][j])
+                                                        for j in "12"]
+        # the library call returns what summary.json holds
+        assert cli.cmd_report(run / "trace.jsonl", sim / "data.json", tmp_path / "again") == summary
 
     def test_kde_grid_reintegrates_to_one(self, tmp_path, run_dir):
         _, sim, run = run_dir
@@ -439,8 +451,8 @@ class TestReport:
         out = tmp_path / "rep"
         assert cli.main(["report", "--trace", str(run / "trace.jsonl"),
                          "--data", str(sim / "data.json"), "--out", str(out)]) == 0
-        assert not (out / "boi.json").exists()
-        assert not (out / "posterior_mean_p.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"mean_pare", "hpdi_future"}
         assert (out / "pare_table.csv").exists()
 
     def test_pare_table_of_a_truth_longer_than_the_fit(self, tmp_path):
@@ -491,9 +503,9 @@ class TestReport:
         out = tmp_path / "rep"
         assert cli.main(["report", "--trace", str(run / "trace.jsonl"),
                          "--data", str(sim / "data.json"), "--out", str(out)]) == 0
-        assert not (out / "hpdi.json").exists()
-        assert "hpdi_future" not in json.loads((out / "summary.json").read_text())
-        assert (out / "kde_future_2.csv").exists() and (out / "boi.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert "hpdi_future" not in summary and set(summary["boi"]) == {"1", "2"}
+        assert (out / "kde_future_2.csv").exists()
         assert "no future HPDI" in caplog.text
         # one record: no KDE grid either, but the rest is still written
         one = tmp_path / "one" / "trace.jsonl"
@@ -505,6 +517,23 @@ class TestReport:
         assert not list(out.glob("kde_*.csv"))
         assert (out / "summary.json").exists() and (out / "ergodic_theta_2.csv").exists()
         assert "no noise KDE grid" in caplog.text
+
+    def test_future_spread_past_the_double_range_skips_the_hpdi(self, tmp_path, sim_dir,
+                                                                caplog):
+        # every 95% window of these finite draws is wider than a double holds: the
+        # HPDI once had an inf width, written into the summary as Infinity
+        _, sim = sim_dir
+        draws = [1.7e308] * 60 + [-1.7e308] * 60 + [0.0]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(jsonl(*(dict(MIXTURE, iteration=31 + i, future=[[x], [0.6]])
+                                 for i, x in enumerate(draws))))
+        out = tmp_path / "rep"
+        assert cli.main(["report", "--trace", str(trace), "--data", str(sim / "data.json"),
+                         "--out", str(out)]) == 0
+        assert "series 1: no future HPDI" in caplog.text
+        text = (out / "summary.json").read_text()
+        assert "Infinity" not in text
+        assert set(json.loads(text)["hpdi_future"]) == {"2"}
 
     @pytest.mark.parametrize("z, reason", [
         ([0.0, 0.01, math.nan, 0.03, 0.04], "need >= 2 samples, all finite; got 5"),
@@ -686,9 +715,9 @@ class TestInterruptedWrites:
 
 
 class TestReportWritersMatchTheFormerOnes:
-    """The one-call report writers give the bytes of the former ones
-    (tests/oracle.py): csv.writer over per-row reprs and np.savetxt; the
-    one-call KDE range gives the grid and density of two quantile calls."""
+    """The one-call report writer gives the bytes of the former one
+    (tests/oracle.py): csv.writer over per-row reprs; the one-call KDE
+    range gives the grid and density of two quantile calls."""
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(float, st.tuples(st.integers(1, 300), st.integers(1, 6)), elements=EDGE_FLOATS))
@@ -699,9 +728,6 @@ class TestReportWritersMatchTheFormerOnes:
             cli._write_csv(tmp / "new.csv", header, cli._repr_rows(table))
             csv_write_table(tmp / "old.csv", header, table)
             assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-            cli._write_matrix(tmp / "new.txt", table)
-            savetxt_matrix(tmp / "old.txt", table)
-            assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(float, st.integers(2, 300), elements=st.one_of(
@@ -723,7 +749,8 @@ class TestReproduce:
         assert (out / "comparison.json").exists()
         for label in ("weak", "strong"):
             assert (out / label / "trace.jsonl").exists()
-            assert (out / label / "boi.json").exists()
+            summary = json.loads((out / label / "summary.json").read_text())
+            assert set(summary["boi"]) == {"1", "2"}
         assert 0.0 <= comparison["boi_weak"] <= 1.0
         assert 0.0 <= comparison["boi_strong"] <= 1.0
 

@@ -85,6 +85,17 @@ class TestErgodicAverage:
         with pytest.raises(ValueError):
             ergodic_average([])
 
+    def test_sums_past_the_double_range_keep_finite_means(self):
+        # the running sum of these once overflowed: means [1.7e308, inf, inf]
+        assert ergodic_average([1.7e308, 1.7e308, 0.0]).tolist() == pytest.approx(
+            [1.7e308, 1.7e308, 1.7e308 / 3 * 2], rel=1e-15)
+        top = np.finfo(float).max
+        block = np.array([[top, 1.0], [top, 2.0], [-top, 3.0], [0.0, 6.0]])
+        running = ergodic_average(block)
+        assert np.isfinite(running).all()
+        assert running[:, 0].tolist() == pytest.approx([top, top, top / 3, top / 4], rel=1e-15)
+        assert running[:, 1].tolist() == [1.0, 1.5, 2.0, 3.0]  # a column that keeps its sums
+
     def test_thinning_agrees_in_the_limit(self):
         # on i.i.d. input the t=1 and t=5 final averages agree within 4 MC SEs
         rng = np.random.default_rng(7)
@@ -140,6 +151,14 @@ class TestHpdi:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamplesError):
             hpdi(np.zeros(99), 0.95)
+
+    def test_no_window_of_finite_width(self):
+        # each 95% window spans both ends; the widths once overflowed to an inf-wide interval
+        with pytest.raises(InsufficientSamplesError, match="finite width"):
+            hpdi([1.7e308] * 60 + [-1.7e308] * 60 + [0.0], 0.95)
+        # a window of finite width among the same samples is still found
+        iv = hpdi([1.7e308] * 60 + [-1.7e308] * 60 + [0.0], 0.4)
+        assert iv.lower == iv.upper == -1.7e308
 
     def test_mass_validation(self):
         x = np.arange(200.0)

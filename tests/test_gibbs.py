@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -1086,7 +1087,7 @@ class TestDrivers:
         part_cfg = GibbsConfig(iterations=30, burn_in=0, thinning=1, seed=5)
         ck = tmp_path / "checkpoint.json"
         first = run_chain(data, prior, part_cfg, checkpoint_path=ck)
-        state, rng, _ = load_checkpoint(ck, data, prior)
+        state, rng = load_checkpoint(ck, data, prior)
         second = run_chain(data, prior, full_cfg, resume=(state, rng))
 
         combined = list(first) + list(second)
@@ -1098,26 +1099,37 @@ class TestDrivers:
             assert np.array_equal(ra.future[0], rb.future[0])
             assert np.array_equal(ra.z_pred, rb.z_pred)
 
-    def test_indented_checkpoint_resumes_byte_for_byte(self, tmp_path):
-        # checkpoints were once written by json.dump(doc, fh, indent=1)
+    def former_form_resumes_byte_for_byte(self, tmp_path, former):
+        """A 30-sweep checkpoint rewritten by ``former`` (its doc -> text)
+        resumes to the end checkpoint and trace bytes of the checkpoint as written."""
         data, prior, _ = self.small_run()
+        part_cfg = GibbsConfig(iterations=30, burn_in=0, thinning=1, seed=5)
         compact = tmp_path / "compact.json"
-        run_chain(data, prior, GibbsConfig(iterations=30, burn_in=0, thinning=1, seed=5),
-                  checkpoint_path=compact)
-        indented = tmp_path / "indented.json"
-        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=1))
-        assert indented.read_bytes() != compact.read_bytes()
+        run_chain(data, prior, part_cfg, checkpoint_path=compact)
+        old = tmp_path / "old.json"
+        old.write_text(former(json.loads(compact.read_text()), part_cfg))
+        assert old.read_bytes() != compact.read_bytes()
         full_cfg = GibbsConfig(iterations=60, burn_in=0, thinning=1, seed=5,
                                checkpoint_interval=10)
-        for name in ("compact", "indented"):
-            state, rng, _ = load_checkpoint(tmp_path / f"{name}.json", data, prior)
+        for name in ("compact", "old"):
+            state, rng = load_checkpoint(tmp_path / f"{name}.json", data, prior)
             records = run_chain(data, prior, full_cfg, resume=(state, rng),
                                 checkpoint_path=tmp_path / f"{name}_end.json")
             write_trace_jsonl(tmp_path / f"{name}.jsonl", records,
                               csv_path=tmp_path / f"{name}.csv")
         for suffix in ("_end.json", ".jsonl", ".csv"):
-            assert (tmp_path / f"indented{suffix}").read_bytes() == \
+            assert (tmp_path / f"old{suffix}").read_bytes() == \
                 (tmp_path / f"compact{suffix}").read_bytes()
+
+    def test_indented_checkpoint_resumes_byte_for_byte(self, tmp_path):
+        # checkpoints were once written by json.dump(doc, fh, indent=1)
+        self.former_form_resumes_byte_for_byte(
+            tmp_path, lambda doc, config: json.dumps(doc, indent=1))
+
+    def test_checkpoint_with_its_config_resumes_byte_for_byte(self, tmp_path):
+        # checkpoints once also carried the run's GibbsConfig, which no reader used
+        self.former_form_resumes_byte_for_byte(
+            tmp_path, lambda doc, config: json.dumps({**doc, "config": asdict(config)}))
 
     @pytest.mark.parametrize("writer, reader", [(run_parametric_gaussian, run_chain),
                                                 (run_chain, run_parametric_gaussian)])
@@ -1125,7 +1137,7 @@ class TestDrivers:
             self, tmp_path, monkeypatch, writer, reader):
         data, prior, _ = self.small_run()
         writer(data, prior, GibbsConfig(iterations=20, seed=5), checkpoint_path=tmp_path / "ck")
-        state, rng, _ = load_checkpoint(tmp_path / "ck", data, prior)
+        state, rng = load_checkpoint(tmp_path / "ck", data, prior)
 
         def swept(*args):
             raise AssertionError("a sweep ran")

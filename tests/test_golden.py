@@ -42,7 +42,7 @@ GOLDEN = {
         "4c-checkpointed": {
             "trace.jsonl": "891800483fea720f08521d9c2eb26a6c0ce4358aa19cd3b83c10cae4698dbf9e",
             "trace.csv": "880876b84711eb49263647d2740a243eb4a7c56cc7ce535094ba181ce04c65af",
-            "checkpoint.json": "55b4a5fd4b6a9a914038416614bace16d9b9071a06737865956bd6e6e9579acb",
+            "checkpoint.json": "a4879f83ccbdd0a0a75c0dab41feb07f7593c4728cb35511aa111159a06e7eec",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
@@ -62,40 +62,33 @@ GOLDEN = {
 GOLDEN_REPORT = {
     "2.4": {
         "4a-strong": {
-            "boi.json": "8f3f8cbc70ba57793dae6c509067eec9409f88ea5eae0e741c385b3b5980ab3b",
             "ergodic_theta_1.csv": "af17a399f296f896c6d634654b324e6d3af2032a081adc52d1db04b44b1d1560",
             "ergodic_theta_2.csv": "bbefb9f80fee97128a8c273cad692ee57e404b545c0d352678f3ab5a208b67c6",
-            "hpdi.json": "3da1a49302e4761579f83dfab4a6ec5922d98e24f28ab412a970df1f6b586b54",
             "kde_future_1.csv": "75c9ff9250e2d877054df0be4e025081433588a2612c1a3ac70db18120e7cd4d",
             "kde_future_2.csv": "bad6d417fd50f5afb4c4b40cae5758dc25a3ee5b4dcfbe6b492900b323286333",
             "kde_noise_1.csv": "985c26765c26f046212824440972fd6522e3941ab393ac799b98e8a1d5445978",
             "kde_noise_2.csv": "e4f8fe744fbf99fd3004f25709068f70f95cae4fc187c661a83ff9fff33fa3ce",
             "kde_x0_1.csv": "9841fbc1465108d9813609cf928f93be6e39908a83744648b5b3614128161c9a",
             "kde_x0_2.csv": "7934c903822842b1b57cb2365967a46f177b778d849b405098890413727d9da3",
-            "pare_table.csv": "64720f70592ebc8627b6c1a078f0e6e64c4f7d528d0a4a69404ba71ed96ded67",
-            "posterior_mean_lambda.csv": "6dffe05b02ebbe8aaf805f47c69686c93e5db791c22c82d5a8060a64b18d30fd",
-            "posterior_mean_p.csv": "b22ebc40f41120dcdd4bcd4d47a1ab40af2c8698589388d37a47f7690ef4c3f2",
-            "summary.json": "8e481959a53f9226b47a567dc440dc6ad2412741775a255392efae81b0c81632",
+            "pare_table.csv": "a484646dbb689e07530a7db8320d700e96dfa0ee5026304744e15310d62d92b6",
+            "summary.json": "75af5ec810c93a2a2a138627fc0d59efccc1524ce5942ad1e4116625f9cf967e",
         },
         "4a-parametric-h3": {
             "ergodic_theta_1.csv": "3716ae6a6b59074b67f7e8e870caf46004af9435d38bcc4a1b57db3a4b3d725e",
             "ergodic_theta_2.csv": "5c38211336b7571161fc893217f88eee01859a5d9959a11eb68bdb6eb1f0f24c",
-            "hpdi.json": "0db3871e7c1ea08fef04a10eadd082fe3be0e3b7c2f42f0ab9572745d83f16be",
             "kde_future_1.csv": "82c0d5d659d2a907c227de7eb9641e0608bb7cc5fed262fb3ed7f042ad7f893c",
             "kde_future_2.csv": "48f0d353f93dac92d0e9a4fe3557425f8d9d4e2129b1e3e02bbe576979bbe684",
             "kde_noise_1.csv": "bedaa8654a7dd3984c85d075603ddd0aec7965688da502a881c19033b3b248ef",
             "kde_noise_2.csv": "04c05d1648e14c6242ea14c34b426a974b2887d5ec46fddfd707a392304eb1a6",
             "kde_x0_1.csv": "2a443dc0f0abbd69bf9e2bcd298bdb70d85b4c0ed47e93872f14d4cd14da9a58",
             "kde_x0_2.csv": "d3241d3563023d96819887978bdde55ad36f27190429fc7ae521e46eeb0fbd2a",
-            "pare_table.csv": "65a5729319c2c206793e658fc8571427920cbaf3b3541a5204fec1b631a38292",
-            "summary.json": "ca05cad9551f350abb2d9c7651da7412e593b26d180cb31631d8209418d45f6e",
+            "pare_table.csv": "829af7944e77c3be6f2c27617cd066ea39741ab2e9a2396235a4bceaa98d97d8",
+            "summary.json": "a5097da31a876da05aaca329bb9e5254c778af69364de138e74f9dee8e278d4e",
         },
         "4c-checkpointed": {
-            "boi.json": "f7da92338e5901e87dd9e30fa8431d112b11b014a099df2c69ca031c0b3c7a86",
             "ergodic_theta_1.csv": "41f4b3b8ee6759cd070f79406be4829fb8206432c460fe6d426a3a86ab5674e4",
             "ergodic_theta_2.csv": "be3b8df12b52d353534d6160ea9c520c3d709424420bdf5c25a20e037f11d6fc",
             "ergodic_theta_3.csv": "a570472f9c0953b7217a9e5941a4aace4ecf1ffb5842e19a2fa6ef676072f24c",
-            "hpdi.json": "b646052e4a20b2cdfe817619e047c4d71488cafa8bcb1d1338f6f1c1c1c1121f",
             "kde_future_1.csv": "ab0bbcc9724a6f6b7dad8e68d3c3bb42913867a96428be55c12aeea74e47f2cc",
             "kde_future_2.csv": "765b3e35eb9389f8fd695e34f47cdf1d5c1b9d6dfcb6a492feddf637c7c27bdf",
             "kde_future_3.csv": "226611962c44d7a945c8d45451bb8de88a48ac4863cf5cf91d1147b11b689684",
@@ -105,10 +98,8 @@ GOLDEN_REPORT = {
             "kde_x0_1.csv": "e16f5e2cd3b76ba16b5861905b93b6b470646c5689bbf5387572e2241f228e5e",
             "kde_x0_2.csv": "290fa9a17e057a38edb72bf645eadaadf25c8c3a0cf1bbb755532bc14912e989",
             "kde_x0_3.csv": "78fec8ea8bd14afece85dca2f3ab91a71c6519594ac8a0c9bfb05fb1ed63b15d",
-            "pare_table.csv": "8f5e878910b047344554ca586569f6a1b7ca65ce0ca9349837ca90c965976ebd",
-            "posterior_mean_lambda.csv": "b921841e3389f14d2e8dce8ab0f8e929d2ce277bfbec1ba822c6cfe35aae7d3f",
-            "posterior_mean_p.csv": "323383f0933b90debb5952b5b72eb1b4c98dd172af2422dc82bfbb02b8fca53f",
-            "summary.json": "4e761eef4679bbd00a26110695ed6240b24eb3c3f7687dfda137794dfb3bb7a5",
+            "pare_table.csv": "866408077aefd512095fba1e8a3da71016a6d0b435b28c6ff55df95ea754a640",
+            "summary.json": "5bb7fd8fab7d9e348aaea8a6c0bc89248067d0ae1a275d0f3cc00e40cfb3dc26",
         },
     },
 }

@@ -277,9 +277,9 @@ class TestCheckpoint:
         state.alloc.N[0][0] = 13  # above the starting bound: the atom rows grow
         ensure_atoms(state, prior, rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, state, rng, extra={"config_hash": "abc"})
-        back, rng_back, doc = load_checkpoint(path, data, prior)
-        assert doc["config_hash"] == "abc"
+        save_checkpoint(path, state, rng)
+        assert sorted(json.loads(path.read_text())) == ["rng", "state"]
+        back, rng_back = load_checkpoint(path, data, prior)
         assert back.iteration == state.iteration
         assert np.array_equal(back.p, state.p)
         assert np.array_equal(back.lam, state.lam)
@@ -302,7 +302,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["state"]["init_fallback"] = [False, True]
         path.write_text(json.dumps(doc))
-        back, _, _ = load_checkpoint(path, data, prior)
+        back, _ = load_checkpoint(path, data, prior)
         assert back.to_dict() == state.to_dict()
         assert "init_fallback" not in back.to_dict()
 
@@ -334,7 +334,8 @@ class TestCheckpoint:
 class TestOneWriter:
     def test_every_file_goes_through_the_one_writer(self):
         # a new output written any other way could leave a part-file that reads as valid,
-        # and a directory made any other way could be left empty by a refused command
+        # and a directory made any other way could be left empty by a refused command;
+        # every JSON file is compact
         package = Path(model.__file__).parent
         writers = {("json", "dump"), ("csv", "writer"), ("csv", "DictWriter"), ("np", "savetxt"),
                    ("os", "makedirs"), ("os", "mkdir")}
@@ -362,6 +363,9 @@ class TestOneWriter:
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
                     found.append(f"{where} .{name}()")  # pathlib's writers
+                if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                    # an indent runs json's pure-Python encoder, which leaves a cycle per call
+                    found.append(f"{where} {name}(indent=)")
                 if name == "open":
                     modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
                     if any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
