@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import importlib.resources
 import json
 import logging
@@ -170,7 +169,7 @@ def parse_data_block(block: dict):
     horizons = in_domain("horizon", block.get("horizon", [1] * m), COUNT, (m,))
     selection = in_domain("selection", block["selection"], PROBABILITY, (m, m))
     components = {}
-    for key, spec in block["components"].items():
+    for key, spec in _block(block, "components").items():
         with _config_errors(f"data.components key {key!r}"):
             j, l = sorted(int(t) for t in str(key).split(","))
             if not 1 <= j <= l <= m:
@@ -231,19 +230,8 @@ def parse_outputs_block(block: dict) -> tuple:
     return directory, check_kde_bounds(block.get("kde_bounds"))
 
 
-def config_hash(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def write_manifest(out_dir, command: str, doc: dict, **extra) -> None:
-    manifest = {
-        "command": command,
-        "config_hash": config_hash(doc),
-        "config": doc,
-        "version": __version__,
-    }
-    manifest.update(extra)
+    manifest = {"command": command, "config": doc, "version": __version__, **extra}
     write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, default=str))
 
 
@@ -257,9 +245,6 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
     specs, horizons, selection, seed = parse_data_block(block)
     data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
     write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict()))
-    for j, series in enumerate(data.series, start=1):
-        _write_csv(os.path.join(out_dir, f"series_{j}.csv"), ["index", "value"],
-                   ((str(i), repr(x)) for i, x in enumerate(series.tolist(), start=1)))
     write_manifest(out_dir, "simulate", {**doc, "data": {**block, "seed": seed}})
     return data
 

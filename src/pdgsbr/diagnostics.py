@@ -53,7 +53,8 @@ def boi(mean_p, series_index: int, donor_indices: Sequence[int]) -> float:
 def quantile(samples, q) -> np.ndarray:
     """``np.quantile(samples, q)`` of 1-D samples (its default "linear"
     method), equal value for value (a zero may differ in sign), without the
-    import of ``numpy.ma`` that np.quantile's first call in a process makes.
+    import of ``numpy.ma`` that np.quantile's first call in a process makes,
+    and finite where finite samples span more than the double range.
     Returns an array shaped like ``q``; all NaN where a sample is NaN."""
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
@@ -62,9 +63,13 @@ def quantile(samples, q) -> np.ndarray:
     t = v - lo
     lo = lo.astype(np.intp)
     a, b = samples[lo], samples[np.minimum(lo + 1, n - 1)]
-    d = b - a
-    # numpy's _lerp: from the nearer neighbour, so a weight of 1 gives b exactly
-    values = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = b - a
+        # numpy's _lerp: from the nearer neighbour, so a weight of 1 gives b exactly;
+        # finite neighbours too far apart for a double to hold d: each weighted alone
+        values = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+        values = np.where(np.isinf(d) & np.isfinite(a) & np.isfinite(b),
+                          a * (1 - t) + b * t, values)
     return np.full(values.shape, np.nan) if np.isnan(samples[-1]) else values
 
 

@@ -113,15 +113,16 @@ class RngHandle:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        self.generator = np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
     def get_state(self) -> dict:
-        return {"seed": self.seed, "bit_generator": self.generator.bit_generator.state}
+        return {"bit_generator": self.generator.bit_generator.state}
 
     @classmethod
     def from_state(cls, state: dict) -> "RngHandle":
-        handle = cls(state["seed"])
+        """The handle ``get_state`` recorded; any other key, such as the seed
+        older checkpoints carried, is ignored."""
+        handle = cls(0)
         handle.generator.bit_generator.state = state["bit_generator"]
         return handle
 

@@ -158,7 +158,7 @@ class MultiSeries:
         return [int(s.size) for s in self.series]
 
     def to_json_dict(self) -> dict:
-        doc = {"m": self.m, "series": [s.tolist() for s in self.series]}
+        doc = {"series": [s.tolist() for s in self.series]}
         if self.maps_true is not None:
             x0, futures, selection = self.x0_true, self.futures_true, self.selection_true
             doc["truth"] = {

@@ -218,7 +218,7 @@ class ChainState:
         self.alloc.validate(self.m)
 
     def to_dict(self) -> dict:
-        return {"m": self.m, **_plain(self)}
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, doc: dict, data: MultiSeries, prior: PriorConfig) -> "ChainState":

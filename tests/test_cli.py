@@ -80,7 +80,7 @@ UNREADABLE = [("run", "prior", "x0_support", [[-5, 5], [-5]]),
               ("simulate", "data", "n", ["abc", 50]),
               ("simulate", "data", "selection", [[0.5, 0.5], [1.0]])]
 
-# a malformed data.components key or entry, or data.maps not a list or empty, and the
+# a malformed data.components block, key or entry, or data.maps not a list or empty, and the
 # words that name it; each once exited 2 with Python's text, or another key, in place of it
 ONE_COMPONENT = {"weights": [1.0], "variances": [1e-4]}
 UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
@@ -93,7 +93,10 @@ UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
            ("maps-empty", "maps", [], "data.maps"),
            ("component-weights-a-number", "components",
             {"1,1": {"weights": 1.0, "variances": [1e-4]}, "2,2": ONE_COMPONENT},
-            "data.components key '1,1'")]
+            "data.components key '1,1'"),
+           # each once exited 1 with an AttributeError traceback
+           ("components-null", "components", None, "on a missing component"),
+           ("components-empty-list", "components", [], "on a missing component")]
 
 # a valid pair of reproduce selection priors for two series
 ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
@@ -128,17 +131,20 @@ def read_bytes(path):
 
 
 class TestSimulate:
-    def test_outputs_and_lengths(self, tmp_path):
+    def test_writes_data_and_manifest_only(self, tmp_path):
+        # series_j.csv files once copied data.json's series; m and config_hash
+        # were once written too, and nothing read them
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["data.json", "manifest.json"]
+        assert sorted(json.loads((out / "data.json").read_text())) == ["series", "truth"]
         data = MultiSeries.load_json(out / "data.json")
         assert data.m == 2
         assert [len(s) for s in data.series] == [40, 25]
         assert [len(f) for f in data.futures_true] == [1, 1]
-        for name in ("series_1.csv", "series_2.csv", "manifest.json"):
-            assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config", "version"]
         assert manifest["command"] == "simulate"
         assert manifest["config"]["data"]["seed"] == 9
 
@@ -207,6 +213,7 @@ class TestRun:
         assert len(records) == 120  # (150 - 30) / thinning 1
         assert (out / "trace.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config", "data_path", "sampler", "version"]
         assert manifest["sampler"] == "pdgsbr"
         assert manifest["config"]["sampler"]["seed"] == 5
 
@@ -993,12 +1000,6 @@ class TestConfigHelpers:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             cli.bundled_config("4D")
-
-    def test_config_hash_is_order_insensitive(self):
-        a = {"x": 1, "y": [1, 2]}
-        b = {"y": [1, 2], "x": 1}
-        assert cli.config_hash(a) == cli.config_hash(b)
-        assert cli.config_hash(a) != cli.config_hash({"x": 2, "y": [1, 2]})
 
     def test_bad_selection_row_sum(self, tmp_path):
         doc = base_config()

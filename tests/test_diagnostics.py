@@ -36,6 +36,12 @@ class TestQuantile:
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(samples, before, equal_nan=True)
 
+    def test_finite_where_neighbours_span_the_double_range(self):
+        # b - a overflows here: q = 0 once gave NaN and q = 0.005 -inf, each
+        # with numpy's RuntimeWarning
+        got = quantile([-1.7e308] + [1.7e308] * 120, [0.0, 0.005, 0.5, 1.0])
+        assert got.tolist() == [-1.7e308, pytest.approx(3.4e307), 1.7e308, 1.7e308]
+
 
 class TestPare:
     def test_simple_relative_error(self):

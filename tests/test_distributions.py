@@ -411,10 +411,13 @@ class TestDeterminism:
     def test_state_roundtrip(self):
         a = RngHandle(5)
         [draw_gamma(1.0, 1.0, a) for _ in range(10)]
+        assert sorted(a.get_state()) == ["bit_generator"]
         b = RngHandle.from_state(a.get_state())
+        # states once also held the seed, which the generator state overrides
+        c = RngHandle.from_state({"seed": 99, **a.get_state()})
         assert [a.generator.random() for _ in range(5)] == [
             b.generator.random() for _ in range(5)
-        ]
+        ] == [c.generator.random() for _ in range(5)]
 
 
 class TestDrawHelpersKeepTheirStream:

@@ -216,12 +216,13 @@ class TestSimulation:
         assert back.maps_true is None
         assert np.array_equal(back.series[0], np.arange(5.0))
 
-    def test_csv_roundtrip_to_full_precision(self, tmp_path):
-        data = cli.cmd_simulate(cli.bundled_config("4A"), tmp_path)  # writes series_j.csv
-        paths = sorted(map(str, tmp_path.glob("series_*.csv")))
-        assert [p.endswith(f"series_{j+1}.csv") for j, p in enumerate(paths)] == [True, True]
-        loaded = np.loadtxt(paths[0], delimiter=",", skiprows=1, usecols=1)
-        assert np.array_equal(loaded, data.series[0])
+    def test_json_with_the_former_m_field_loads(self):
+        # data.json once also held "m", which no reader read: m is len(series)
+        data = MultiSeries(series=[np.arange(5.0), np.arange(3.0) + 1])
+        doc = json.loads(json.dumps(data.to_json_dict()))
+        assert "m" not in doc
+        back = MultiSeries.from_json_dict({"m": 2, **doc})
+        assert back.m == 2 and all(map(np.array_equal, back.series, data.series))
 
     @pytest.mark.parametrize("truth, message", [
         (dict(maps_true=[NAMED_MAPS["Q1"]]), "needs both its maps and its noise"),

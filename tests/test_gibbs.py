@@ -1131,6 +1131,12 @@ class TestDrivers:
         self.former_form_resumes_byte_for_byte(
             tmp_path, lambda doc, config: json.dumps({**doc, "config": asdict(config)}))
 
+    def test_checkpoint_with_m_and_seed_resumes_byte_for_byte(self, tmp_path):
+        # checkpoints once also carried the state's m and the rng's seed, which
+        # the data and the generator state fix
+        self.former_form_resumes_byte_for_byte(tmp_path, lambda doc, config: json.dumps({
+            "state": {"m": 1, **doc["state"]}, "rng": {"seed": config.seed, **doc["rng"]}}))
+
     @pytest.mark.parametrize("writer, reader", [(run_parametric_gaussian, run_chain),
                                                 (run_chain, run_parametric_gaussian)])
     def test_resume_from_the_other_sampler_is_refused_before_any_sweep(

@@ -42,7 +42,7 @@ GOLDEN = {
         "4c-checkpointed": {
             "trace.jsonl": "891800483fea720f08521d9c2eb26a6c0ce4358aa19cd3b83c10cae4698dbf9e",
             "trace.csv": "880876b84711eb49263647d2740a243eb4a7c56cc7ce535094ba181ce04c65af",
-            "checkpoint.json": "a4879f83ccbdd0a0a75c0dab41feb07f7593c4728cb35511aa111159a06e7eec",
+            "checkpoint.json": "937703378a59b02d465ba18fee567c5982bd2439d8f2532a14f99b12646a3222",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",

@@ -278,7 +278,9 @@ class TestCheckpoint:
         ensure_atoms(state, prior, rng)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, state, rng)
-        assert sorted(json.loads(path.read_text())) == ["rng", "state"]
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == ["rng", "state"]
+        assert "m" not in doc["state"] and sorted(doc["rng"]) == ["bit_generator"]
         back, rng_back = load_checkpoint(path, data, prior)
         assert back.iteration == state.iteration
         assert np.array_equal(back.p, state.p)
@@ -292,19 +294,21 @@ class TestCheckpoint:
         # the restored generator continues the exact stream
         assert rng_back.generator.random() == rng.generator.random()
 
-    def test_checkpoint_with_a_dropped_key_still_loads(self, tmp_path):
-        # checkpoints once carried a per-series "init_fallback" flag list
+    @pytest.mark.parametrize("key, value", [("init_fallback", [False, True]), ("m", 2)])
+    def test_checkpoint_with_a_dropped_key_still_loads(self, tmp_path, key, value):
+        # checkpoints once carried a per-series "init_fallback" flag list, and
+        # the number of series m, which the data fix
         data, prior = small_data(), small_prior()
         rng = RngHandle(6)
         state = init_chain(data, prior, rng)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, state, rng)
         doc = json.loads(path.read_text())
-        doc["state"]["init_fallback"] = [False, True]
+        doc["state"][key] = value
         path.write_text(json.dumps(doc))
         back, _ = load_checkpoint(path, data, prior)
         assert back.to_dict() == state.to_dict()
-        assert "init_fallback" not in back.to_dict()
+        assert key not in back.to_dict()
 
     def test_interrupted_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         data, prior = small_data(), small_prior()
