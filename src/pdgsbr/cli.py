@@ -70,7 +70,7 @@ PRIOR_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
 CONFIG_KEYS = {
     "top level": {"name", "data", "prior", "sampler", "outputs", "reproduce"},
     "data": {"seed", "maps", "n", "x0", "horizon", "components", "selection"},
-    "prior": PRIOR_FIELDS - {"m"} | {"dirichlet_alpha_weak", "dirichlet_alpha_strong"},
+    "prior": PRIOR_FIELDS - {"m"} | {"dirichlet_alpha_strong"},
     "sampler": {f.name for f in dataclasses.fields(GibbsConfig)},
     "outputs": {"directory", "kde_bounds"},
     "reproduce": {"short_series", "donors"},
@@ -128,7 +128,7 @@ def load_config(path) -> dict:
             doc = _parse_yaml(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
@@ -237,13 +237,13 @@ def write_manifest(out_dir, command: str, doc: dict, **extra) -> None:
 
 # --- simulate --------------------------------------------------------------------
 
-def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> MultiSeries:
+def cmd_simulate(doc: dict, out_dir, seed_override=None) -> MultiSeries:
     check_config_keys(doc)
     block = _block(doc, "data")
     if seed_override is not None:
         block = {**block, "seed": seed_override}
     specs, horizons, selection, seed = parse_data_block(block)
-    data = simulate_multi(specs, horizons, RngHandle(seed), selection, allow_escape)
+    data = simulate_multi(specs, horizons, RngHandle(seed), selection)
     write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict()))
     write_manifest(out_dir, "simulate", {**doc, "data": {**block, "seed": seed}})
     return data
@@ -251,8 +251,8 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None, allow_escape=False) -> 
 
 # --- run -------------------------------------------------------------------------
 
-# "gsbr" is the single-series model: run_chain with m = 1, checked by cmd_run.
-SAMPLERS = {"pdgsbr": run_chain, "gsbr": run_chain, "parametric": run_parametric_gaussian}
+# The single-series GSBR model is "pdgsbr" on data with m = 1.
+SAMPLERS = {"pdgsbr": run_chain, "parametric": run_parametric_gaussian}
 
 
 def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
@@ -263,8 +263,6 @@ def cmd_run(doc: dict, data_path, out_dir, sampler="pdgsbr", seed_override=None,
     config = parse_sampler_block(_block(doc, "sampler"), seed_override, scale)
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
-    if sampler == "gsbr" and data.m != 1:
-        raise ConfigError(f"the gsbr sampler needs exactly one series; the data have m={data.m}")
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     with _config_errors(f"checkpoint {resume_path}"):
         resume = load_checkpoint(resume_path, data, prior) if resume_path else None
@@ -368,8 +366,8 @@ def cmd_report(trace_path, data_path, out_dir, kde_bounds=None) -> dict:
 # --- reproduce ---------------------------------------------------------------------
 
 def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
-    """Check every block, then simulate -> run (weak prior) -> run (strong
-    prior) -> report, then compare."""
+    """Check every block, then simulate -> run (weak prior: the config's
+    ``dirichlet_alpha``) -> run (strong prior) -> report, then compare."""
     doc = doc if doc is not None else bundled_config(experiment)
     check_config_keys(doc)
     m = len(parse_data_block(_block(doc, "data"))[0])
@@ -381,7 +379,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
                               "block, the donors one or more, distinct, without the short one")
     _, kde_bounds = parse_outputs_block(_block(doc, "outputs"))
-    for alpha_key in ("dirichlet_alpha_weak", "dirichlet_alpha_strong"):
+    for alpha_key in ("dirichlet_alpha", "dirichlet_alpha_strong"):
         parse_prior_block(_block(doc, "prior"), m, alpha_key)
     base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
     data_dir = os.path.join(out_dir, "data")
@@ -390,7 +388,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
 
     results = {}
     for label, alpha_key, seed in (
-        ("weak", "dirichlet_alpha_weak", base_seed),
+        ("weak", "dirichlet_alpha", base_seed),
         ("strong", "dirichlet_alpha_strong", base_seed + 1),
     ):
         run_dir = os.path.join(out_dir, label)
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--allow-escape", action="store_true")
 
     p_run = sub.add_parser("run", help="run one Gibbs chain")
     p_run.add_argument("--config", required=True)
@@ -471,7 +468,7 @@ def main(argv=None) -> int:
             directory, _ = parse_outputs_block(_block(doc, "outputs"))
             out = args.out or directory
         if args.verb == "simulate":
-            cmd_simulate(doc, out, seed_override=args.seed, allow_escape=args.allow_escape)
+            cmd_simulate(doc, out, seed_override=args.seed)
         elif args.verb == "run":
             cmd_run(doc, args.data, out, sampler=args.sampler,
                     seed_override=args.seed, resume_path=args.resume)
@@ -485,8 +482,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        print(f"numeric failure: {exc}; try a different data seed "
-              "(or --allow-escape to keep finite prefixes)", file=sys.stderr)
+        print(f"numeric failure: {exc}; try a different data seed", file=sys.stderr)
         return EXIT_NUMERIC
     except SingularDesignError as exc:
         print(f"numeric failure: {exc}; the series may have too few distinct "

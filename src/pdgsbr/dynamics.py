@@ -9,7 +9,6 @@ object compounded into each series' noise).
 from __future__ import annotations
 
 import json
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -20,8 +19,6 @@ import numpy as np
 from .distributions import (POSITIVE, PROBABILITY, REAL, RngHandle, in_domain, json_numbers,
                             whole_from)
 from .errors import DivergenceError
-
-logger = logging.getLogger(__name__)
 
 # Values beyond this magnitude mean the orbit has left any basin of interest;
 # polynomial maps then explode super-exponentially.
@@ -212,8 +209,8 @@ def simulate_series(
     """Simulate n observations plus ``horizon`` held-out futures from one map.
 
     The futures continue the recursion in the same RNG stream, so the truth is
-    reproducible from the data seed alone. Raises DivergenceError (with the
-    finite prefix attached) when a value leaves the guard region.
+    reproducible from the data seed alone. Raises DivergenceError when a
+    value leaves the guard region.
     """
     n = in_domain("n", n, whole_from(1))
     values = np.empty(n + horizon)
@@ -221,28 +218,19 @@ def simulate_series(
     for i in range(n + horizon):
         x = eval_map(poly, x) + sample_noise(noise, rng)
         if not math.isfinite(x) or abs(x) > DIVERGENCE_BOUND:
-            raise DivergenceError(i, series=series_index, prefix=values[:i].copy())
+            raise DivergenceError(i, series=series_index)
         values[i] = x
     return values[:n].copy(), values[n:].copy()
 
 
-def simulate_multi(specs, horizons, rng: RngHandle, selection=None,
-                   allow_escape: bool = False) -> MultiSeries:
+def simulate_multi(specs, horizons, rng: RngHandle, selection=None) -> MultiSeries:
     """Simulate m series from per-series (map, noise, n, x0) specs with
-    ``horizons`` held-out points each; ``selection`` is kept as truth. With
-    ``allow_escape`` a diverging series keeps its finite prefix (if it has at
-    least 2 values) and no futures instead of raising DivergenceError.
+    ``horizons`` held-out points each; ``selection`` is kept as truth. A
+    diverging series raises DivergenceError.
     """
     obs, futs = [], []
     for j, ((poly, noise, n, x0), horizon) in enumerate(zip(specs, horizons)):
-        try:
-            series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
-        except DivergenceError as exc:
-            if not allow_escape or exc.prefix.size < 2:
-                raise
-            logger.warning("series %d diverged at step %d; keeping the finite prefix",
-                           j + 1, exc.index + 1)
-            series, future = exc.prefix, np.empty(0)
+        series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
         obs.append(series)
         futs.append(future)
     return MultiSeries(

@@ -14,13 +14,12 @@ class DivergenceError(RuntimeError):
 
     Carries the series index (when known) and the time index at which the
     trajectory first became unusable, both 0-based (the message counts from
-    1), together with the finite prefix.
+    1).
     """
 
-    def __init__(self, index, series=None, prefix=None):
+    def __init__(self, index, series=None):
         self.index = index
         self.series = series
-        self.prefix = prefix
         where = f"series {series + 1}, " if series is not None else ""
         super().__init__(f"trajectory diverged ({where}step {index + 1})")
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import functools
 import importlib.resources
@@ -5,6 +6,8 @@ import json
 import math
 import operator
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -99,7 +102,7 @@ UNNAMED = [("component-key-one-number", "components", {"1": ONE_COMPONENT},
            ("components-empty-list", "components", [], "on a missing component")]
 
 # a valid pair of reproduce selection priors for two series
-ALPHAS = {"dirichlet_alpha_weak": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
+ALPHAS = {"dirichlet_alpha": [[1, 1], [1, 1]], "dirichlet_alpha_strong": [[1, 1], [1, 1]]}
 
 
 def jsonl(*records):
@@ -181,17 +184,6 @@ class TestSimulate:
         doc["data"]["x0"] = [1.5, 1.0]  # outside the quadratic invariant set
         cfg = write_config(tmp_path, doc)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
-
-    def test_allow_escape_keeps_finite_prefix(self, tmp_path):
-        doc = base_config()
-        doc["data"]["x0"] = [1.5, 1.0]
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "esc"
-        code = cli.main(["simulate", "--config", cfg, "--out", str(out), "--allow-escape"])
-        assert code == 0
-        data = MultiSeries.load_json(out / "data.json")
-        assert 2 <= len(data.series[0]) < 40
-        assert np.all(np.isfinite(data.series[0]))
 
 
 @pytest.fixture()
@@ -750,6 +742,7 @@ class TestReproduce:
         # keeps the shortened sampler block instead of the desk preset
         doc = cli.bundled_config("4B")
         doc["sampler"].update(iterations=140, burn_in=30)
+        doc["prior"]["dirichlet_alpha"] = [[5, 1], [1, 5]]
         out = tmp_path / "rep4b"
         comparison = cli.cmd_reproduce("4B", None, out, doc=doc)
         assert comparison["experiment"] == "4B"
@@ -760,6 +753,10 @@ class TestReproduce:
             assert set(summary["boi"]) == {"1", "2"}
         assert 0.0 <= comparison["boi_weak"] <= 1.0
         assert 0.0 <= comparison["boi_strong"] <= 1.0
+        # the weak chain runs the config's own dirichlet_alpha rows
+        for label, key in (("weak", "dirichlet_alpha"), ("strong", "dirichlet_alpha_strong")):
+            manifest = json.loads((out / label / "manifest.json").read_text())
+            assert manifest["config"]["prior"]["dirichlet_alpha"] == doc["prior"][key]
 
     @pytest.mark.parametrize("block", [
         {"short_series": 0}, {"short_series": 3}, {"short_series": 1.5}, {"donors": [0]},
@@ -771,7 +768,7 @@ class TestReproduce:
         pytest.param({"outputs": {"kde_bounds": [1.0, -1.0]}}, id="kde-bounds-reversed"),
         pytest.param({"prior": dict(ALPHAS, dirichlet_alpha_strong=[[1, 1], [1, math.nan]])},
                      id="alpha-strong-nan"),
-        pytest.param({"prior": dict(ALPHAS, dirichlet_alpha_weak=[[1, 1], [-1, 1]])},
+        pytest.param({"prior": dict(ALPHAS, dirichlet_alpha=[[1, 1], [-1, 1]])},
                      id="alpha-weak-negative"),
         pytest.param({"prior": ALPHAS, "sampler": {"iterations": 10, "burn_in": 20}},
                      id="sampler-keeps-no-sweep"),
@@ -792,7 +789,7 @@ class TestReproduce:
         whole_blocks = set(block) <= cli.CONFIG_KEYS["top level"]
         doc = base_config(**block) if whole_blocks else base_config(reproduce=block)
         with pytest.raises(ConfigError, match="short_series|donors|kde_bounds|"
-                                              "dirichlet_alpha_weak|dirichlet_alpha_strong|sampler"):
+                                              "dirichlet_alpha|sampler"):
             cli.cmd_reproduce("4A", None, out, doc=doc)
         assert not out.exists()
 
@@ -859,7 +856,6 @@ class TestConfigHelpers:
         ("run", "sampler", "iterations", 150.9, []),
         ("run", "sampler", "checkpoint_interval", -5, []),
         ("run", "prior", "beta_a", [[0.5, 0.3], [0.7, 0.5]], []),
-        ("run", None, None, None, ["--sampler", "gsbr"]),  # the data have m = 2
         ("simulate", "data", "components", {"1,1": {"weights": [math.nan], "variances": [1e-4]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]}}, []),
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [math.inf]},
@@ -905,7 +901,7 @@ class TestConfigHelpers:
             "one-observation", "n-fractional", "gamma-a-zero", "poly-degree-not-int",
             "poly-degree-fractional", "horizon-fractional", "iterations-fractional",
             "checkpoint-interval-negative", "beta-a-asymmetric",
-            "gsbr-on-two-series", "component-weight-nan", "component-variance-inf",
+            "component-weight-nan", "component-variance-inf",
             "component-variance-nan", "x0-support-empty"]
        + [case for case, _, _ in NON_FINITE_PRIOR]
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
@@ -984,6 +980,46 @@ class TestConfigHelpers:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot parse config")
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark once exited 1 with a UnicodeDecodeError traceback
+        cfg = tmp_path / "utf16.yaml"
+        cfg.write_bytes(b"\xff\xfe" + yaml.safe_dump(base_config()).encode("utf-16-le"))
+        out = tmp_path / "x"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot parse config {cfg}:")
+        assert not out.exists()
+
+    def test_weak_prior_key_is_refused_by_name(self, tmp_path, sim_dir, capsys):
+        # reproduce's weak chain runs dirichlet_alpha; a separate weak key would go unread
+        _, sim = sim_dir
+        doc = base_config()
+        doc["prior"].update(ALPHAS, dirichlet_alpha_weak=[[1, 1], [1, 1]])
+        cfg = write_config(tmp_path, doc, "weak.yaml")
+        out = tmp_path / "out"
+        for argv in (["simulate", "--config", cfg], ["run", "--config", cfg, "--data",
+                                                     str(sim / "data.json")]):
+            capsys.readouterr()
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert "'dirichlet_alpha_weak'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'dirichlet_alpha_weak'"):
+            cli.cmd_reproduce("4A", None, out, doc=doc)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, extra", [("simulate", ["--allow-escape"]),
+                                             ("run", ["--sampler", "gsbr"])],
+                             ids=["allow-escape", "sampler-gsbr"])
+    def test_removed_options_are_usage_errors(self, tmp_path, sim_dir, verb, extra):
+        cfg, sim = sim_dir
+        out = str(tmp_path / "out")
+        argv = (["simulate", "--config", cfg, "--out", out] if verb == "simulate" else
+                ["run", "--config", cfg, "--data", str(sim / "data.json"), "--out", out])
+        assert cli.main(argv) == 0  # the same command without the removed option runs
+        shutil.rmtree(out)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + extra)
+        assert exc.value.code == 2
+        assert not os.path.exists(out)
+
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("name", ["4a", "4b", "4c"])
     def test_libyaml_reads_the_bundled_configs_as_pyyaml_does(self, name):
@@ -1011,6 +1047,27 @@ class TestConfigHelpers:
         doc = base_config()
         with pytest.raises(ConfigError):
             cli.parse_prior_block(doc["prior"], 3)
+
+
+class TestReadmeSynopsis:
+    def test_synopsis_names_exactly_the_parser_options(self):
+        # an option the parser dropped or added fails here until README follows it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = {}  # verb: its `pdgsbr <verb> ...` line, continuations joined, comment dropped
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split("#", 1)[0].split()
+            if words[:1] == ["pdgsbr"]:
+                commands[words[1]] = " ".join(words)
+        verbs = next(action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        assert sorted(commands) == sorted(verbs)
+        for verb, parser in verbs.items():
+            options = {option for action in parser._actions for option in action.option_strings
+                       if option.startswith("--") and option != "--help"}
+            assert set(re.findall(r"--[a-z][a-z-]*", commands[verb])) == options, verb
+        sampler_choices = re.search(r"--sampler ([\w|]+)", commands["run"]).group(1).split("|")
+        assert sorted(sampler_choices) == sorted(cli.SAMPLERS)
 
 
 # a finite value outside each config field's declared domain; None where every

@@ -161,7 +161,7 @@ class TestNoise:
 
 
 class TestEscape:
-    def test_divergence_error_carries_prefix(self):
+    def test_divergence_error_names_series_and_step(self):
         # q = 3 pushes the quadratic orbit out of its invariant set immediately
         poly = quadratic_map(3.0)
         noise = NoiseMixtureSpec((1.0,), (1e-6,))
@@ -169,9 +169,8 @@ class TestEscape:
             simulate_series(poly, noise, 500, 1.0, 0, RngHandle(1), series_index=0)
         err = exc.value
         assert err.series == 0
-        assert err.index >= 1
-        assert np.all(np.isfinite(err.prefix))
-        assert len(err.prefix) == err.index
+        assert 1 <= err.index < 500
+        assert f"series 1, step {err.index + 1}" in str(err)
 
 
 class TestSimulation:

@@ -1075,10 +1075,6 @@ class TestDrivers:
             assert np.array_equal(ra.z_pred, rb.z_pred)
             assert ra.n_star == rb.n_star
 
-    def test_single_series_entry_point_matches_general_one(self):
-        # GSBR is PD-GSBR with m = 1; cmd_run rejects other m for it
-        assert cli.SAMPLERS["gsbr"] is run_chain
-
     def test_checkpoint_resume_is_bit_exact(self, tmp_path):
         data, prior, _ = self.small_run()
         full_cfg = GibbsConfig(iterations=60, burn_in=0, thinning=1, seed=5)
