@@ -36,6 +36,7 @@ from .dynamics import (
     MultiSeries,
     NAMED_MAPS,
     NoiseMixtureSpec,
+    WEIGHT_SUM_TOLERANCE,
     as_map,
     compound_noise,
     simulate_multi,
@@ -159,7 +160,7 @@ def _resolve_map(spec) -> tuple:
 
 @_config_errors("data block")
 def parse_data_block(block: dict):
-    """Synthetic spec -> (per-series (map, noise, n, x0), horizons, selection, seed)."""
+    """Synthetic spec -> (per-series (map, noise, n, x0), horizons, seed)."""
     if not isinstance(block["maps"], list) or not block["maps"]:
         raise ConfigError(f"data.maps must be a non-empty list of maps, got {block['maps']!r}")
     maps = [_resolve_map(s) for s in block["maps"]]
@@ -179,12 +180,12 @@ def parse_data_block(block: dict):
             components[(j, l)] = NoiseMixtureSpec(spec["weights"], spec["variances"])
     noises = []
     for j, row in enumerate(selection.tolist()):
-        if abs(sum(row) - 1.0) > 1e-9:
+        if abs(sum(row) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ConfigError(f"selection row {j + 1} does not sum to 1")
         comps = [components.get(tuple(sorted((j + 1, l + 1)))) for l in range(m)]
         noises.append(compound_noise(row, comps))
     specs = list(zip(maps, noises, ns.tolist(), x0s.tolist()))
-    return specs, horizons.tolist(), selection.tolist(), in_domain("seed", block["seed"], WHOLE)
+    return specs, horizons.tolist(), in_domain("seed", block["seed"], WHOLE)
 
 
 @_config_errors("prior block")
@@ -242,8 +243,8 @@ def cmd_simulate(doc: dict, out_dir, seed_override=None) -> MultiSeries:
     block = _block(doc, "data")
     if seed_override is not None:
         block = {**block, "seed": seed_override}
-    specs, horizons, selection, seed = parse_data_block(block)
-    data = simulate_multi(specs, horizons, RngHandle(seed), selection)
+    specs, horizons, seed = parse_data_block(block)
+    data = simulate_multi(specs, horizons, RngHandle(seed))
     write_text(os.path.join(out_dir, "data.json"), json.dumps(data.to_json_dict()))
     write_manifest(out_dir, "simulate", {**doc, "data": {**block, "seed": seed}})
     return data

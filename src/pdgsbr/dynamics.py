@@ -24,6 +24,9 @@ from .errors import DivergenceError
 # polynomial maps then explode super-exponentially.
 DIVERGENCE_BOUND = 1e12
 
+# How far from 1 the weights of a mixture, or a selection row, may sum.
+WEIGHT_SUM_TOLERANCE = 1e-12
+
 
 def as_map(coefficients) -> tuple:
     """A map from outside the program as finite float coefficients theta_0..theta_R."""
@@ -84,7 +87,7 @@ class NoiseMixtureSpec:
         v = tuple(map(float, in_domain("variances", self.variances, POSITIVE, (None,))))
         if len(w) != len(v) or len(w) == 0:
             raise ValueError("weights and variances must be non-empty and equal length")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValueError(f"weights must sum to 1, got {sum(w)}")
         for name, value in (("weights", w), ("variances", v),
                             ("cumulative", tuple(np.cumsum(w).tolist())),
@@ -121,14 +124,11 @@ def sample_noise(spec: NoiseMixtureSpec, rng: RngHandle) -> float:
 
 @dataclass
 class MultiSeries:
-    """Observed multi-series with optional synthetic ground truth."""
+    """Observed multi-series with optional synthetic truth: its maps and held-out futures."""
 
     series: list  # list of 1-d float arrays
-    x0_true: Optional[list] = None
     maps_true: Optional[list] = None
-    noise_true: Optional[list] = None
     futures_true: Optional[list] = None
-    selection_true: Optional[list] = None  # generating selection rows, if synthetic
 
     def __post_init__(self):
         self.series = [in_domain(f"series {j}", s, REAL, (None,))
@@ -136,15 +136,9 @@ class MultiSeries:
         for j, s in enumerate(self.series, 1):
             if np.size(s) < 2:
                 raise ValueError(f"series {j} has fewer than 2 observations")
-        if (self.maps_true is None) != (self.noise_true is None):
-            raise ValueError("a truth needs both its maps and its noise")
-        for name, value in (("x0", self.x0_true), ("maps", self.maps_true),
-                            ("noise", self.noise_true), ("futures", self.futures_true)):
+        for name, value in (("maps", self.maps_true), ("futures", self.futures_true)):
             if value is not None and len(value) != self.m:
                 raise ValueError(f"truth {name} holds {len(value)} series, not {self.m}")
-        if self.selection_true is not None:
-            self.selection_true = in_domain("truth selection", self.selection_true, PROBABILITY,
-                                            (self.m, self.m)).tolist()
 
     @property
     def m(self) -> int:
@@ -157,15 +151,10 @@ class MultiSeries:
     def to_json_dict(self) -> dict:
         doc = {"series": [s.tolist() for s in self.series]}
         if self.maps_true is not None:
-            x0, futures, selection = self.x0_true, self.futures_true, self.selection_true
+            futures = self.futures_true
             doc["truth"] = {
-                "x0": None if x0 is None else list(x0),
                 "maps": [list(p) for p in self.maps_true],
-                "noise": [{"weights": list(n.weights), "variances": list(n.variances)}
-                          for n in self.noise_true],
                 "futures": None if futures is None else [list(map(float, f)) for f in futures],
-                "selection": None if selection is None else
-                [list(map(float, r)) for r in selection],
             }
         return doc
 
@@ -176,17 +165,11 @@ class MultiSeries:
             raise ValueError("a data file and its truth must be JSON objects")
         kwargs = {}
         if truth is not None:
-            x0, futures, selection = (truth.get(key) for key in ("x0", "futures", "selection"))
+            futures = truth.get("futures")  # an older file's x0, noise and selection go unread
             kwargs = {
-                "x0_true": None if x0 is None else json_numbers("x0", x0, (None,), REAL).tolist(),
                 "maps_true": [as_map(json_numbers("maps", c, (None,))) for c in truth["maps"]],
-                "noise_true": [NoiseMixtureSpec(*(json_numbers(key, n[key], (None,))
-                                                  for key in ("weights", "variances")))
-                               for n in truth["noise"]],
                 "futures_true": None if futures is None else
                 [json_numbers("futures", f, (None,), REAL) for f in futures],
-                "selection_true": None if selection is None else
-                json_numbers("selection", selection, (None, None)),
             }
         return cls(series=[json_numbers(f"series {j}", s, (None,))
                            for j, s in enumerate(doc["series"], 1)], **kwargs)
@@ -223,18 +206,12 @@ def simulate_series(
     return values[:n].copy(), values[n:].copy()
 
 
-def simulate_multi(specs, horizons, rng: RngHandle, selection=None) -> MultiSeries:
+def simulate_multi(specs, horizons, rng: RngHandle) -> MultiSeries:
     """Simulate m series from per-series (map, noise, n, x0) specs with
-    ``horizons`` held-out points each; ``selection`` is kept as truth. A
-    diverging series raises DivergenceError.
-    """
+    ``horizons`` held-out points each; a diverging one raises DivergenceError."""
     obs, futs = [], []
     for j, ((poly, noise, n, x0), horizon) in enumerate(zip(specs, horizons)):
         series, future = simulate_series(poly, noise, n, x0, horizon, rng, series_index=j)
         obs.append(series)
         futs.append(future)
-    return MultiSeries(
-        series=obs, x0_true=[float(spec[3]) for spec in specs],
-        maps_true=[spec[0] for spec in specs], noise_true=[spec[1] for spec in specs],
-        futures_true=futs, selection_true=selection,
-    )
+    return MultiSeries(series=obs, maps_true=[spec[0] for spec in specs], futures_true=futs)

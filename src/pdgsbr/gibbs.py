@@ -70,6 +70,9 @@ SLICE_BOUND_CAP = 2000
 # about ten 8-byte temporaries.
 ALLOC_CELL_BUDGET = 2 ** 14
 
+# Widths the x0 slice sampler's stepping-out interval may grow by in total.
+X0_MAX_STEPOUT = 16
+
 
 @dataclass
 class GibbsConfig:
@@ -80,7 +83,6 @@ class GibbsConfig:
     thinning: int = declared(whole_from(1), 1)
     seed: int = declared(WHOLE, 0)
     slice_width: float = declared(POSITIVE, 0.25)
-    max_stepout: int = declared(whole_from(1), 16)
     checkpoint_interval: int = declared(COUNT, 0)  # 0 disables periodic checkpoints
 
     def __post_init__(self):
@@ -332,7 +334,7 @@ def update_x0(state: ChainState, data: MultiSeries, prior: PriorConfig,
         lo, hi = prior.x0_support[j].tolist()
         current = min(max(float(state.x0[j]), lo), hi)
         state.x0[j] = slice_sample_1d(log_f, lo, hi, current,
-                                      config.slice_width, config.max_stepout, rng)
+                                      config.slice_width, X0_MAX_STEPOUT, rng)
     return state
 
 

@@ -75,7 +75,7 @@ NON_FINITE_PRIOR = [(f"{case}-{name}", key, value)
 
 # a valid value of each sampler field, given as a one-element list where a number is due
 SAMPLER_LISTS = [("iterations", 150), ("burn_in", 30), ("thinning", 1), ("checkpoint_interval", 5),
-                 ("seed", 5), ("max_stepout", 16), ("slice_width", 0.25)]
+                 ("seed", 5), ("slice_width", 0.25)]
 
 # a value that cannot be read as numbers; each once exited 2 with numpy's text in place of the key
 UNREADABLE = [("run", "prior", "x0_support", [[-5, 5], [-5]]),
@@ -110,7 +110,8 @@ def jsonl(*records):
 
 
 def two_series_data(maps):
-    """A 2-series data.json whose truth holds ``maps`` and one noise per series."""
+    """A 2-series data.json whose truth holds ``maps``, in the format that also
+    wrote ``m`` and the truth's ``x0`` and ``noise``, which no reader reads."""
     return json.dumps({"m": 2, "series": [[0.1, 0.2, 0.3]] * 2, "truth": {
         "x0": [0.1, 0.2], "maps": maps, "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2}})
 
@@ -141,7 +142,10 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == ["data.json", "manifest.json"]
-        assert sorted(json.loads((out / "data.json").read_text())) == ["series", "truth"]
+        doc = json.loads((out / "data.json").read_text())
+        assert sorted(doc) == ["series", "truth"]
+        # x0, noise and selection once copied the data block the manifest embeds
+        assert sorted(doc["truth"]) == ["futures", "maps"]
         data = MultiSeries.load_json(out / "data.json")
         assert data.m == 2
         assert [len(s) for s in data.series] == [40, 25]
@@ -454,6 +458,29 @@ class TestReport:
         assert set(summary) == {"mean_pare", "hpdi_future"}
         assert (out / "pare_table.csv").exists()
 
+    def test_data_file_in_the_older_format_gives_the_same_bytes(self, tmp_path, sim_dir):
+        # data.json once also held m and the truth's x0, noise and selection, which no
+        # reader read; such a file still loads, and run and report write the same bytes
+        cfg, sim = sim_dir
+        doc = json.loads((sim / "data.json").read_text())
+        older = tmp_path / "older" / "data.json"
+        older.parent.mkdir()
+        older.write_text(json.dumps({"m": 2, "series": doc["series"], "truth": {
+            "x0": [1.0, 1.0], "maps": doc["truth"]["maps"],
+            "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2,
+            "futures": doc["truth"]["futures"], "selection": [[1.0, 0.0], [0.0, 1.0]]}}))
+        outs = []
+        for data in (sim / "data.json", older):
+            out = tmp_path / f"from-{data.parent.name}"
+            assert cli.main(["run", "--config", cfg, "--data", str(data),
+                             "--out", str(out / "run")]) == 0
+            assert cli.main(["report", "--trace", str(out / "run" / "trace.jsonl"),
+                             "--data", str(data), "--out", str(out / "rep")]) == 0
+            outs.append({path.relative_to(out): path.read_bytes()
+                         for path in out.rglob("*") if path.is_file()})
+        assert "rep/pare_table.csv" in map(str, outs[0])
+        assert outs[0] == outs[1]
+
     def test_pare_table_of_a_truth_longer_than_the_fit(self, tmp_path):
         # a truth map of 8 coefficients beside one of 3, under a quintic fit:
         # report once crashed on rows of 6 and 8 PAREs
@@ -587,22 +614,23 @@ class TestReport:
         # each once read as a number (0.1, 1.0) or kept as it was, with exit 0
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], ["0.1", 0.2, 0.3]]}', 2),
         ("run", "data.json", '{"m": 2, "series": [[0.1, 0.2, 0.3], [true, 0.2, 0.3]]}', 2),
-        ("report", "data.json", json.dumps({"m": 2, "series": [[0.1, 0.2, 0.3]] * 2, "truth": {
-            "x0": ["a", None], "maps": [[1.0, 0.0, -1.65]] * 2,
-            "noise": [{"weights": [1.0], "variances": [1e-4]}] * 2}}), 2),
         ("report", "data.json", FEWER_MAPS, 2),
         ("report", "data.json", MORE_MAPS, 2),
         ("run", "data.json", FEWER_MAPS, 2),
         ("run", "data.json", MORE_MAPS, 2),
+        # the truth keys that report reads, each with a value that is not a number
+        ("report", "data.json", two_series_data([[1.0, 0.0, "a"], [1.0, 0.0, -1.65]]), 2),
+        ("report", "data.json", json.dumps({"series": [[0.1, 0.2, 0.3]] * 2, "truth": {
+            "maps": [[1.0, 0.0, -1.65]] * 2, "futures": [["a"], [None]]}}), 2),
     ], ids=["mixture-then-parametric", "parametric-then-mixture",
             "theta-lengths-differ", "theta-a-number", "empty-trace",
             "iteration-fractional", "n-star-fractional", "x0-a-string", "z-pred-a-boolean",
             "one-value-series", "truncated-data", "no-series-key", "data-not-an-object",
             "truth-not-an-object", "report-one-value-series",
             "truncated-trace", "trace-missing-keys", "missing-data", "missing-trace",
-            "series-a-string", "series-a-boolean", "truth-x0-a-string",
+            "series-a-string", "series-a-boolean",
             "report-fewer-truth-maps", "report-more-truth-maps", "run-fewer-truth-maps",
-            "run-more-truth-maps"])
+            "run-more-truth-maps", "truth-map-a-string", "truth-futures-a-string"])
     def test_bad_input_file_exit_code(self, tmp_path, run_dir, capsys, verb, name,
                                           content, code):
         cfg, sim, run = run_dir
@@ -989,19 +1017,25 @@ class TestConfigHelpers:
         assert capsys.readouterr().err.startswith(f"config error: cannot parse config {cfg}:")
         assert not out.exists()
 
-    def test_weak_prior_key_is_refused_by_name(self, tmp_path, sim_dir, capsys):
+    @pytest.mark.parametrize("block, key, value", [
         # reproduce's weak chain runs dirichlet_alpha; a separate weak key would go unread
+        ("prior", "dirichlet_alpha_weak", [[1, 1], [1, 1]]),
+        # the x0 slice sampler steps out by a constant 16 widths, which every config set
+        ("sampler", "max_stepout", 16),
+    ], ids=["dirichlet_alpha_weak", "max_stepout"])
+    def test_removed_key_is_refused_by_name(self, tmp_path, sim_dir, capsys, block, key, value):
         _, sim = sim_dir
         doc = base_config()
-        doc["prior"].update(ALPHAS, dirichlet_alpha_weak=[[1, 1], [1, 1]])
-        cfg = write_config(tmp_path, doc, "weak.yaml")
+        doc["prior"].update(ALPHAS)
+        doc[block][key] = value
+        cfg = write_config(tmp_path, doc, "removed.yaml")
         out = tmp_path / "out"
         for argv in (["simulate", "--config", cfg], ["run", "--config", cfg, "--data",
                                                      str(sim / "data.json")]):
             capsys.readouterr()
             assert cli.main(argv + ["--out", str(out)]) == 2
-            assert "'dirichlet_alpha_weak'" in capsys.readouterr().err
-        with pytest.raises(ConfigError, match="'dirichlet_alpha_weak'"):
+            assert repr(key) in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=repr(key)):
             cli.cmd_reproduce("4A", None, out, doc=doc)
         assert not out.exists()
 
@@ -1037,11 +1071,28 @@ class TestConfigHelpers:
         with pytest.raises(ConfigError):
             cli.bundled_config("4D")
 
-    def test_bad_selection_row_sum(self, tmp_path):
-        doc = base_config()
-        doc["data"]["selection"] = [[0.5, 0.4], [0.0, 1.0]]
-        with pytest.raises(ConfigError):
-            cli.parse_data_block(doc["data"])
+    @pytest.mark.parametrize("row", [
+        [0.5, 0.4],
+        # 1e-10 over and under 1: each once passed this check at 1e-9, and the compounded
+        # noise then refused the row as "weights must sum to 1", naming valid weights
+        [0.5, 0.5000000001], [0.5, 0.4999999999],
+    ], ids=["far-under", "just-over", "just-under"])
+    def test_bad_selection_row_sum(self, tmp_path, capsys, row):
+        doc = cli.bundled_config("4A")
+        doc["data"]["selection"] = [row, [1.0, 0.0]]
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: selection row 1 does not sum to 1\n"
+        assert not out.exists()
+
+    def test_selection_row_within_the_tolerance_simulates(self, tmp_path):
+        # the row check and the compounded noise share one tolerance, so a row
+        # that one of them accepts the other accepts too
+        doc = cli.bundled_config("4A")
+        doc["data"]["selection"] = [[0.25, 0.75 + 5e-13], [1.0, 0.0]]
+        assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 0
 
     def test_alpha_shape_checked(self):
         doc = base_config()
@@ -1070,13 +1121,25 @@ class TestReadmeSynopsis:
         assert sorted(sampler_choices) == sorted(cli.SAMPLERS)
 
 
+class TestReadmeConfigSchema:
+    def test_schema_names_exactly_the_config_keys(self):
+        # a key a parser dropped or added fails here until README follows it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        doc = yaml.safe_load(readme.split("## Config schema", 1)[1]
+                             .split("```yaml\n", 1)[1].split("```", 1)[0])
+        for name, allowed in cli.CONFIG_KEYS.items():
+            assert set(doc if name == "top level" else doc[name]) == allowed, name
+        for spec in doc["data"]["components"].values():
+            assert set(spec) == cli.COMPONENT_KEYS
+
+
 # a finite value outside each config field's declared domain; None where every
 # finite value is inside
 OUTSIDE = {
     "m": -1, "dirichlet_alpha": 0.0, "beta_a": -0.5, "beta_b": 0.0, "gamma_a": 0.0,
     "gamma_b": -1e-3, "poly_degree": -1, "horizon": 1.5, "x0_support": None,
     "iterations": -1, "burn_in": 2.5, "thinning": 0, "seed": 0.5, "slice_width": 0.0,
-    "max_stepout": 0, "checkpoint_interval": -1,
+    "checkpoint_interval": -1,
 }
 CONFIGS = {PriorConfig: {"m": 2, "dirichlet_alpha": 1.0}, GibbsConfig: {"iterations": 10}}
 

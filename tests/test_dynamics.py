@@ -24,8 +24,6 @@ from pdgsbr.dynamics import (
 )
 from pdgsbr.errors import DivergenceError
 
-NOISE = NoiseMixtureSpec((1.0,), (1e-4,))
-
 
 class TestEvalMap:
     def test_quadratic_at_one(self):
@@ -186,7 +184,6 @@ class TestSimulation:
         assert data.m == 2
         assert data.lengths == [60, 30]
         assert [f.size for f in data.futures_true] == [1, 2]
-        assert data.x0_true == [1.0, 1.0]
         assert data.maps_true[0] is NAMED_MAPS["C1"]
 
     def test_seed_reproducibility(self):
@@ -206,7 +203,6 @@ class TestSimulation:
         for sa, sb in zip(data.series, back.series):
             assert np.array_equal(sa, sb)  # bit-exact via repr-style JSON floats
         assert back.maps_true[0] == data.maps_true[0]
-        assert back.noise_true[1].variances == data.noise_true[1].variances
         assert np.array_equal(back.futures_true[1], data.futures_true[1])
 
     def test_json_without_truth(self):
@@ -223,22 +219,26 @@ class TestSimulation:
         back = MultiSeries.from_json_dict({"m": 2, **doc})
         assert back.m == 2 and all(map(np.array_equal, back.series, data.series))
 
+    @pytest.mark.parametrize("key", ["x0", "noise", "selection"])
+    def test_json_with_a_former_truth_field_loads(self, key):
+        # the truth once also held x0, noise and selection, which no reader read; a
+        # value no reader could parse shows the field goes unread
+        data = MultiSeries(series=[np.arange(5.0), np.arange(3.0) + 1],
+                           maps_true=[NAMED_MAPS["Q1"]] * 2, futures_true=[np.zeros(1)] * 2)
+        doc = json.loads(json.dumps(data.to_json_dict()))
+        assert key not in doc["truth"]
+        doc["truth"][key] = "a"
+        back = MultiSeries.from_json_dict(doc)
+        assert json.dumps(back.to_json_dict()) == json.dumps(data.to_json_dict())
+
     @pytest.mark.parametrize("truth, message", [
-        (dict(maps_true=[NAMED_MAPS["Q1"]]), "needs both its maps and its noise"),
-        (dict(noise_true=[NOISE] * 2), "needs both its maps and its noise"),
-        (dict(maps_true=[NAMED_MAPS["Q1"]], noise_true=[NOISE] * 2),
-         "truth maps holds 1 series, not 2"),
-        (dict(maps_true=[NAMED_MAPS["Q1"]] * 3, noise_true=[NOISE] * 2),
-         "truth maps holds 3 series, not 2"),
-        (dict(maps_true=[NAMED_MAPS["Q1"]] * 2, noise_true=[NOISE]),
-         "truth noise holds 1 series, not 2"),
-        (dict(x0_true=[0.5]), "truth x0 holds 1 series, not 2"),
+        (dict(maps_true=[NAMED_MAPS["Q1"]]), "truth maps holds 1 series, not 2"),
+        (dict(maps_true=[NAMED_MAPS["Q1"]] * 3), "truth maps holds 3 series, not 2"),
         (dict(futures_true=[np.zeros(1)] * 3), "truth futures holds 3 series, not 2"),
-        (dict(selection_true=[[1.0]]), "truth selection has shape"),
+        (dict(maps_true=[]), "truth maps holds 0 series, not 2"),
+        (dict(futures_true=[np.zeros(1)]), "truth futures holds 1 series, not 2"),
     ])
     def test_truth_describes_every_series(self, truth, message):
-        # a truth of one map and no noise was once built, and its to_json_dict
-        # then raised TypeError
         with pytest.raises(ValueError, match=message):
             MultiSeries(series=[np.arange(5.0), np.arange(3.0) + 1], **truth)
 

@@ -156,8 +156,8 @@ def random_fixture(seed, m=2, n=25):
 def fourc_state(seed=5):
     """A 4C chain state (m = 3, 423 points) after a few warm-up sweeps."""
     doc = cli.bundled_config("4C")
-    specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
-    data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+    specs, horizons, data_seed = cli.parse_data_block(doc["data"])
+    data = simulate_multi(specs, horizons, RngHandle(data_seed))
     prior = cli.parse_prior_block(doc["prior"], data.m, alpha_key="dirichlet_alpha_strong")
     rng = RngHandle(seed)
     state = init_chain(data, prior, rng)
@@ -858,8 +858,8 @@ class TestFutureKernel:
         # runs away here and halts the chain with a singular theta design
         doc = cli.bundled_config("4A")
         doc["data"]["horizon"] = [20, 20]
-        specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
-        data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+        specs, horizons, data_seed = cli.parse_data_block(doc["data"])
+        data = simulate_multi(specs, horizons, RngHandle(data_seed))
         doc["prior"]["horizon"] = horizons
         prior = cli.parse_prior_block(doc["prior"], data.m)
         records = run_parametric_gaussian(data, prior, GibbsConfig(iterations=400, seed=75))
@@ -1037,8 +1037,8 @@ class TestSweepSharesItsArrays:
     def test_parametric_sweep_on_a_horizon_20_4a_state(self):
         doc = cli.bundled_config("4A")
         doc["data"]["horizon"] = doc["prior"]["horizon"] = [20, 20]
-        specs, horizons, selection, data_seed = cli.parse_data_block(doc["data"])
-        data = simulate_multi(specs, horizons, RngHandle(data_seed), selection)
+        specs, horizons, data_seed = cli.parse_data_block(doc["data"])
+        data = simulate_multi(specs, horizons, RngHandle(data_seed))
         prior = cli.parse_prior_block(doc["prior"], data.m)
         rng = RngHandle(12)
         state = init_chain(data, prior, rng)
