@@ -130,19 +130,13 @@ class RngHandle:
 def draw_gamma(shape: float, rate: float, rng: RngHandle) -> float:
     """Draw from Gamma(shape, rate) with density proportional to x^(shape-1) e^(-rate x).
 
-    Valid for arbitrarily small shapes: for shape < 1 the draw is boosted
-    through Gamma(shape+1) and scaled by U^(1/shape), which keeps the result
-    strictly positive where a direct draw would underflow.
+    One ``standard_gamma(shape)`` call over the rate, for every shape (numpy
+    draws shapes under 1 exactly, by rejection), floored at _GAMMA_FLOOR. A
+    run of calls draws what one ``standard_gamma`` call over the shapes draws.
     """
     if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
         raise ParameterDomainError(f"gamma parameters must be positive, got ({shape}, {rate})")
-    gen = rng.generator
-    if shape >= 1.0:
-        value = gen.standard_gamma(shape) / rate
-    else:
-        # log-space boost: X = G(shape+1) * U^(1/shape), U = 1 - random() in (0, 1]
-        g = gen.standard_gamma(shape + 1.0)
-        value = math.exp(math.log(g) + math.log1p(-gen.random()) / shape - math.log(rate))
+    value = rng.generator.standard_gamma(shape) / rate
     return value if value > _GAMMA_FLOOR else _GAMMA_FLOOR
 
 

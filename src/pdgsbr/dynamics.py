@@ -101,6 +101,7 @@ def compound_noise(selection: Sequence[float], components: Sequence[Optional[Noi
     Entries of ``components`` with zero selection weight may be None. The
     result is one flat mixture whose shared sub-blocks carry identical
     parameters wherever the same component object is reused across series.
+    Its weights are scaled to sum to 1, so rounding cannot fail its check.
     """
     weights, variances = [], []
     for p, comp in zip(selection, components):
@@ -111,7 +112,8 @@ def compound_noise(selection: Sequence[float], components: Sequence[Optional[Noi
         for w, v in zip(comp.weights, comp.variances):
             weights.append(p * w)
             variances.append(v)
-    return NoiseMixtureSpec(tuple(weights), tuple(variances))
+    total = sum(weights)
+    return NoiseMixtureSpec(tuple(w / total for w in weights), tuple(variances))
 
 
 def sample_noise(spec: NoiseMixtureSpec, rng: RngHandle) -> float:

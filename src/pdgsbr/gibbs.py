@@ -211,18 +211,18 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
 
     The support of point (j, i) is its m min(N_ji, N*) live cells l = 1..m,
     k = 1..N_ji. Each cell's log weight log p_{jl} + 1/2 log tau_{jlk}
-    - 1/2 tau_{jlk} h_ji gets standard Gumbel noise (``Generator.gumbel``,
-    finite), and the point takes its first highest cell: a Gumbel-max draw
-    from the normalized weights (Maddison, Tarlow & Minka 2014). Nothing is
-    exponentiated or normalized, so extreme precisions cannot underflow the
-    block. A non-finite weight (an unused NaN cell of a hand-built ragged
-    table) counts as -inf.
+    - 1/2 tau_{jlk} h_ji gets standard Gumbel noise -log E, E a standard
+    exponential, and the point takes its first highest cell: a Gumbel-max
+    draw from the normalized weights (Maddison, Tarlow & Minka 2014).
+    Nothing is exponentiated or normalized, so extreme precisions cannot
+    underflow the block. A NaN weight (an unused cell of a hand-built ragged
+    table), and -inf + inf where E = 0 (chance 2^-53), count as -inf.
 
     Two (m m, K) tables, log p_{jl} + 1/2 log tau_{jlk} and tau_{jlk}, are
     gathered once. A cell's flat index (j m + l) K + k into both rises with
     (l, k), so a point's first highest cell is its smallest index among its
     maxima, and divmod by K decodes it into the pair label and d. The live
-    cells of all series lie flat in point order, one Gumbel draw each, cut
+    cells of all series lie flat in point order, one exponential draw each, cut
     into chunks by ``_alloc_chunks``.
     """
     m = state.m
@@ -242,7 +242,7 @@ def update_alloc_block(state: ChainState, data: MultiSeries, prior: PriorConfig,
             shift = (first[start:stop] - offset) + lanes * (K - w)
             cell = shift.T.ravel().repeat(w.repeat(m)) + np.arange(offset[-1] + count[-1])
             score = base.take(cell) - tau.take(cell) * half_h[start:stop].repeat(count)
-            score += rng.generator.gumbel(size=score.size)
+            score -= np.log(rng.generator.standard_exponential(score.size))
             np.fmax(score, -np.inf, out=score)  # a NaN weight counts as -inf
             best = np.maximum.reduceat(score, offset).repeat(count)
             pick = np.minimum.reduceat(np.where(score == best, cell, tau.size), offset)

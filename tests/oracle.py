@@ -345,7 +345,7 @@ def former_update_alloc_block(state, data, prior, rng, h=None):
             atom = rows[pair] + k
             score = (np.take(log_p, pair) + np.take(half_log_tau, atom)
                      - np.take(state.atoms.values, atom) * np.repeat(half_h[start:stop], count))
-            score += rng.generator.gumbel(size=score.size)
+            score -= np.log(rng.generator.standard_exponential(score.size))
             np.fmax(score, -np.inf, out=score)
             best = np.repeat(np.maximum.reduceat(score, offset), count)
             pick[start:stop] = np.minimum.reduceat(np.where(score == best, pos, m * K), offset)

@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from oracle import csv_write_table, two_call_default_kde
 import pdgsbr
 from pdgsbr import cli, model
-from pdgsbr.dynamics import MultiSeries
+from pdgsbr.dynamics import WEIGHT_SUM_TOLERANCE, MultiSeries
 from pdgsbr.errors import ConfigError
 from pdgsbr.gibbs import GibbsConfig
 from pdgsbr.model import PriorConfig, Trace, read_trace_jsonl
@@ -1093,6 +1093,18 @@ class TestConfigHelpers:
         doc["data"]["selection"] = [[0.25, 0.75 + 5e-13], [1.0, 0.0]]
         assert cli.main(["simulate", "--config", write_config(tmp_path, doc),
                          "--out", str(tmp_path / "out")]) == 0
+
+    def test_row_and_component_each_within_the_tolerance_compound(self):
+        # each sum is off by 9e-13, inside the tolerance; their compounded
+        # mixture was once off by 1.6e-12 and refused as "weights must sum to 1"
+        doc = cli.bundled_config("4A")
+        doc["data"]["selection"] = [[0.25, 0.75 + 9e-13], [1.0, 0.0]]
+        doc["data"]["components"]["1,2"]["weights"] = [0.6, 0.4 + 9e-13]
+        specs, _, _ = cli.parse_data_block(doc["data"])
+        noise = specs[0][1]
+        assert abs(sum(noise.weights) - 1.0) <= WEIGHT_SUM_TOLERANCE
+        assert noise.weights == pytest.approx((0.25, 0.45, 0.3), rel=1e-11)
+        assert noise.variances == (1.0e-6, 3.0e-3, 0.3)
 
     def test_alpha_shape_checked(self):
         doc = base_config()

@@ -29,12 +29,23 @@ class TestQuantile:
                     min_size=1, max_size=6).map(sorted))
     @settings(max_examples=300, deadline=None)
     def test_equals_np_quantile(self, samples, q):
-        # NaN, infinities and ties included; the samples are left unsorted
+        # NaN, infinities and ties included; the samples are left unsorted. At a
+        # weight of 0 the lower neighbour is due, where np.quantile reads NaN next
+        # to an infinite one; with a NaN sample every value is NaN
         before = samples.copy()
         with np.errstate(invalid="ignore"):
             got, expected = quantile(samples, q), np.quantile(samples, q)
+        v = (samples.size - 1) * np.asarray(q)
+        lower = np.sort(samples)[np.floor(v).astype(int)]
+        expected = np.where((v == np.floor(v)) & ~np.isnan(samples).any(), lower, expected)
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(samples, before, equal_nan=True)
+
+    def test_a_weight_of_zero_gives_the_lower_neighbour(self):
+        # np.quantile reads NaN for each (inf * 0 in its interpolation)
+        assert quantile([1.0, math.inf], [0.0]).tolist() == [1.0]
+        assert quantile([-math.inf, 1.0], [0.0]).tolist() == [-math.inf]
+        assert quantile([3.0, 1.0, math.inf], [0.5]).tolist() == [3.0]
 
     def test_finite_where_neighbours_span_the_double_range(self):
         # b - a overflows here: q = 0 once gave NaN and q = 0.005 -inf, each

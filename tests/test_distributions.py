@@ -64,8 +64,8 @@ class TestGamma:
         assert abs(draws.var() - oracle_var) < 3.0 * mc_se(centered_sq)
 
     @pytest.mark.parametrize("shape", [0.5, 0.05])
-    def test_boosted_small_shape_mean_and_variance(self, rng, shape):
-        # shape < 1 draws through the boost G(shape + 1) U^(1/shape):
+    def test_small_shape_mean_and_variance(self, rng, shape):
+        # numpy draws a shape under 1 by rejection:
         # Gamma(shape, rate) has mean shape / rate and variance shape / rate^2
         rate = 2.0
         draws = np.array([draw_gamma(shape, rate, rng) for _ in range(N_DRAWS)])
@@ -77,6 +77,32 @@ class TestGamma:
     def test_domain_errors(self, rng, shape, rate):
         with pytest.raises(ParameterDomainError):
             draw_gamma(shape, rate, rng)
+
+    def test_calls_equal_one_array_draw(self):
+        # the floor included: about half the shape-1e-3 draws at rate 1e-3 are floored
+        shapes = np.array([1e-3, 0.05, 0.501, 1.0, 300.0] * 40)
+        rates = np.array([1e-3, 0.7, 2.0, 50.0, 1e-3, 3.0, 1.0, 1e-3] * 25)
+        loop, array = RngHandle(808), RngHandle(808)
+        got = [draw_gamma(a, b, loop) for a, b in zip(shapes.tolist(), rates.tolist())]
+        want = np.maximum(array.generator.standard_gamma(shapes) / rates, 1e-300)
+        assert np.array(got).tobytes() == want.tobytes()
+        assert 0 < (want == 1e-300).sum() < 40
+        assert loop.get_state() == array.get_state()
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.05, 0.501])
+    def test_small_shape_law_equals_the_former_boost(self, shape):
+        # the former form drew G(shape + 1) U^(1/shape) in log space; the two laws
+        # agree on the floored share (within 3 binomial SE) and above the floor
+        from scipy.stats import ks_2samp
+
+        n, rate = 40_000, 1e-3
+        rng_new, rng_old = RngHandle(61), RngHandle(62)
+        new = np.array([draw_gamma(shape, rate, rng_new) for _ in range(n)])
+        old = np.array([former_draw_gamma(shape, rate, rng_old) for _ in range(n)])
+        floored_new, floored_old = (new == 1e-300).mean(), (old == 1e-300).mean()
+        pooled = (floored_new + floored_old) / 2
+        assert abs(floored_new - floored_old) <= 3 * math.sqrt(pooled * (1 - pooled) * 2 / n)
+        assert ks_2samp(np.log(new[new > 1e-300]), np.log(old[old > 1e-300])).pvalue > 1e-3
 
 
 class TestBeta:
@@ -426,7 +452,8 @@ class TestDrawHelpersKeepTheirStream:
     Python floats and numpy scalars alike, before drawing anything."""
 
     @pytest.mark.parametrize("helper, former, args", [
-        # shape >= 1 only: the boost for shape < 1 draws its uniform as 1 - U now
+        # shape >= 1 only: the former form boosted a shape under 1 through
+        # Gamma(shape + 1), a second draw (TestGamma compares the two laws)
         (draw_gamma, former_draw_gamma, [(s, r) for s in (1.0, 2.5, 300.0)
                                          for r in (1e-3, 1.0, 50.0)]),
         (draw_gamma, former_draw_gamma, [(np.float64(1.7), np.float64(3.0)), (2, 1)]),

@@ -444,7 +444,7 @@ class TestAllocBlockMatchesDenseOracle:
     checked exactly: the block must draw the same in one chunk as in many."""
 
     def test_4c_state_with_mixed_bounds(self):
-        # each cell gets one uniform in point order, whatever the chunking, so
+        # each cell gets one exponential draw in point order, whatever the chunking, so
         # the block in one chunk and in chunks of ALLOC_CELL_BUDGET cells must
         # draw the same, and it is exact (a law test at this size would take
         # minutes)
@@ -524,6 +524,68 @@ class TestAllocChunks:
             block = first // budget
             assert all(block[start] == block[stop - 1] for start, stop, _ in chunks)
             assert all(block[stop - 1] < block[stop] for _, stop, _ in chunks[:-1])
+
+
+class ZeroExponentials:
+    """A stand-in handle whose ``standard_exponential`` gives 0.0 at the
+    cells ``zeros`` and real draws elsewhere: the draw E = 0 that makes the
+    Gumbel noise -log E infinite, a chance of about 2^-53 a cell."""
+
+    def __init__(self, zeros, seed=0):
+        self.generator, self.zeros = self, zeros
+        self.real = np.random.default_rng(seed)
+
+    def standard_exponential(self, size):
+        draws = self.real.standard_exponential(size)
+        draws[self.zeros] = 0.0
+        return draws
+
+
+def block_cells(state):
+    """(point, pair label, d, tau) of every live cell, in the block's order
+    (point by point, l then k); tau is NaN on a ragged table's unused cell."""
+    m, K = state.m, state.atoms.max_size()
+    cells = [(i, j * m + l, k + 1) for i, (j, w) in enumerate(zip(
+        state.alloc.series.tolist(), np.minimum(state.alloc.flat[2], K).tolist()))
+        for l in range(m) for k in range(w)]
+    point, pair, d = np.array(cells).T
+    return point, pair, d, state.atoms.values[state.atoms.index.ravel()[pair], d - 1]
+
+
+def assert_labels_in_range(state):
+    pair, d, N = state.alloc.flat
+    assert np.array_equal(pair // state.m, state.alloc.series)
+    assert np.all((1 <= d) & (d <= np.minimum(N, state.atoms.max_size())))
+
+
+class TestAllocBlockNoiseOfAZeroExponential:
+    """-log 0 = +inf: a live cell drawn E = 0 wins its point, and a cell of
+    weight -inf or NaN drawn E = 0 scores NaN, which counts as -inf."""
+
+    def test_a_live_cell_given_zero_is_picked(self):
+        state, data, prior, _ = ragged_nan_state()
+        assert len(list(_alloc_chunks(live_cells(state)))) == 1
+        point, pair, d, tau = block_cells(state)
+        mix = np.random.default_rng(9)
+        chosen = np.array([mix.choice(np.flatnonzero((point == i) & np.isfinite(tau)))
+                           for i in range(point.max() + 1)])
+        update_alloc_block(state, data, prior, ZeroExponentials(chosen))
+        assert np.array_equal(state.alloc.flat[0], pair[chosen])
+        assert np.array_equal(state.alloc.flat[1], d[chosen])
+        assert_labels_in_range(state)
+
+    def test_a_nan_or_zero_weight_cell_given_zero_is_never_picked(self):
+        state, data, prior, _ = ragged_nan_state()
+        state.p = np.array([[0.3, 0.7], [1.0, 0.0]])  # series 2 keeps the shared pair only
+        point, pair, d, tau = block_cells(state)
+        dead = np.isnan(tau) | (state.p.ravel()[pair] == 0)
+        assert dead.sum() > point.max()  # more dead cells than points
+        for seed in range(20):
+            update_alloc_block(state, data, prior, ZeroExponentials(dead, seed))
+            assert_labels_in_range(state)
+            labels, k, _ = state.alloc.flat
+            assert np.isfinite(state.atoms.values[state.atoms.index.ravel()[labels], k - 1]).all()
+            assert (state.p.ravel()[labels] > 0).all()
 
 
 FORMER_STATES = {"4c-mixed-bounds": mixed_bounds_fourc_state, "ragged-nan": ragged_nan_state,

@@ -36,13 +36,13 @@ CASES = {
 GOLDEN = {
     "2.4": {
         "4a-strong": {
-            "trace.jsonl": "bfb78be75c0cbb4d3d0a44d9ef3a3b72d1b32a23de4dbb6447e64889e5f7affd",
-            "trace.csv": "a8fbb0ebfe8bbd58cab985507ba169b67e452b016cc91e3b4f0d0c5ecca0c30a",
+            "trace.jsonl": "ad4860488cacd539b825c59a5396aebd6ee5357daeeab452248fc5a5a2302aab",
+            "trace.csv": "b6f8fcbb37b1c646caa4e6104cf076d762efa8e38cd9df521a45f7c4593e7aa2",
         },
         "4c-checkpointed": {
-            "trace.jsonl": "891800483fea720f08521d9c2eb26a6c0ce4358aa19cd3b83c10cae4698dbf9e",
-            "trace.csv": "880876b84711eb49263647d2740a243eb4a7c56cc7ce535094ba181ce04c65af",
-            "checkpoint.json": "937703378a59b02d465ba18fee567c5982bd2439d8f2532a14f99b12646a3222",
+            "trace.jsonl": "e67a32d281e036bb6f8ebe2870fd1a6330b741b15eb4bac4d237d0bc4633c40d",
+            "trace.csv": "3388d6c57f347e0d44d77ca07b139c6b6d8457fa7bf8bbd31ff1d89098466380",
+            "checkpoint.json": "8ba1957776cc44ec913c24e28cab463adf23cfa575965a0b3af689f343e12249",
         },
         "4a-parametric": {
             "trace.jsonl": "5cfbbc85eb5633dfe6943d8cd1e5b360252438ff02537d946ded782cbf27ae87",
@@ -62,16 +62,16 @@ GOLDEN = {
 GOLDEN_REPORT = {
     "2.4": {
         "4a-strong": {
-            "ergodic_theta_1.csv": "af17a399f296f896c6d634654b324e6d3af2032a081adc52d1db04b44b1d1560",
-            "ergodic_theta_2.csv": "bbefb9f80fee97128a8c273cad692ee57e404b545c0d352678f3ab5a208b67c6",
-            "kde_future_1.csv": "75c9ff9250e2d877054df0be4e025081433588a2612c1a3ac70db18120e7cd4d",
-            "kde_future_2.csv": "bad6d417fd50f5afb4c4b40cae5758dc25a3ee5b4dcfbe6b492900b323286333",
-            "kde_noise_1.csv": "985c26765c26f046212824440972fd6522e3941ab393ac799b98e8a1d5445978",
-            "kde_noise_2.csv": "e4f8fe744fbf99fd3004f25709068f70f95cae4fc187c661a83ff9fff33fa3ce",
-            "kde_x0_1.csv": "9841fbc1465108d9813609cf928f93be6e39908a83744648b5b3614128161c9a",
-            "kde_x0_2.csv": "7934c903822842b1b57cb2365967a46f177b778d849b405098890413727d9da3",
-            "pare_table.csv": "a484646dbb689e07530a7db8320d700e96dfa0ee5026304744e15310d62d92b6",
-            "summary.json": "75af5ec810c93a2a2a138627fc0d59efccc1524ce5942ad1e4116625f9cf967e",
+            "ergodic_theta_1.csv": "a4854c415ec82b650d00e69e5fa74642685d8b8339d3ec69779b705dd444685e",
+            "ergodic_theta_2.csv": "11949b32b792c1439344c3c011ddb0299ec7cf37733d01746f915aefb65c6403",
+            "kde_future_1.csv": "646e9e4610e56c8f2dace301570c7698fb545abed7ef6e5c06d973b07c11b8c6",
+            "kde_future_2.csv": "4f99c722903c710ecabdb9717b3fb4a45a1459e1560532cfef830a6ca123b46e",
+            "kde_noise_1.csv": "ed6ee03f0993a2760f0cd653cca369d74d159574c6b255632bda02abbc2b6598",
+            "kde_noise_2.csv": "6eb01649586b90245c9eedf0c7281973748efee36d05c8dbe22a1bed63a98087",
+            "kde_x0_1.csv": "af32ec219910fdf7b65b1f053c42747cf8ecdf60fd5ea2734e5f3439badbca3d",
+            "kde_x0_2.csv": "69c0183f5110a80a77b1b8b7996d19f84bdcfebd40b516f5cdeac09d5aa7b9bb",
+            "pare_table.csv": "964069674ad0d9611b3e2d4af0c901d268e78065d8e098313e27165e09747d83",
+            "summary.json": "d9762becdfff8d21ef29d79a6c1e1cc8f7b2c371e1493e7d9a9b70034f4bcee9",
         },
         "4a-parametric-h3": {
             "ergodic_theta_1.csv": "3716ae6a6b59074b67f7e8e870caf46004af9435d38bcc4a1b57db3a4b3d725e",
@@ -86,20 +86,20 @@ GOLDEN_REPORT = {
             "summary.json": "a5097da31a876da05aaca329bb9e5254c778af69364de138e74f9dee8e278d4e",
         },
         "4c-checkpointed": {
-            "ergodic_theta_1.csv": "41f4b3b8ee6759cd070f79406be4829fb8206432c460fe6d426a3a86ab5674e4",
-            "ergodic_theta_2.csv": "be3b8df12b52d353534d6160ea9c520c3d709424420bdf5c25a20e037f11d6fc",
-            "ergodic_theta_3.csv": "a570472f9c0953b7217a9e5941a4aace4ecf1ffb5842e19a2fa6ef676072f24c",
-            "kde_future_1.csv": "ab0bbcc9724a6f6b7dad8e68d3c3bb42913867a96428be55c12aeea74e47f2cc",
-            "kde_future_2.csv": "765b3e35eb9389f8fd695e34f47cdf1d5c1b9d6dfcb6a492feddf637c7c27bdf",
-            "kde_future_3.csv": "226611962c44d7a945c8d45451bb8de88a48ac4863cf5cf91d1147b11b689684",
-            "kde_noise_1.csv": "931c0b8d43d43ca704b71b745df4f1b7a7db15edcb12cc2c8572824fa69c1251",
-            "kde_noise_2.csv": "594898b242fc0fe143e168f3552449c752ef16970e501c82c7713c4a43dcfd6f",
-            "kde_noise_3.csv": "ed8a304b5446081a3943416b8d3321518a23a4f775219641490b723ec8d3e1c0",
-            "kde_x0_1.csv": "e16f5e2cd3b76ba16b5861905b93b6b470646c5689bbf5387572e2241f228e5e",
-            "kde_x0_2.csv": "290fa9a17e057a38edb72bf645eadaadf25c8c3a0cf1bbb755532bc14912e989",
-            "kde_x0_3.csv": "78fec8ea8bd14afece85dca2f3ab91a71c6519594ac8a0c9bfb05fb1ed63b15d",
-            "pare_table.csv": "866408077aefd512095fba1e8a3da71016a6d0b435b28c6ff55df95ea754a640",
-            "summary.json": "5bb7fd8fab7d9e348aaea8a6c0bc89248067d0ae1a275d0f3cc00e40cfb3dc26",
+            "ergodic_theta_1.csv": "18902ecd77e5c121ab1d93c3542cc64d31061bb4fb3a29b5592c58e816b85b81",
+            "ergodic_theta_2.csv": "67f8a510d1715d9cc5d47aca09b302ed12e0fc135e562b626b245e5f6a84bf6c",
+            "ergodic_theta_3.csv": "3916550005b1fd0f80698a1c91607106634512ed849e365901d145dacd0aafae",
+            "kde_future_1.csv": "ac0be0189d56dcc7bc952b0a8fbd29af79df07ea943388c68f5b6bccbbd4b2f2",
+            "kde_future_2.csv": "1edbc92c3420a2ebd9e4a183824d7b00b6c1d54d4450ef1c960e50a63bd737cc",
+            "kde_future_3.csv": "212874172ab9407d7b226026d60caebc811e45fc0fbc340fe26591558396ef60",
+            "kde_noise_1.csv": "f28573b65cd1e6ef31209b010664bfa5c302c0ad33347ae06fb720605e6ae5c3",
+            "kde_noise_2.csv": "9a610f9fae12fade7a4503385551b5defb0040acfff69291b6f11d817e1a3751",
+            "kde_noise_3.csv": "38e6ab8922443257e6857ecba86004598934d0bb5ced4c5537fb2c0f9948d4ca",
+            "kde_x0_1.csv": "8182d7219edf7f1f1c680810d5eff33bb833929efe675590949a92607baf73af",
+            "kde_x0_2.csv": "9135d5c9d6db64793694051c6238ed9a7bbb6b576a5e70bdcfec676cd53080f4",
+            "kde_x0_3.csv": "d5b5c7a9aa5a6b8c59e517510ca09b693bcf2d501af726decceb8e443fa97935",
+            "pare_table.csv": "08538e93875fc4dc9572720b5c84a5f3ec0d9637a819be79c331449793d1277d",
+            "summary.json": "4799875e5a5d8c99bcaf73c3dd855115b88d58768ee092314d66b22c2567f03f",
         },
     },
 }
