@@ -69,12 +69,11 @@ PRIOR_FIELDS = {f.name for f in dataclasses.fields(PriorConfig)}
 # The keys each config block may set: the ones its parser reads. Any other key
 # is a typo that would otherwise fall back to a default without a word.
 CONFIG_KEYS = {
-    "top level": {"name", "data", "prior", "sampler", "outputs", "reproduce"},
+    "top level": {"name", "data", "prior", "sampler", "reproduce"},
     "data": {"seed", "maps", "n", "x0", "horizon", "components", "selection"},
     "prior": PRIOR_FIELDS - {"m"} | {"dirichlet_alpha_strong"},
     "sampler": {f.name for f in dataclasses.fields(GibbsConfig)},
-    "outputs": {"directory", "kde_bounds"},
-    "reproduce": {"short_series", "donors"},
+    "reproduce": {"short_series", "donors", "kde_bounds"},
 }
 COMPONENT_KEYS = {"weights", "variances"}  # of each data.components entry
 
@@ -125,7 +124,7 @@ def _parse_yaml(stream):
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = _parse_yaml(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
@@ -219,16 +218,6 @@ def check_kde_bounds(bounds):
     if not bounds[0] < bounds[1]:
         raise ConfigError(f"kde_bounds must be [lo, hi] with lo < hi, got {bounds}")
     return bounds.tolist()
-
-
-@_config_errors("outputs block")
-def parse_outputs_block(block: dict) -> tuple:
-    """(directory, kde_bounds): the output directory, ``out`` where the block
-    leaves it out, and the bounds by ``check_kde_bounds``."""
-    directory = block.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"outputs.directory must be a non-empty string, got {directory!r}")
-    return directory, check_kde_bounds(block.get("kde_bounds"))
 
 
 def write_manifest(out_dir, command: str, doc: dict, **extra) -> None:
@@ -379,7 +368,7 @@ def cmd_reproduce(experiment: str, scale: str, out_dir, doc=None) -> dict:
         if not 0 < len(set(donors)) == len(donors) or max([short, *donors]) >= m or short in donors:
             raise ConfigError(f"short_series and donors must be series 1..{m} of the data "
                               "block, the donors one or more, distinct, without the short one")
-    _, kde_bounds = parse_outputs_block(_block(doc, "outputs"))
+        kde_bounds = check_kde_bounds(rep.get("kde_bounds"))
     for alpha_key in ("dirichlet_alpha", "dirichlet_alpha_strong"):
         parse_prior_block(_block(doc, "prior"), m, alpha_key)
     base_seed = parse_sampler_block(_block(doc, "sampler"), scale=scale).seed
@@ -436,12 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate synthetic multi-series data")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None)
+    p_sim.add_argument("--out", required=True)
 
     p_run = sub.add_parser("run", help="run one Gibbs chain")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--data", required=True)
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", required=True)
     p_run.add_argument("--sampler", choices=sorted(SAMPLERS), default="pdgsbr")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--resume", default=None)
@@ -463,15 +452,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
-        if args.verb in ("simulate", "run"):
-            doc = load_config(args.config)
-            check_config_keys(doc)
-            directory, _ = parse_outputs_block(_block(doc, "outputs"))
-            out = args.out or directory
         if args.verb == "simulate":
-            cmd_simulate(doc, out, seed_override=args.seed)
+            cmd_simulate(load_config(args.config), args.out, seed_override=args.seed)
         elif args.verb == "run":
-            cmd_run(doc, args.data, out, sampler=args.sampler,
+            cmd_run(load_config(args.config), args.data, args.out, sampler=args.sampler,
                     seed_override=args.seed, resume_path=args.resume)
         elif args.verb == "report":
             out = args.out or os.path.dirname(os.path.abspath(args.trace))

@@ -178,7 +178,7 @@ class MultiSeries:
 
     @classmethod
     def load_json(cls, path) -> "MultiSeries":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
 

@@ -307,7 +307,8 @@ def update_theta(state: ChainState, data: MultiSeries, prior: PriorConfig,
     A = sums[:, _hankel(R)]
     b = np.add.reduceat(powers[:R + 1] * nxt, first, axis=1).T
     w, Q = np.linalg.eigh(A)  # eigenvalues ascending
-    bad = ~(w[:, -1] <= THETA_COND_LIMIT * w[:, 0])  # NaN and w <= 0 included
+    with np.errstate(over="ignore"):  # an overflow to inf passes, as w_max < inf = w_min * 1e12
+        bad = ~(w[:, -1] <= THETA_COND_LIMIT * w[:, 0])  # NaN and w <= 0 included
     if bad.any():
         j = int(np.argmax(bad))
         with np.errstate(divide="ignore"):

@@ -445,14 +445,14 @@ def atomic_write(path, newline=None):
     whole. A path that exists but is not a regular file, such as
     ``os.devnull``, is written in place, since a rename would replace it."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
     parent = os.path.dirname(os.fspath(path))
     if parent and not os.path.isdir(parent):
         os.makedirs(parent, exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
-    fh = open(tmp, "w", newline=newline)
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
     try:
         with fh:
             yield fh
@@ -477,7 +477,7 @@ def save_checkpoint(path, state: ChainState, rng: RngHandle) -> None:
 def load_checkpoint(path, data: MultiSeries, prior: PriorConfig):
     """(state, rng) of a checkpoint, its state read by ``ChainState.from_dict``;
     any other key, such as the config older checkpoints carried, is ignored."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return ChainState.from_dict(doc["state"], data, prior), RngHandle.from_state(doc["rng"])
 
@@ -539,5 +539,5 @@ def write_trace_jsonl(path, trace: Trace, csv_path=None) -> None:
 
 
 def read_trace_jsonl(path) -> Trace:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return Trace.stack([json.loads(line) for line in fh if line.strip()])

@@ -52,7 +52,6 @@ def base_config(**overrides):
         },
         # retained records must stay >= 100 so the future HPDI is computable
         "sampler": {"iterations": 150, "burn_in": 30, "thinning": 1, "seed": 5},
-        "outputs": {"directory": "out"},
     }
     doc.update(overrides)
     return doc
@@ -132,6 +131,17 @@ def write_config(tmp_path, doc, name="config.yaml"):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def main_in_subprocess(argv, **env):
+    """``cli.main(argv)`` in a fresh interpreter, with ``env`` over this one's
+    environment; a hang fails the calling test after 60 s instead of the suite."""
+    src = os.path.dirname(os.path.dirname(pdgsbr.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, (
+        src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from pdgsbr import cli; sys.exit(cli.main())", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestSimulate:
@@ -792,8 +802,8 @@ class TestReproduce:
         {"donors": [1, 1]},  # once counted series 1 twice: a BoI above 1
         # whole blocks: each once let the data be simulated, and a bad strong prior let the
         # whole weak chain and its report run, before the run was refused
-        pytest.param({"outputs": {"kde_bounds": [math.nan, 1.0]}}, id="kde-bounds-nan"),
-        pytest.param({"outputs": {"kde_bounds": [1.0, -1.0]}}, id="kde-bounds-reversed"),
+        pytest.param({"reproduce": {"kde_bounds": [math.nan, 1.0]}}, id="kde-bounds-nan"),
+        pytest.param({"reproduce": {"kde_bounds": [1.0, -1.0]}}, id="kde-bounds-reversed"),
         pytest.param({"prior": dict(ALPHAS, dirichlet_alpha_strong=[[1, 1], [1, math.nan]])},
                      id="alpha-strong-nan"),
         pytest.param({"prior": dict(ALPHAS, dirichlet_alpha=[[1, 1], [-1, 1]])},
@@ -861,8 +871,8 @@ class TestConfigHelpers:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
         assert "'iteration'" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
-        for block, key in (("data", "sed"), ("prior", "gamma"), ("outputs", "dir"),
-                           ("reproduce", "donor"), (None, "samplers")):
+        for block, key in (("data", "sed"), ("prior", "gamma"), ("reproduce", "donor"),
+                           (None, "samplers")):
             doc = base_config()
             (doc if block is None else doc.setdefault(block, {}))[key] = 1
             with pytest.raises(ConfigError, match=repr(key)):
@@ -900,10 +910,6 @@ class TestConfigHelpers:
         ("run", "prior", "poly_degree", -1, []),
         ("run", "prior", "poly_degree", -3, []),
         ("run", "sampler", "iterations", math.inf, []),
-        # once exited 1 with a TypeError traceback from os.makedirs, or 0 with --out
-        ("simulate", "outputs", "directory", 5, []),
-        # once exited 4 as an I/O error; the writer would now write into the working directory
-        ("simulate", "outputs", "directory", "", []),
         # each once ignored without a word: a component of a series the data do not have
         ("simulate", "data", "components", {"1,1": {"weights": [1.0], "variances": [1e-4]},
                                             "2,2": {"weights": [1.0], "variances": [1e-4]},
@@ -933,8 +939,7 @@ class TestConfigHelpers:
             "component-variance-nan", "x0-support-empty"]
        + [case for case, _, _ in NON_FINITE_PRIOR]
        + ["data-x0-nan", "data-x0-inf", "data-horizon-negative", "map-coefficient-nan",
-          "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf",
-          "outputs-directory-int", "outputs-directory-empty", "component-key-series-5",
+          "poly-degree-minus-1", "poly-degree-minus-3", "iterations-inf", "component-key-series-5",
           "component-key-series-0", "component-pair-named-twice"]
        + [f"sampler-{key}-list" for key, _ in SAMPLER_LISTS]
        + ["data-seed-list", "sampler-seed-bool", "prior-poly_degree-bool"]
@@ -963,30 +968,24 @@ class TestConfigHelpers:
 
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_non_finite_slice_width_exits_2_without_hanging(self, tmp_path, sim_dir, width):
-        # a NaN width once passed `slice_width <= 0` and the run never ended;
-        # in a subprocess so that a hang fails the test instead of the suite
+        # a NaN width once passed `slice_width <= 0` and the run never ended
         _, sim = sim_dir
         doc = base_config()
         doc["sampler"]["slice_width"] = width
         cfg = write_config(tmp_path, doc, "bad.yaml")
-        src = os.path.dirname(os.path.dirname(pdgsbr.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
-            src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; from pdgsbr import cli; sys.exit(cli.main())",
-             "run", "--config", cfg, "--data", str(sim / "data.json"),
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=60)
+        done = main_in_subprocess(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                                   "--out", str(tmp_path / "out")])
         assert done.returncode == 2 and done.stderr.startswith("config error:"), done.stderr
 
-    def test_null_block_reads_as_empty(self, tmp_path, monkeypatch):
-        doc = base_config(outputs=None)
+    def test_null_block_reads_as_empty(self, tmp_path):
+        doc = base_config(reproduce=None)
         doc["sampler"].update(iterations=40, burn_in=10)
         cfg = write_config(tmp_path, doc)
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["simulate", "--config", cfg]) == 0
-        assert cli.main(["run", "--config", cfg, "--data", "out/data.json"]) == 0
-        assert (tmp_path / "out" / "trace.jsonl").exists()
+        sim, run = tmp_path / "sim", tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        assert cli.main(["run", "--config", cfg, "--data", str(sim / "data.json"),
+                         "--out", str(run)]) == 0
+        assert (run / "trace.jsonl").exists()
 
     def test_defaults_live_in_the_dataclasses(self):
         alpha = [[1.0, 2.0], [3.0, 4.0]]
@@ -1017,17 +1016,35 @@ class TestConfigHelpers:
         assert capsys.readouterr().err.startswith(f"config error: cannot parse config {cfg}:")
         assert not out.exists()
 
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale a valid UTF-8 name once exited 2: "'ascii' codec can't decode"
+        text = importlib.resources.files("pdgsbr.configs").joinpath("4a.yaml").read_text()
+        ascii_locale = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+        for encoding, name, code in (("utf-8", "4A \u2013 \u00c4", 0),
+                                     ("latin-1", "4A \u00c4", 2)):
+            cfg = tmp_path / f"{encoding}.yaml"
+            cfg.write_bytes(text.replace('name: "4A"', f'name: "{name}"').encode(encoding))
+            done = main_in_subprocess(["simulate", "--config", str(cfg),
+                                       "--out", str(tmp_path / encoding)], **ascii_locale)
+            assert done.returncode == code, done.stderr
+        manifest = json.loads((tmp_path / "utf-8" / "manifest.json").read_bytes())
+        assert manifest["config"]["name"] == "4A \u2013 \u00c4"
+        assert not (tmp_path / "latin-1").exists()
+
     @pytest.mark.parametrize("block, key, value", [
         # reproduce's weak chain runs dirichlet_alpha; a separate weak key would go unread
         ("prior", "dirichlet_alpha_weak", [[1, 1], [1, 1]]),
         # the x0 slice sampler steps out by a constant 16 widths, which every config set
         ("sampler", "max_stepout", 16),
-    ], ids=["dirichlet_alpha_weak", "max_stepout"])
+        # its directory was the default of both simulate and run, so a run's manifest
+        # replaced the simulation's; its kde_bounds are reproduce.kde_bounds now
+        (None, "outputs", {"directory": "out", "kde_bounds": [-0.9, 0.9]}),
+    ], ids=["dirichlet_alpha_weak", "max_stepout", "outputs"])
     def test_removed_key_is_refused_by_name(self, tmp_path, sim_dir, capsys, block, key, value):
         _, sim = sim_dir
         doc = base_config()
         doc["prior"].update(ALPHAS)
-        doc[block][key] = value
+        (doc if block is None else doc[block])[key] = value
         cfg = write_config(tmp_path, doc, "removed.yaml")
         out = tmp_path / "out"
         for argv in (["simulate", "--config", cfg], ["run", "--config", cfg, "--data",
@@ -1053,6 +1070,19 @@ class TestConfigHelpers:
             cli.main(argv + extra)
         assert exc.value.code == 2
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("verb", ["simulate", "run"])
+    def test_out_is_required(self, tmp_path, sim_dir, monkeypatch, verb):
+        # both once defaulted to one directory, where run's manifest replaced simulate's
+        cfg, sim = sim_dir
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        argv = (["simulate", "--config", cfg] if verb == "simulate" else
+                ["run", "--config", cfg, "--data", str(sim / "data.json")])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("name", ["4a", "4b", "4c"])

@@ -748,6 +748,13 @@ class TestThetaKernel:
             update_theta(state, data, prior, RngHandle(0))
         assert exc.value.series == 0
 
+    def test_a_huge_precision_passes_without_an_overflow_warning(self):
+        # w_min * THETA_COND_LIMIT once overflowed with a RuntimeWarning, as a prior
+        # gamma_a of 1e300 made it at the first sweep; an infinite bound passes any finite w_max
+        state, data = single_series_state([1.0, 2.0, 3.0], [0.0], [1.0])
+        update_theta(state, data, make_prior(1, R=0), RngHandle(31), tau_override=1e305)
+        assert state.theta[0][0] == pytest.approx(2.0)
+
 
 class TestInitialConditionKernel:
     def test_linear_map_gives_exact_normal(self):

@@ -143,7 +143,7 @@ def run_case(case, tmp_path, iterations=100):
 def report_case(case, tmp_path):
     """Run the case's 140-sweep chain and report it; returns the report directory."""
     run = run_case(case, tmp_path, iterations=140)
-    bounds = cli.bundled_config(CASES[case][0])["outputs"]["kde_bounds"]
+    bounds = cli.bundled_config(CASES[case][0])["reproduce"]["kde_bounds"]
     out = tmp_path / "report"
     cli.cmd_report(run / "trace.jsonl", tmp_path / "data" / "data.json", out,
                    kde_bounds=bounds if REPORT_CASES[case] else None)

@@ -1,5 +1,6 @@
 """What a simplification can leave behind in ``src/pdgsbr``: an import whose
-last use went, or a private helper whose last caller went."""
+last use went, or a private helper whose last caller went; and an ``open``
+that would read or write in the locale's encoding."""
 
 import ast
 from pathlib import Path
@@ -40,4 +41,13 @@ def test_every_private_function_has_a_caller():
                 own = {id(inner) for inner in ast.walk(node)}
                 if not any(node.name in referenced(other, own) for other in TREES.values()):
                     found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+def test_every_open_names_its_encoding():
+    # without one, a file is read in the locale's encoding: under an ASCII locale a
+    # valid UTF-8 config was once refused
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+             and not any(k.arg == "encoding" for k in node.keywords)]
     assert found == []
